@@ -17,13 +17,13 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
 from . import cantor, fock, invariants, limits
 from .coeff import Angle, CircleRotation, CoefficientAlgebra, FiniteCyclicShift
 from .crossed import MatrixElement
 from .errors import BudgetError, MismatchError
 from .report import Report, canonical_json
+from .scalar import parse_fraction
 
 SUITES = (
     "gamma-hom", "gamma-comp", "trace-compat", "fock-id", "fock-blocks",
@@ -40,6 +40,8 @@ def _algebra_from_args(args) -> CoefficientAlgebra:
     if args.algebra == "circle":
         return CircleRotation(Angle.parse(args.angle))
     if args.algebra == "cyclic":
+        if args.modulus < 1:
+            raise ValueError(f"--modulus must be at least 1, got {args.modulus}")
         return FiniteCyclicShift(args.modulus)
     raise MismatchError(f"unknown algebra {args.algebra!r}")
 
@@ -111,8 +113,12 @@ def _run_suite(args) -> Report:
 def _read_element(args) -> dict:
     if args.infile:
         with open(args.infile, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    return json.load(sys.stdin)
+            data = json.load(fh)
+    else:
+        data = json.load(sys.stdin)
+    if not isinstance(data, dict):
+        raise ValueError(f"input JSON must be an object, got {type(data).__name__}")
+    return data
 
 
 def _emit(args, text: str) -> None:
@@ -182,10 +188,14 @@ def _theta_stream(text: str):
     import itertools
 
     parts = [p.strip() for p in text.split(",")]
-    if parts and parts[-1] == "...":
-        coeffs = [int(p) for p in parts[:-1]]
-        return itertools.chain(coeffs, itertools.repeat(coeffs[-1]))
-    return [int(p) for p in parts]
+    repeat = parts[-1] == "..."
+    coeffs = [int(p) for p in (parts[:-1] if repeat else parts)]
+    if not coeffs:
+        raise ValueError("--theta-cf needs a coefficient before '...'")
+    # [a0; a1, a2, ...] needs a_i >= 1 for i >= 1; a repeated last one recurs at i >= 1.
+    if any(a < 1 for a in coeffs[1:] + (coeffs[-1:] if repeat else [])):
+        raise ValueError("--theta-cf coefficients after the first must be positive")
+    return itertools.chain(coeffs, itertools.repeat(coeffs[-1])) if repeat else coeffs
 
 
 def cmd_ktheory(args) -> int:
@@ -201,9 +211,9 @@ def cmd_ktheory(args) -> int:
         if not args.theta_cf:
             raise MismatchError("--tau needs --theta-cf enclosures")
         q_text, m_text = args.tau.split(",")
-        cls0 = invariants.K0Class(Fraction(q_text), int(m_text))
+        cls0 = invariants.K0Class(parse_fraction(q_text), int(m_text))
         enclosure = invariants.ThetaEnclosure.from_continued_fraction(_theta_stream(args.theta_cf))
-        lo, hi = invariants.k0_tau_value(cls0, enclosure, Fraction(args.precision), budget=args.budget)
+        lo, hi = invariants.k0_tau_value(cls0, enclosure, parse_fraction(args.precision), budget=args.budget)
         positive = invariants.k0_positive(
             cls0,
             invariants.ThetaEnclosure.from_continued_fraction(_theta_stream(args.theta_cf)),

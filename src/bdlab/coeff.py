@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 import re
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -33,6 +33,9 @@ from .scalar import Scalar, format_fraction, parse_fraction
 
 #: z-degree above which circle-function products are rejected.
 DEGREE_CAP = 64
+
+#: Distinct alpha-phase exponents memoized per CircleRotation.
+PHASE_CACHE_SIZE = 1024
 
 _ROOT_CHOICES = (0, 0, 0, 0, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(1, 6))
 _THETA_CHOICES = (0, 0, 0, 1, -1, 2)
@@ -305,6 +308,7 @@ class CircleRotation(CoefficientAlgebra):
     """C(T) trigonometric polynomials with alpha = rotation by q + r*theta."""
 
     angle: Angle
+    _phases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def zero(self) -> CircleFunction:
         return CircleFunction.zero()
@@ -315,12 +319,27 @@ class CircleRotation(CoefficientAlgebra):
     def alpha_power(self, element: CircleFunction, power: int) -> CircleFunction:
         if power == 0 or element.is_zero():
             return element
-        return CircleFunction({m: self._phase(m, power) * c for m, c in element.coeffs.items()})
+        out = {}
+        for m, c in element.coeffs.items():
+            shift, phase = self._phase(m, power)
+            out[m] = c.theta_shifted(shift) if phase is None else phase * c
+        return CircleFunction(out)
 
-    def _phase(self, z_power: int, alpha_power: int) -> Scalar:
-        # alpha^m(z^p) picks up e(-p*m*q) * t^(-p*m*r)
+    def _phase(self, z_power: int, alpha_power: int) -> tuple[Fraction, Scalar | None]:
+        """The phase e(-e*q) * t^(-e*r) that alpha^m puts on z^p, for e = p*m.
+
+        Returned as (-e*r, None) when the root e(-e*q) is 1, so the phase is a
+        pure theta shift; otherwise as (-e*r, phase) with the normalized phase
+        scalar.  Memoized per e, for at most PHASE_CACHE_SIZE exponents.
+        """
         e = z_power * alpha_power
-        return Scalar.term(1, root=(-e * self.angle.q) % 1, theta=-e * self.angle.r)
+        phase = self._phases.get(e)
+        if phase is None:
+            root, theta = (-e * self.angle.q) % 1, -e * self.angle.r
+            phase = theta, (Scalar.term(1, root=root, theta=theta) if root else None)
+            if len(self._phases) < PHASE_CACHE_SIZE:
+                self._phases[e] = phase
+        return phase
 
     def trace0(self, element: CircleFunction) -> Scalar:
         return element.coeffs.get(0, Scalar.zero())

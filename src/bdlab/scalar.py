@@ -15,6 +15,16 @@ equality decidable: x == y iff (x - y) normalises to the empty sum.  Note the
 stored form still depends on the conductor the terms arrived with (e.g.
 zeta_3 and zeta_6 - 1 are the same number in different clothes), so equality
 always goes through subtraction rather than comparing term maps.
+
+Multiplying by a pure power t^s (``theta_shifted``) needs no reduction.
+``_normalize`` groups terms by theta exponent and leaves a canonical root
+group unchanged, and a shift by s moves whole groups without touching their
+roots, so the shifted terms are exactly what the general product t^s * x
+stores.  A factor with a root, e(a) * t^s with a != 0, is different: adding a
+to the roots of x and reducing gives an equal scalar, but its stored form can
+differ from the product's, because the stored form depends on the conductor
+the terms arrive with.  Such factors go through the general product with the
+normalized factor, so serialized results stay byte-identical.
 """
 
 from __future__ import annotations
@@ -23,7 +33,7 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Union
 
 from .errors import BudgetError
 
@@ -35,7 +45,10 @@ CONDUCTOR_LIMIT = 10**6
 
 
 def parse_fraction(text: str) -> Fraction:
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def format_fraction(value: RationalLike) -> str:
@@ -146,8 +159,8 @@ class Scalar:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Iterable | Mapping = (), *, _canonical: bool = False):
-        if isinstance(terms, Mapping):
+    def __init__(self, terms: Iterable | dict = (), *, _canonical: bool = False):
+        if isinstance(terms, dict):
             terms = terms.items()
         self._terms = dict(terms) if _canonical else _normalize(terms)
 
@@ -245,6 +258,12 @@ class Scalar:
         return Scalar(raw.items())
 
     __rmul__ = __mul__
+
+    def theta_shifted(self, shift: RationalLike) -> Scalar:
+        """self * t^shift, without renormalizing (see the module docstring)."""
+        if not shift:
+            return self
+        return Scalar((((root, theta + shift), c) for (root, theta), c in self._terms.items()), _canonical=True)
 
     def star(self) -> Scalar:
         """Complex conjugation: e(r) -> e(-r), t^s -> t^(-s), rationals fixed."""

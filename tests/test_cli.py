@@ -63,6 +63,12 @@ class TestVerifyCommand:
         ])
         assert code == 0 and json.loads(out)["failures"] == []
 
+    @pytest.mark.parametrize("modulus", ["0", "-1"])
+    def test_empty_cyclic_algebra_is_usage_error(self, capsys, modulus):
+        code, out, err = run_cli(capsys, ["verify", "gamma-hom", "--algebra", "cyclic",
+                                          "--modulus", modulus, "--sizes", "1,2", "--count", "1"])
+        assert code == 2 and out == "" and "--modulus" in err
+
     def test_report_written_to_out_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"
         code, out, _ = run_cli(capsys, [
@@ -173,6 +179,17 @@ class TestTraceCommand:
         code, out, _ = run_cli(capsys, ["trace"])
         assert code == 0 and json.loads(out) == [{"coeff": "1/4", "root": "0", "theta": "0"}]
 
+    def test_non_object_json_is_usage_error(self, capsys, monkeypatch):
+        feed_stdin(monkeypatch, [1, 2])
+        code, out, err = run_cli(capsys, ["trace"])
+        assert code == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1
+
+    def test_zero_denominator_is_usage_error(self, capsys, monkeypatch):
+        coeff = {"u:0": {"z:0": [{"coeff": "1/0", "root": "0", "theta": "0"}]}}
+        feed_stdin(monkeypatch, self._matrix(1, {(0, 0): coeff}))
+        code, out, err = run_cli(capsys, ["trace"])
+        assert code == 2 and out == "" and "1/0" in err
+
 
 class TestClassifyCommand:
     CASES = [
@@ -211,6 +228,16 @@ class TestKTheoryCommand:
         assert code == 0
         data = json.loads(out)["tau"]
         assert data["positive"] is True
+
+    @pytest.mark.parametrize("argv", [
+        ["--tau=1/0,-1", "--theta-cf", "0,2,..."],
+        ["--tau=1/2,-1", "--theta-cf", "..."],
+        ["--tau=1/2,-1", "--theta-cf", "0,0,..."],
+        ["--tau=1/2,-1", "--theta-cf", "0,2,...", "--precision", "1/0"],
+    ])
+    def test_bad_tau_input_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, ["ktheory", "--sizes", "1,2", *argv])
+        assert code == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1
 
     def test_budget_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("BD_LAB_BUDGET", "1")

@@ -12,6 +12,7 @@ from bdlab.coeff import (
     FiniteCyclicShift,
     cyclic_invariant_ideal_search,
     cyclic_orbits,
+    sample_scalar,
 )
 from bdlab.scalar import Scalar
 
@@ -91,6 +92,28 @@ class TestCircleRotation:
     def test_json_round_trip(self, circle, rng):
         f = circle.sample(rng)
         assert CircleFunction.from_json(f.to_json()) == f
+
+    @pytest.mark.parametrize("angle", ["theta", "-theta", "theta+1/4", "1/2*theta+1/3"])
+    def test_alpha_matches_normalized_phase_product(self, angle):
+        # oracle: each coefficient times a freshly normalized phase e(-e*q) t^(-e*r),
+        # compared on stored terms (in order) and on JSON, not only as values
+        algebra = CircleRotation(Angle.parse(angle))
+        q, r = algebra.angle.q, algebra.angle.r
+        rng = random.Random(20261018)
+        for _ in range(12):
+            f = CircleFunction({
+                m: sum((sample_scalar(rng) for _ in range(rng.randint(1, 4))), Scalar.zero())
+                for m in rng.sample(range(-4, 5), rng.randint(1, 4))
+            })
+            for power in range(-12, 13):
+                got = algebra.alpha_power(f, power)
+                want = CircleFunction({
+                    m: Scalar.term(1, root=(-m * power * q) % 1, theta=-m * power * r) * c
+                    for m, c in f.coeffs.items()
+                })
+                assert {m: list(c.terms.items()) for m, c in got.coeffs.items()} == \
+                    {m: list(c.terms.items()) for m, c in want.coeffs.items()}
+                assert got.to_json() == want.to_json()
 
 
 class TestFiniteCyclicShift:

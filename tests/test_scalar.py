@@ -95,6 +95,15 @@ def test_normalization_idempotent():
         assert Scalar(s.terms).terms == s.terms
 
 
+def test_theta_shift_equals_t_power_product():
+    rng = random.Random(11)
+    for _ in range(300):
+        x = _random_scalar(rng, max_terms=4)
+        s = Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3]))
+        assert list(x.theta_shifted(s).terms.items()) == list((t(s) * x).terms.items())
+        assert x.theta_shifted(s).to_json() == (t(s) * x).to_json()
+
+
 def test_star_is_involutive_ring_automorphism():
     rng = random.Random(5)
     for _ in range(200):
