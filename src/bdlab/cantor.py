@@ -24,9 +24,10 @@ from fractions import Fraction
 from .coeff import CoefficientAlgebra
 from .crossed import CrossedElement, MatrixElement, sample_matrix
 from .errors import MismatchError
-from .limits import check_divisibility_chain, gamma
+from .limits import _stage_generators, check_divisibility_chain, gamma
 from .report import Report, case_rng
 from .scalar import Scalar
+from .sparse import add_entries
 
 
 @dataclass(frozen=True)
@@ -258,10 +259,7 @@ class OdometerElement:
 
     def __add__(self, other: OdometerElement) -> OdometerElement:
         a, b, depth = self._align(other)
-        merged = dict(a.coeffs)
-        for d, f in b.coeffs.items():
-            merged[d] = merged[d] + f if d in merged else f
-        return OdometerElement(self.algebra, merged, depth=depth)
+        return OdometerElement(self.algebra, add_entries(a.coeffs, b.coeffs), depth=depth)
 
     def __neg__(self) -> OdometerElement:
         return OdometerElement(self.algebra, {d: -f for d, f in self.coeffs.items()}, depth=self.depth)
@@ -376,19 +374,6 @@ def psi_map(x: OdometerElement) -> OdometerElement:
     return OdometerElement(dual, out, depth=x.depth)
 
 
-def _stage_matrix_generators(algebra: OdometerAlgebra, stage: int, rng: random.Random) -> list[MatrixElement]:
-    coeff = algebra.coeff
-    n = algebra.stages.size(stage)
-    power = algebra.alpha_sign * n
-    gens = [
-        MatrixElement.single(coeff, power, n, 0, 0, CrossedElement.from_coefficient(coeff, power, coeff.one())),
-        MatrixElement.single(coeff, power, n, 0, 0, CrossedElement.from_coefficient(coeff, power, coeff.sample(rng))),
-        MatrixElement.single(coeff, power, n, 0, 0, CrossedElement.u_power(coeff, power)),
-    ]
-    gens.extend(MatrixElement.single(coeff, power, n, i, j) for i in range(n) for j in range(n))
-    return gens
-
-
 def verify_rho_homomorphism(algebra: OdometerAlgebra, stage: int, seed: int, count: int,
                             extraction_count: int | None = None) -> Report:
     """*-homomorphism checks for rho plus coefficient-extraction injectivity."""
@@ -430,9 +415,11 @@ def verify_rg(algebra: OdometerAlgebra, stage: int, seed: int, count: int) -> Re
     n, m = sizes[stage - 1], sizes[stage]
     report = Report("rg", config={"sizes": list(sizes), "stage": stage,
                                   "algebra": algebra.coeff.tag(), "seed": seed, "count": count})
-    cases = [(f"gen{i}", X) for i, X in enumerate(_stage_matrix_generators(algebra, stage, case_rng(seed, "gen")))]
+    power = algebra.alpha_sign * n
+    generators = _stage_generators(algebra.coeff, power, n, case_rng(seed, "gen"))
+    cases = [(f"gen{i}", X) for i, X in enumerate(generators)]
     for idx in range(count):
-        cases.append((idx, sample_matrix(algebra.coeff, algebra.alpha_sign * n, n, case_rng(seed, idx))))
+        cases.append((idx, sample_matrix(algebra.coeff, power, n, case_rng(seed, idx))))
     for label, X in cases:
         lhs = rho(algebra, stage, X).promote(stage + 1)
         rhs = rho(algebra, stage + 1, gamma(n, m, X))

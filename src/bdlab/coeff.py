@@ -26,10 +26,10 @@ import re
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 
 from .errors import BudgetError, MismatchError
 from .scalar import Scalar, format_fraction, parse_fraction
+from .sparse import add_entries
 
 #: z-degree above which circle-function products are rejected.
 DEGREE_CAP = 64
@@ -69,9 +69,9 @@ class Angle:
             factor = Fraction(-1 if sign == "-" else 1)
             if body.endswith("theta"):
                 head = body[: -len("theta")].rstrip("*")
-                r += factor * (Fraction(head) if head else 1)
+                r += factor * (parse_fraction(head) if head else 1)
             else:
-                q += factor * Fraction(body)
+                q += factor * parse_fraction(body)
         return Angle(q, r)
 
     def __str__(self) -> str:
@@ -117,10 +117,7 @@ class CircleFunction:
         return max((abs(m) for m in self.coeffs), default=0)
 
     def __add__(self, other: CircleFunction) -> CircleFunction:
-        merged = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            merged[m] = merged.get(m, Scalar.zero()) + c
-        return CircleFunction(merged)
+        return CircleFunction(add_entries(self.coeffs, other.coeffs))
 
     def __neg__(self) -> CircleFunction:
         return CircleFunction({m: -c for m, c in self.coeffs.items()})
@@ -275,24 +272,6 @@ class CoefficientAlgebra(ABC):
     @abstractmethod
     def element_from_json(self, data: dict): ...
 
-    def add(self, x, y):
-        return x + y
-
-    def neg(self, x):
-        return -x
-
-    def mul(self, x, y):
-        return x * y
-
-    def star(self, x):
-        return x.star()
-
-    def eq(self, x, y) -> bool:
-        return x == y
-
-    def is_zero(self, x) -> bool:
-        return x.is_zero()
-
     @staticmethod
     def from_tag(data: dict) -> CoefficientAlgebra:
         kind = data.get("kind")
@@ -434,7 +413,3 @@ def cyclic_invariant_ideal_search(d: int, n: int) -> frozenset[int] | None:
     if len(orbits) == 1:
         return None
     return orbits[0]
-
-
-def single_orbit(d: int, n: int) -> bool:
-    return gcd(n, d) == 1

@@ -17,17 +17,20 @@ kept separate so that p x p blocks of n x n stage matrices can be flattened
 before the amplification shuffle re-tags them.
 
 Zero coefficients are pruned eagerly so structural emptiness means zero, and
-u-degrees are capped to reject runaway products.
+u-degrees are capped to reject runaway products.  Sums of both types and the
+matrix product go through ``sparse.py``.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 
 from .coeff import CoefficientAlgebra
 from .errors import BudgetError, MismatchError
 from .scalar import Scalar
+from .sparse import add_entries, mul_entries
 
 #: u-degree above which crossed products are rejected.
 DEGREE_CAP = 64
@@ -75,10 +78,7 @@ class CrossedElement:
 
     def __add__(self, other: CrossedElement) -> CrossedElement:
         self._check(other)
-        merged = dict(self.coeffs)
-        for l, a in other.coeffs.items():
-            merged[l] = merged[l] + a if l in merged else a
-        return CrossedElement(self.algebra, self.power, merged)
+        return CrossedElement(self.algebra, self.power, add_entries(self.coeffs, other.coeffs))
 
     def __neg__(self) -> CrossedElement:
         return CrossedElement(self.algebra, self.power, {l: -a for l, a in self.coeffs.items()})
@@ -208,10 +208,7 @@ class MatrixElement:
 
     def __add__(self, other: MatrixElement) -> MatrixElement:
         self._check(other)
-        merged = dict(self.entries)
-        for key, x in other.entries.items():
-            merged[key] = merged[key] + x if key in merged else x
-        return MatrixElement(self.algebra, self.power, self.size, merged)
+        return MatrixElement(self.algebra, self.power, self.size, add_entries(self.entries, other.entries))
 
     def __neg__(self) -> MatrixElement:
         return MatrixElement(self.algebra, self.power, self.size, {k: -x for k, x in self.entries.items()})
@@ -221,15 +218,7 @@ class MatrixElement:
 
     def __mul__(self, other: MatrixElement) -> MatrixElement:
         self._check(other)
-        by_row: dict[int, list[tuple[int, CrossedElement]]] = {}
-        for (k, j), y in other.entries.items():
-            by_row.setdefault(k, []).append((j, y))
-        out: dict[tuple[int, int], CrossedElement] = {}
-        for (i, k), x in self.entries.items():
-            for j, y in by_row.get(k, ()):
-                prod = x * y
-                key = (i, j)
-                out[key] = out[key] + prod if key in out else prod
+        out = mul_entries(self.entries, other.entries, operator.mul)
         return MatrixElement(self.algebra, self.power, self.size, out)
 
     def star(self) -> MatrixElement:

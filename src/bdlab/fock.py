@@ -18,16 +18,21 @@ max(i, j) < trust provably agree with the untruncated operator.  Composition
 erodes trust by the maximal level-raise of the right factor, so boundary
 artifacts can never masquerade as identities failing: ``agrees`` compares
 only inside the joint trusted window.
+
+Sums of operators and of block matrices, composition and the block-matrix
+product go through ``sparse.py``.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 
 from .coeff import CoefficientAlgebra
 from .errors import MismatchError
 from .report import Report, case_rng
+from .sparse import add_entries, mul_entries
 
 
 @dataclass(frozen=True)
@@ -116,11 +121,8 @@ class FockOperator:
 
     def __add__(self, other: FockOperator) -> FockOperator:
         self._check(other)
-        merged = dict(self.entries)
-        for key, a in other.entries.items():
-            merged[key] = merged[key] + a if key in merged else a
-        return FockOperator(self.algebra, self.depth, merged, step=self.step,
-                            trust=min(self.trust, other.trust))
+        return FockOperator(self.algebra, self.depth, add_entries(self.entries, other.entries),
+                            step=self.step, trust=min(self.trust, other.trust))
 
     def __neg__(self) -> FockOperator:
         return FockOperator(self.algebra, self.depth, {k: -a for k, a in self.entries.items()},
@@ -132,15 +134,7 @@ class FockOperator:
     def compose(self, other: FockOperator) -> FockOperator:
         """Matrix composition; trust shrinks by the right factor's level-raise."""
         self._check(other)
-        by_row: dict[int, list] = {}
-        for (k, j), b in other.entries.items():
-            by_row.setdefault(k, []).append((j, b))
-        out: dict[tuple[int, int], object] = {}
-        for (i, k), a in self.entries.items():
-            for j, b in by_row.get(k, ()):
-                key = (i, j)
-                prod = a * b
-                out[key] = out[key] + prod if key in out else prod
+        out = mul_entries(self.entries, other.entries, operator.mul)
         trust = min(self.trust, other.trust) - max(0, other.raise_degree())
         return FockOperator(self.algebra, self.depth, out, step=self.step, trust=trust)
 
@@ -260,10 +254,8 @@ class BlockMatrix:
 
     def __add__(self, other: BlockMatrix) -> BlockMatrix:
         self._check(other)
-        merged = dict(self.entries)
-        for key, op in other.entries.items():
-            merged[key] = merged[key] + op if key in merged else op
-        return BlockMatrix(self.algebra, self.size, self.depth, merged, step=self.step)
+        return BlockMatrix(self.algebra, self.size, self.depth, add_entries(self.entries, other.entries),
+                           step=self.step)
 
     def __neg__(self) -> BlockMatrix:
         return BlockMatrix(self.algebra, self.size, self.depth,
@@ -274,15 +266,8 @@ class BlockMatrix:
 
     def __mul__(self, other: BlockMatrix) -> BlockMatrix:
         self._check(other)
-        by_row: dict[int, list] = {}
-        for (k, j), op in other.entries.items():
-            by_row.setdefault(k, []).append((j, op))
-        out: dict[tuple[int, int], FockOperator] = {}
-        for (i, k), a in self.entries.items():
-            for j, b in by_row.get(k, ()):
-                key = (i, j)
-                prod = a.compose(b)
-                out[key] = out[key] + prod if key in out else prod
+        # operator.matmul finds FockOperator.__matmul__ (compose) per call, as a.compose(b) did
+        out = mul_entries(self.entries, other.entries, operator.matmul)
         return BlockMatrix(self.algebra, self.size, self.depth, out, step=self.step)
 
     def star(self) -> BlockMatrix:

@@ -167,14 +167,6 @@ def witness_stage(r: Fraction, sizes: Iterable[int]) -> int | None:
 
 
 @dataclass(frozen=True)
-class QDeltaElement:
-    """A rational known to lie in Q(delta), with an optional realizing stage."""
-
-    value: Fraction
-    witness: int | None = None
-
-
-@dataclass(frozen=True)
 class K0Class:
     """q + m*theta in the K0 presentation Q(delta) + theta*Z."""
 

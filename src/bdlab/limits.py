@@ -3,16 +3,17 @@
 For n | m (k = m/n) the unital injective *-homomorphism gamma_{n,m} from the
 size-n stage into the size-m stage is determined by its generator images
 
-    a e_00   |->  sum_{l<k} alpha^(l n)(a) e_{ln,ln}
-    u_n e_00 |->  u_m e_{(k-1)n,0} + sum_{l<k-1} e_{ln,(l+1)n}
-    e_{i,j}  |->  sum_{l<k} e_{i+ln,j+ln}
+    a e_00   |->  sum_{c<k} alpha^(c n)(a) e_{cn,cn}
+    u_n e_00 |->  u_m e_{(k-1)n,0} + sum_{c<k-1} e_{cn,(c+1)n}
+    e_{i,j}  |->  sum_{c<k} e_{i+cn,j+cn}
 
-A general monomial a u^l e_{i,j} factors as e_{i,0} (a e_00) (u e_00)^l e_{0,j}
-(with the star of the u-image for negative l), so gamma is computed by
-multiplying generator images; multiplying by the e_{i,0}/e_{0,j} images just
-shifts row indices by i and column indices by j, which is how it is coded.
-The closed-form entry description lives in the test suite as an independent
-oracle.
+Multiplying them out gives each monomial an explicit image, which is how
+gamma is computed: with c' = (c + l) mod k,
+
+    a u_n^l e_{i,j}  |->  sum_{c<k} alpha^(c n)(a) u_m^((c+l-c')/k) e_{i+cn, j+c'n}
+
+so no matrix product is formed.  The construction by products of generator
+images lives in the test suite as an independent oracle.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeff import Angle, CircleRotation, CoefficientAlgebra
-from .crossed import CrossedElement, MatrixElement, sample_matrix
-from .errors import MismatchError
+from .crossed import DEGREE_CAP, CrossedElement, MatrixElement, sample_matrix
+from .errors import BudgetError, MismatchError
 from .report import Report, case_rng
 
 
@@ -37,50 +38,27 @@ def check_divisibility_chain(sizes) -> tuple[int, ...]:
     return sizes
 
 
-def _coeff_image(algebra: CoefficientAlgebra, n: int, m: int, a) -> MatrixElement:
-    k = m // n
-    entries = {
-        (c * n, c * n): CrossedElement.from_coefficient(algebra, m, algebra.alpha_power(a, c * n))
-        for c in range(k)
-    }
-    return MatrixElement(algebra, m, m, entries)
-
-
-def _u_image(algebra: CoefficientAlgebra, n: int, m: int) -> MatrixElement:
-    k = m // n
-    entries = {((k - 1) * n, 0): CrossedElement.u_power(algebra, m, 1)}
-    unit = CrossedElement.unit(algebra, m)
-    for c in range(k - 1):
-        entries[(c * n, (c + 1) * n)] = unit
-    return MatrixElement(algebra, m, m, entries)
-
-
 def gamma(n: int, m: int, X: MatrixElement) -> MatrixElement:
-    """Apply gamma_{n,m} to a size-n stage element."""
+    """Apply gamma_{n,m} to a size-n stage element, monomial by monomial."""
     if m % n != 0:
         raise MismatchError(f"{n} does not divide {m}")
     if X.size != n or X.power != n:
         raise MismatchError(f"expected a size-{n} stage element")
     if n == m:
         return X
-    algebra = X.algebra
-    V = _u_image(algebra, n, m)
-    Vstar = V.star()
-    powers = {0: MatrixElement.identity(algebra, m, m)}
-
-    def vpow(l: int) -> MatrixElement:
-        if l not in powers:
-            powers[l] = vpow(l - 1) * V if l > 0 else vpow(l + 1) * Vstar
-        return powers[l]
-
-    acc: dict[tuple[int, int], CrossedElement] = {}
+    k, algebra = m // n, X.algebra
+    # (position, u_m-exponent) determines (i, j, l, c), so no two images overlap
+    acc: dict[tuple[int, int], dict] = {}
     for (i, j), x in X.entries.items():
         for l, a in x.coeffs.items():
-            base = _coeff_image(algebra, n, m, a) * vpow(l)
-            for (r, c), v in base.entries.items():
-                key = (r + i, c + j)
-                acc[key] = acc[key] + v if key in acc else v
-    return MatrixElement(algebra, m, m, acc)
+            for c in range(k):
+                cp = (c + l) % k
+                e = (c + l - cp) // k
+                if abs(e) > DEGREE_CAP:
+                    raise BudgetError(f"u-degree {e} exceeds cap {DEGREE_CAP}")
+                acc.setdefault((i + c * n, j + cp * n), {})[e] = algebra.alpha_power(a, c * n)
+    entries = {key: CrossedElement(algebra, m, coeffs) for key, coeffs in acc.items()}
+    return MatrixElement(algebra, m, m, entries)
 
 
 def gamma_left_inverse(n: int, m: int, Y: MatrixElement) -> MatrixElement | None:
@@ -216,13 +194,16 @@ def blockwise_gamma(p: int, n: int, m: int, X: MatrixElement) -> MatrixElement:
     return MatrixElement(algebra, m, p * m, out)
 
 
-def _stage_generators(algebra: CoefficientAlgebra, n: int, rng: random.Random) -> list[MatrixElement]:
-    gens = [
-        MatrixElement.single(algebra, n, n, 0, 0, CrossedElement.from_coefficient(algebra, n, algebra.one())),
-        MatrixElement.single(algebra, n, n, 0, 0, CrossedElement.from_coefficient(algebra, n, algebra.sample(rng))),
-        MatrixElement.single(algebra, n, n, 0, 0, CrossedElement.u_power(algebra, n)),
+def _stage_generators(algebra: CoefficientAlgebra, power: int, size: int,
+                      rng: random.Random) -> list[MatrixElement]:
+    """1 e_00, a e_00 with a drawn from rng, u e_00, then every matrix unit e_{i,j}."""
+    corner = [
+        CrossedElement.from_coefficient(algebra, power, algebra.one()),
+        CrossedElement.from_coefficient(algebra, power, algebra.sample(rng)),
+        CrossedElement.u_power(algebra, power),
     ]
-    gens.extend(MatrixElement.single(algebra, n, n, i, j) for i in range(n) for j in range(n))
+    gens = [MatrixElement.single(algebra, power, size, 0, 0, x) for x in corner]
+    gens.extend(MatrixElement.single(algebra, power, size, i, j) for i in range(size) for j in range(size))
     return gens
 
 
@@ -264,7 +245,7 @@ def verify_gamma_composition(
         "gamma-comp",
         config={"n": n, "k": k, "l": l, "algebra": algebra.tag(), "seed": seed, "count": count},
     )
-    cases = [(f"gen{i}", X) for i, X in enumerate(_stage_generators(algebra, n, case_rng(seed, "gen")))]
+    cases = [(f"gen{i}", X) for i, X in enumerate(_stage_generators(algebra, n, n, case_rng(seed, "gen")))]
     for idx in range(count):
         cases.append((idx, sample_matrix(algebra, n, n, case_rng(seed, idx), u_degree, coeff_degree)))
     for label, X in cases:
@@ -329,16 +310,7 @@ def verify_amplification_intertwining(
         rhs = gamma(p * n, p * m, amplification_shuffle(p, X).with_twist(target, p * n))
         return lhs, rhs
 
-    gen_rng = case_rng(seed, "gen")
-    generators = [
-        MatrixElement.single(base, n, p * n, 0, 0, CrossedElement.from_coefficient(base, n, base.one())),
-        MatrixElement.single(base, n, p * n, 0, 0, CrossedElement.from_coefficient(base, n, base.sample(gen_rng))),
-        MatrixElement.single(base, n, p * n, 0, 0, CrossedElement.u_power(base, n)),
-    ]
-    generators.extend(
-        MatrixElement.single(base, n, p * n, i, j) for i in range(p * n) for j in range(p * n)
-    )
-    for i, X in enumerate(generators):
+    for i, X in enumerate(_stage_generators(base, n, p * n, case_rng(seed, "gen"))):
         lhs, rhs = both_sides(X)
         report.record(f"gen{i}", lhs == rhs, lhs=lhs, rhs=rhs)
     for idx in range(count):

@@ -54,10 +54,6 @@ class Report:
         if not ok:
             self.failures.append(Failure(case, _jsonable(lhs), _jsonable(rhs), note))
 
-    def merge(self, other: Report) -> None:
-        self.cases += other.cases
-        self.failures.extend(other.failures)
-
     def to_json(self) -> dict:
         return {
             "suite": self.suite,

@@ -69,6 +69,10 @@ class TestVerifyCommand:
                                           "--modulus", modulus, "--sizes", "1,2", "--count", "1"])
         assert code == 2 and out == "" and "--modulus" in err
 
+    def test_zero_denominator_angle_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, ["verify", "gamma-hom", "--angle", "1/0*theta", "--count", "1"])
+        assert code == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1
+
     def test_report_written_to_out_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"
         code, out, _ = run_cli(capsys, [
@@ -154,6 +158,14 @@ class TestApplyCommand:
         code, _, err = run_cli(capsys, ["apply", "--map", "gamma", "--from", "1", "--to", "2"])
         assert code == 3 and "budget" in err.lower()
 
+    def test_far_past_degree_cap_is_one_line_budget_exit(self, capsys, monkeypatch):
+        # far past the cap: gamma must reject it without deep recursion
+        payload = json.loads(json.dumps(GAMMA_INPUT))
+        payload["entries"][0][0]["coeffs"] = {"u:5000": payload["entries"][0][0]["coeffs"]["u:1"]}
+        feed_stdin(monkeypatch, payload)
+        code, out, err = run_cli(capsys, ["apply", "--map", "gamma", "--from", "1", "--to", "2"])
+        assert code == 3 and out == "" and err.startswith("budget exceeded:") and err.count("\n") == 1
+
 
 class TestTraceCommand:
     def _matrix(self, n, entries):
@@ -211,6 +223,11 @@ class TestClassifyCommand:
         code, out, _ = run_cli(capsys, ["classify", "--theta1", "theta", "--delta1", "2^inf",
                                         "--theta2", "theta", "--delta2", "2^inf"])
         assert code == 0 and json.loads(out)["answer"] == "isomorphic"
+
+    def test_zero_denominator_angle_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, ["classify", "--theta1", "1/0", "--delta1", "2^inf",
+                                          "--theta2", "theta", "--delta2", "2^inf"])
+        assert code == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1
 
 
 class TestKTheoryCommand:

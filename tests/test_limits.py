@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from bdlab.coeff import Angle, CircleFunction
-from bdlab.crossed import CrossedElement, MatrixElement, sample_crossed, sample_matrix
-from bdlab.errors import MismatchError
+from bdlab.crossed import DEGREE_CAP, CrossedElement, MatrixElement, sample_crossed, sample_matrix
+from bdlab.errors import BudgetError, MismatchError
 from bdlab.limits import (
     LimitElement,
     amplification_shuffle,
@@ -24,24 +24,39 @@ from bdlab.scalar import Scalar
 SIZE_PAIRS = [(1, 2), (1, 3), (2, 4), (2, 6), (3, 6)]
 
 
-def gamma_closed_form(n: int, m: int, X: MatrixElement) -> MatrixElement:
-    """Independent oracle: per-monomial entry formula for the connecting map.
+def gamma_generator_product(n: int, m: int, X: MatrixElement) -> MatrixElement:
+    """Independent oracle: gamma_{n,m} as a product of generator images.
 
-    a u^l e_{i,j} contributes alpha^(cn)(a) u_m^((c+l-c')/k) at position
-    (i + c n, j + c' n) for c = 0..k-1 with c' = (c + l) mod k.
+    a u^l e_{i,j} factors as e_{i,0} (a e_00) (u e_00)^l e_{0,j}, with the star
+    of the u-image for negative l.  Multiplying by the images of e_{i,0} and
+    e_{0,j} shifts rows by i and columns by j, so only the images of a e_00 and
+    of (u e_00)^l are multiplied.  Raises BudgetError when a power of the
+    u-image passes the u-degree cap.
     """
     k = m // n
     algebra = X.algebra
-    acc = {}
+    v_entries = {(c * n, (c + 1) * n): CrossedElement.unit(algebra, m) for c in range(k - 1)}
+    v_entries[((k - 1) * n, 0)] = CrossedElement.u_power(algebra, m)
+    V = MatrixElement(algebra, m, m, v_entries)
+    powers = {0: MatrixElement.identity(algebra, m, m)}
+
+    def vpow(l: int) -> MatrixElement:
+        step, factor = (1, V) if l > 0 else (-1, V.star())
+        for e in range(step, l + step, step):
+            if e not in powers:
+                powers[e] = powers[e - step] * factor
+        return powers[l]
+
+    acc = MatrixElement.zero(algebra, m, m)
     for (i, j), x in X.entries.items():
         for l, a in x.coeffs.items():
-            for c in range(k):
-                cp = (c + l) % k
-                exp = (c + l - cp) // k
-                term = CrossedElement(algebra, m, {exp: algebra.alpha_power(a, c * n)})
-                key = (i + c * n, j + cp * n)
-                acc[key] = acc[key] + term if key in acc else term
-    return MatrixElement(algebra, m, m, acc)
+            coeff_image = MatrixElement(algebra, m, m, {
+                (c * n, c * n): CrossedElement.from_coefficient(algebra, m, algebra.alpha_power(a, c * n))
+                for c in range(k)
+            })
+            base = coeff_image * vpow(l)
+            acc = acc + MatrixElement(algebra, m, m, {(r + i, c + j): v for (r, c), v in base.entries.items()})
+    return acc
 
 
 class TestGammaGenerators:
@@ -82,11 +97,32 @@ class TestGammaGenerators:
 
 
 @pytest.mark.parametrize("n,m", SIZE_PAIRS)
-def test_gamma_matches_closed_form_oracle(n, m, circle):
+def test_gamma_matches_closed_form_oracle(n, m, circle, circle_q, cyclic3):
+    # gamma is the closed form; the oracle multiplies generator images.  The
+    # serialized forms agree too, not only the values.
     rng = random.Random(f"oracle{n}{m}")
-    for _ in range(25):
-        X = sample_matrix(circle, n, n, rng, u_degree=2, coeff_degree=2)
-        assert gamma(n, m, X) == gamma_closed_form(n, m, X)
+    for algebra in (circle, circle_q, cyclic3):
+        for _ in range(25):
+            X = sample_matrix(algebra, n, n, rng, u_degree=2 * m, coeff_degree=2)
+            got, expected = gamma(n, m, X), gamma_generator_product(n, m, X)
+            assert got == expected and got.to_json() == expected.to_json()
+
+
+@pytest.mark.parametrize("k", [2, 3, 6])
+def test_gamma_degree_cap_matches_oracle(k, circle):
+    # the oracle raises while powering the u-image; gamma raises on the
+    # output u-exponent, and the two agree at the edge of the cap
+    edge = DEGREE_CAP * k
+    for l in [s * edge + d for s in (1, -1) for d in range(-k, k + 1)]:
+        X = MatrixElement.single(circle, 1, 1, 0, 0, CrossedElement.u_power(circle, 1, l))
+        outcomes = []
+        for construction in (gamma, gamma_generator_product):
+            try:
+                outcomes.append(construction(1, k, X).to_json())
+            except BudgetError:
+                outcomes.append("budget")
+        assert outcomes[0] == outcomes[1], l
+        assert (outcomes[0] == "budget") == (abs(l) > edge), l
 
 
 @pytest.mark.parametrize("n,m", SIZE_PAIRS)
