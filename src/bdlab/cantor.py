@@ -27,7 +27,7 @@ from .errors import MismatchError
 from .limits import _stage_generators, check_divisibility_chain, gamma
 from .report import Report, case_rng
 from .scalar import Scalar
-from .sparse import add_entries
+from .sparse import add_entries, equal_entries
 
 
 @dataclass(frozen=True)
@@ -287,7 +287,8 @@ class OdometerElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, OdometerElement):
             return NotImplemented
-        return (self - other).is_zero()
+        a, b, _ = self._align(other)
+        return equal_entries(a.coeffs, b.coeffs)
 
     def state(self) -> Scalar:
         """The canonical tracial state: average of trace0 over the U^0 coefficient."""

@@ -54,6 +54,9 @@ def _merge(master: Report, sub: Report, prefix: str) -> None:
 
 
 def _run_suite(args) -> Report:
+    for name, value in (("--p", args.p), ("--depth", args.depth)):
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     sizes = _parse_sizes(args.sizes)
     algebra = _algebra_from_args(args)
     seed, count = args.seed, args.count
@@ -107,6 +110,8 @@ def _run_suite(args) -> Report:
             _merge(report, cantor.verify_psi_flip(odo, stages.depth, seed, count), "psi")
         elif args.suite == "gk-generation":
             _merge(report, cantor.verify_gk_generation(odo), "gk")
+    if not report.cases:
+        raise ValueError(f"{args.suite} has no case to check with --sizes {args.sizes} --count {count}")
     return report
 
 

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .errors import BudgetError, MismatchError
 from .scalar import Scalar, format_fraction, parse_fraction
-from .sparse import add_entries
+from .sparse import add_entries, equal_entries
 
 #: z-degree above which circle-function products are rejected.
 DEGREE_CAP = 64
@@ -60,12 +60,12 @@ class Angle:
     @staticmethod
     def parse(text: str) -> Angle:
         """Parse 'q+r*theta' style input, e.g. 'theta', '-theta+1/8', '1/2*theta+3/4'."""
-        s = text.replace(" ", "")
-        if not s:
-            raise ValueError("empty angle")
+        terms = re.findall(r"([+-]?)([^+-]+)", text.replace(" ", ""))
+        if not terms:
+            raise ValueError(f"no term in angle {text!r}")
         q = Fraction(0)
         r = Fraction(0)
-        for sign, body in re.findall(r"([+-]?)([^+-]+)", s):
+        for sign, body in terms:
             factor = Fraction(-1 if sign == "-" else 1)
             if body.endswith("theta"):
                 head = body[: -len("theta")].rstrip("*")
@@ -145,7 +145,7 @@ class CircleFunction:
     def __eq__(self, other) -> bool:
         if not isinstance(other, CircleFunction):
             return NotImplemented
-        return (self - other).is_zero()
+        return equal_entries(self.coeffs, other.coeffs)
 
     def evaluate(self, theta_value: float, point: float) -> complex:
         """Numeric value at z = exp(2*pi*i*point) with t = exp(2*pi*i*theta_value)."""

@@ -30,7 +30,7 @@ from fractions import Fraction
 from .coeff import CoefficientAlgebra
 from .errors import BudgetError, MismatchError
 from .scalar import Scalar
-from .sparse import add_entries, mul_entries
+from .sparse import add_entries, equal_entries, mul_entries
 
 #: u-degree above which crossed products are rejected.
 DEGREE_CAP = 64
@@ -122,7 +122,7 @@ class CrossedElement:
         if not isinstance(other, CrossedElement):
             return NotImplemented
         self._check(other)
-        return (self - other).is_zero()
+        return equal_entries(self.coeffs, other.coeffs)
 
     def to_json(self) -> dict:
         return {
@@ -239,7 +239,7 @@ class MatrixElement:
         if not isinstance(other, MatrixElement):
             return NotImplemented
         self._check(other)
-        return (self - other).is_zero()
+        return equal_entries(self.entries, other.entries)
 
     def with_twist(self, algebra: CoefficientAlgebra, power: int) -> MatrixElement:
         """Re-tag entries under a different (algebra, power) presenting the same twist.

@@ -92,8 +92,9 @@ class FockOperator:
     @staticmethod
     def weighted(algebra: CoefficientAlgebra, lam: WeightSequence, a, depth: int, *, step: int = 1) -> FockOperator:
         """Weighted creation operator T_lam(a)."""
+        products = [w * a for w in lam.weights]
         entries = {
-            (q + 1, q): algebra.alpha_power(lam.weight(q + 1) * a, step * q)
+            (q + 1, q): algebra.alpha_power(products[q % lam.period], step * q)
             for q in range(depth - 1)
         }
         return FockOperator(algebra, depth, entries, step=step)

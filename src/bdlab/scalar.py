@@ -11,10 +11,11 @@ combination is reduced modulo the N-th cyclotomic polynomial, N being the lcm
 of the root-exponent denominators, under the identification e(a/N) = zeta_N^a.
 Since 1, zeta_N, ..., zeta_N^(phi(N)-1) form a basis of the cyclotomic field,
 a reduced combination is zero exactly when it has no terms, which makes
-equality decidable: x == y iff (x - y) normalises to the empty sum.  Note the
-stored form still depends on the conductor the terms arrived with (e.g.
-zeta_3 and zeta_6 - 1 are the same number in different clothes), so equality
-always goes through subtraction rather than comparing term maps.
+equality decidable: x == y iff (x - y) normalises to the empty sum.  A stored
+form fixes its value, so equal term maps answer x == y at once.  The stored
+form still depends on the conductor the terms arrived with (e.g. zeta_3 and
+zeta_6 - 1 are the same number in different clothes), so unequal term maps
+fall back to the subtraction.
 
 Multiplying by a pure power t^s (``theta_shifted``) needs no reduction.
 ``_normalize`` groups terms by theta exponent and leaves a canonical root
@@ -25,6 +26,19 @@ to the roots of x and reducing gives an equal scalar, but its stored form can
 differ from the product's, because the stored form depends on the conductor
 the terms arrive with.  Such factors go through the general product with the
 normalized factor, so serialized results stay byte-identical.
+
+``_normalize`` is the only reduction, and it runs only where the result can
+differ from its input.  Public input (``Scalar(...)``, ``term``,
+``root_of_unity``, ``from_json``) is converted to Fractions with roots in
+[0, 1) once, on the way in; ``+``, ``*`` and ``star`` hand ``_normalize`` the
+Fractions they already hold and store its result as canonical.  A rational
+factor q (a single term at root 0, theta 0) skips ``_normalize`` altogether:
+q * x keeps the keys of x and scales its coefficients, which is exactly what
+the general product stores.  Scaling by q != 0 keeps every root, and a canonical
+root group stays canonical: a group reduced at conductor N whose surviving
+roots have joint conductor N1 (a divisor of N) holds exponents
+b = a * N1 / N < phi(N) * N1 / N <= phi(N1), so ``_reduce_root_group`` returns
+it unchanged.  The same fact makes ``_normalize`` idempotent.
 """
 
 from __future__ import annotations
@@ -138,15 +152,13 @@ def _reduce_root_group(group: dict[Fraction, Fraction]) -> dict[Fraction, Fracti
 
 
 def _normalize(raw: Iterable[tuple[tuple[Fraction, Fraction], Fraction]]) -> dict:
+    """Canonical terms from ((root, theta), coeff) pairs of Fractions, roots in [0, 1)."""
     by_theta: dict[Fraction, dict[Fraction, Fraction]] = {}
     for (root, theta), coeff in raw:
-        coeff = Fraction(coeff)
-        if not coeff:
-            continue
-        root = Fraction(root) % 1
-        theta = Fraction(theta)
-        group = by_theta.setdefault(theta, {})
-        group[root] = group.get(root, Fraction(0)) + coeff
+        if coeff:
+            group = by_theta.setdefault(theta, {})
+            total = group.get(root)
+            group[root] = coeff if total is None else total + coeff
     terms = {}
     for theta, group in by_theta.items():
         for root, coeff in _reduce_root_group(group).items():
@@ -160,9 +172,12 @@ class Scalar:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Iterable | dict = (), *, _canonical: bool = False):
+        if _canonical:
+            self._terms = terms if isinstance(terms, dict) else dict(terms)
+            return
         if isinstance(terms, dict):
             terms = terms.items()
-        self._terms = dict(terms) if _canonical else _normalize(terms)
+        self._terms = _normalize(((Fraction(r) % 1, Fraction(t)), Fraction(c)) for (r, t), c in terms)
 
     @staticmethod
     def zero() -> Scalar:
@@ -222,13 +237,10 @@ class Scalar:
             return other
         merged = dict(self._terms)
         for key, coeff in other._terms.items():
-            total = merged.get(key, Fraction(0)) + coeff
-            if total:
-                merged[key] = total
-            else:
-                merged.pop(key, None)
+            total = merged.get(key)
+            merged[key] = coeff if total is None else total + coeff
         # Joining two canonical forms can raise the conductor, so re-reduce.
-        return Scalar(merged.items())
+        return Scalar(_normalize(merged.items()), _canonical=True)
 
     __radd__ = __add__
 
@@ -250,12 +262,19 @@ class Scalar:
             return NotImplemented
         if not self._terms or not other._terms:
             return Scalar.zero()
+        for x, y in ((self, other), (other, self)):
+            if len(y._terms) == 1:
+                ((root, theta), q), = y._terms.items()
+                if not root and not theta:
+                    # a rational factor keeps the keys (see the module docstring)
+                    return Scalar({key: c * q for key, c in x._terms.items()}, _canonical=True)
         raw: dict[tuple[Fraction, Fraction], Fraction] = {}
         for (r1, t1), c1 in self._terms.items():
             for (r2, t2), c2 in other._terms.items():
                 key = ((r1 + r2) % 1, t1 + t2)
-                raw[key] = raw.get(key, Fraction(0)) + c1 * c2
-        return Scalar(raw.items())
+                total = raw.get(key)
+                raw[key] = c1 * c2 if total is None else total + c1 * c2
+        return Scalar(_normalize(raw.items()), _canonical=True)
 
     __rmul__ = __mul__
 
@@ -267,13 +286,17 @@ class Scalar:
 
     def star(self) -> Scalar:
         """Complex conjugation: e(r) -> e(-r), t^s -> t^(-s), rationals fixed."""
-        return Scalar([(((-root) % 1, -theta), coeff) for (root, theta), coeff in self._terms.items()])
+        return Scalar(
+            _normalize((((-root) % 1, -theta), coeff) for (root, theta), coeff in self._terms.items()),
+            _canonical=True,
+        )
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return (self - other).is_zero()
+        # Equal stored forms are equal values; unequal ones may still be equal.
+        return self._terms == other._terms or (self - other).is_zero()
 
     def evaluate(self, theta_value: float | Fraction) -> complex:
         """Numeric value with t = exp(2*pi*i*theta_value)."""

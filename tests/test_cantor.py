@@ -100,6 +100,19 @@ class TestOdometerElements:
         U = odometer.u_power(1, 3)
         assert U * odometer.element(f) * U.star() == odometer.element(f.shifted(1))
 
+    @pytest.mark.parametrize("algebra_fixture", ["circle", "circle_q"])
+    def test_entrywise_eq_agrees_with_subtraction(self, stages, algebra_fixture, request, rng):
+        # random pairs, pairs equal by construction, and pairs at different depths
+        odo = OdometerAlgebra(stages, request.getfixturevalue(algebra_fixture))
+        for _ in range(20):
+            x, y, z = (OdometerElement(odo, {rng.randint(-2, 2): odo.sample_function(rng, rng.randint(1, 3))
+                                             for _ in range(2)}) for _ in range(3))
+            for a, b in ((x, y), (x, (x + y) - y), ((x * y) * z, x * (y * z)), (x, x.promote(3)),
+                         (x, x.star().star())):
+                assert (a == b) == (a - b).is_zero()
+                assert (b == a) == (a == b)
+            assert x == (x + y) - y and (x * y) * z == x * (y * z) and x == x.promote(3)
+
     def test_json_round_trip(self, odometer, rng):
         x = OdometerElement(odometer, {2: odometer.sample_function(rng, 3),
                                        -1: odometer.sample_function(rng, 3)})

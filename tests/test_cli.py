@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+from datetime import timedelta
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bdlab import cli
 from bdlab.report import Report
@@ -79,6 +83,63 @@ class TestVerifyCommand:
             "verify", "flip", "--sizes", "1,2,6", "--out", str(path)])
         assert code == 0
         assert path.read_text() == out
+
+
+    @pytest.mark.parametrize("argv,needle", [
+        (["amplification", "--p", "0", "--sizes", "1,2", "--count", "1"], "--p"),
+        (["amplification", "--p", "-2", "--sizes", "1,2", "--count", "1"], "--p"),
+        (["shuffle", "--sizes", "1,2", "--depth", "-3"], "--depth"),
+        (["shuffle", "--sizes", "1,2", "--depth", "0"], "--depth"),
+        (["fock-id", "--depth", "0", "--count", "1"], "--depth"),
+        (["compact-preserve", "--sizes", "1,2", "--depth", "-1", "--count", "1"], "--depth"),
+        (["gamma-hom", "--angle", "+", "--sizes", "1,2", "--count", "1"], "angle"),
+        (["gamma-comp", "--sizes", "1,2", "--count", "1"], "no case"),
+        (["trace-compat", "--sizes", "1,2", "--count", "0"], "no case"),
+        (["rg", "--sizes", "1", "--count", "1"], "no case"),
+    ])
+    def test_degenerate_option_is_usage_error(self, capsys, argv, needle):
+        # each ran a vacuous suite (exit 0 with no or empty cases), ended in a
+        # traceback, or blamed the wrong thing
+        code, out, err = run_cli(capsys, ["verify", *argv])
+        assert code == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1
+        assert needle in err
+
+
+@st.composite
+def _size_chains(draw):
+    sizes = [1]
+    for _ in range(draw(st.integers(0, 2))):
+        sizes.append(draw(st.sampled_from([m for m in (1, 2, 3, 6) if m % sizes[-1] == 0])))
+    return ",".join(map(str, sizes))
+
+
+def _verify_argv(suite, algebra, sizes, depth, p, count, modulus, periods):
+    return ["verify", suite, "--algebra", algebra, "--sizes", sizes, "--depth", str(depth), "--p", str(p),
+            "--count", str(count), "--modulus", str(modulus), "--periods", periods]
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=5))
+@given(
+    st.sampled_from(cli.SUITES), st.sampled_from(["circle", "cyclic"]), _size_chains(),
+    st.integers(-2, 6), st.integers(-1, 3), st.integers(0, 2), st.integers(-1, 6),
+    st.lists(st.integers(0, 3), min_size=1, max_size=2).map(lambda ps: ",".join(map(str, ps))),
+)
+@example("amplification", "circle", "1,2", 4, 0, 1, 3, "1")
+@example("shuffle", "circle", "1,2", -3, 2, 1, 3, "1")
+@example("shuffle", "cyclic", "1,2", 0, 2, 1, 3, "1")
+def test_verify_integer_options_fuzz(suite, algebra, sizes, depth, p, count, modulus, periods):
+    """Every small input exits 0-3 without a traceback, and exit 0 checked something."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(_verify_argv(suite, algebra, sizes, depth, p, count, modulus, periods))
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert json.loads(out.getvalue())["cases"] > 0
+        assert depth >= 1 and p >= 1
 
 
 class TestApplyCommand:

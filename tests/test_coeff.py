@@ -116,6 +116,19 @@ class TestCircleRotation:
                 assert got.to_json() == want.to_json()
 
 
+    @pytest.mark.parametrize("algebra_fixture", ["circle", "circle_q"])
+    def test_entrywise_eq_agrees_with_subtraction(self, algebra_fixture, request, rng):
+        # random pairs, and pairs equal by construction but built along other routes
+        algebra = request.getfixturevalue(algebra_fixture)
+        for _ in range(100):
+            f, g = algebra.sample(rng), algebra.sample(rng)
+            twin = algebra.alpha_power(algebra.alpha_power(f, 3) * g, -3) + f - algebra.alpha_power(g, -3) * f
+            for a, b in ((f, g), (f, (f + g) - g), (f * g, g * f), (f, twin), (f, f.star().star())):
+                assert (a == b) == (a - b).is_zero()
+                assert (b == a) == (a == b)
+            assert f == (f + g) - g and f * g == g * f
+
+
 class TestFiniteCyclicShift:
     def test_shift_examples(self):
         a, b, c = Scalar.from_rational(1), Scalar.from_rational(2), Scalar.from_rational(3)
@@ -189,6 +202,11 @@ class TestAngle:
     def test_parse(self, text, q, r):
         angle = Angle.parse(text)
         assert angle == Angle(Fraction(q), Fraction(r))
+
+    @pytest.mark.parametrize("text", ["", "+", "-", " - "])
+    def test_parse_rejects_input_without_a_term(self, text):
+        with pytest.raises(ValueError):
+            Angle.parse(text)
 
     def test_str_round_trip(self):
         for angle in (Angle(Fraction(1, 8), Fraction(-1)), Angle(Fraction(0), Fraction(1, 2))):

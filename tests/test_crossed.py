@@ -154,6 +154,23 @@ def test_crossed_trace_property(pair):
     assert x.star().trace() == x.trace().star()
 
 
+@pytest.mark.parametrize("algebra_fixture", ["circle_q", "cyclic3"])
+def test_entrywise_eq_agrees_with_subtraction(algebra_fixture, request, rng):
+    # crossed and matrix elements: random pairs and pairs equal by construction
+    algebra = request.getfixturevalue(algebra_fixture)
+    for _ in range(30):
+        x, y, z = (sample_crossed(algebra, 2, rng) for _ in range(3))
+        for a, b in ((x, y), (x, (x + y) - y), ((x * y) * z, x * (y * z)), (x, x.star().star())):
+            assert (a == b) == (a - b).is_zero()
+            assert (b == a) == (a == b)
+        assert x == (x + y) - y and (x * y) * z == x * (y * z)
+        X, Y, Z = (sample_matrix(algebra, 2, 2, rng, u_degree=1, coeff_degree=1) for _ in range(3))
+        for A, B in ((X, Y), (X, (X + Y) - Y), ((X * Y) * Z, X * (Y * Z)), (X, X.star().star())):
+            assert (A == B) == (A - B).is_zero()
+            assert (B == A) == (A == B)
+        assert X == (X + Y) - Y and (X * Y) * Z == X * (Y * Z)
+
+
 def test_mismatch_rejected(circle, cyclic3):
     x = CrossedElement.unit(circle, 1)
     y = CrossedElement.unit(circle, 2)

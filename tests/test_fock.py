@@ -39,6 +39,20 @@ class TestGenerators:
         assert set(op.entries) == {(2, 1)}
         assert op.entries[(2, 1)] == circle.one()
 
+    @pytest.mark.parametrize("algebra_fixture", ["circle_q", "cyclic3"])
+    @pytest.mark.parametrize("period", [1, 2, 3])
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_weighted_matches_per_level_oracle(self, algebra_fixture, period, step, request, rng):
+        # oracle: level q+1 <- q carries alpha^(step*q)(lam_(q+1) * a), built level by level
+        algebra = request.getfixturevalue(algebra_fixture)
+        for depth in (1, 2, 3 * period + 2):
+            lam = WeightSequence(tuple(algebra.sample(rng) for _ in range(period)))
+            a = algebra.sample(rng)
+            want = FockOperator(algebra, depth, {
+                (q + 1, q): algebra.alpha_power(lam.weight(q + 1) * a, step * q) for q in range(depth - 1)
+            }, step=step)
+            assert FockOperator.weighted(algebra, lam, a, depth, step=step).to_json() == want.to_json()
+
     def test_weighted_zero_argument(self, circle):
         lam = WeightSequence((circle.one(),))
         assert FockOperator.weighted(circle, lam, circle.zero(), 4).entries == {}

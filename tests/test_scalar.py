@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import bdlab.scalar as scalar_mod
 from bdlab.errors import BudgetError
@@ -171,3 +171,49 @@ def test_zero_never_stored():
     s = rat(1) + rat(-1)
     assert s.terms == {}
     assert not s
+
+
+# Oracles for the paths that skip or shortcut normalization: each fast path
+# against the public constructor (or the subtraction) it replaces.
+
+def _rewritten(x):
+    """x again, through routes that can store it at a different conductor."""
+    zeta3, zeta6_minus_1 = e(Fraction(1, 3)), e(Fraction(1, 6)) - rat(1)
+    return st.sampled_from([x, x - zeta3 + zeta6_minus_1, (x * e(Fraction(1, 6))) * e(Fraction(5, 6))])
+
+
+scalar_pairs = st.one_of(
+    st.tuples(scalars, scalars),
+    scalars.flatmap(lambda x: st.tuples(st.just(x), _rewritten(x))),
+)
+
+
+@given(scalar_pairs)
+@example((e(Fraction(1, 3)), e(Fraction(1, 6)) - rat(1)))
+def test_eq_agrees_with_subtraction(pair):
+    x, y = pair
+    assert (x == y) == (x - y).is_zero()
+    assert (y == x) == (x == y)
+
+
+def test_eq_fallback_sees_equal_values_in_different_forms():
+    x = e(Fraction(1, 3))
+    y = x - e(Fraction(1, 3)) + (e(Fraction(1, 6)) - rat(1))
+    assert x.terms != y.terms and x == y and y == x
+
+
+@given(scalars, fractions_st)
+def test_rational_factor_matches_constructor(x, q):
+    want = Scalar([((r, th), c * q) for (r, th), c in x.terms.items()])
+    for got in (rat(q) * x, x * rat(q), q * x, x * q):
+        assert got.to_json() == want.to_json()
+        assert got.terms == want.terms
+
+
+@given(scalars, scalars)
+def test_star_add_mul_match_constructor(x, y):
+    xs, ys = list(x.terms.items()), list(y.terms.items())
+    assert x.star().to_json() == Scalar([((-r, -th), c) for (r, th), c in xs]).to_json()
+    assert (x + y).to_json() == Scalar(xs + ys).to_json()
+    product = [((r1 + r2, t1 + t2), c1 * c2) for (r1, t1), c1 in xs for (r2, t2), c2 in ys]
+    assert (x * y).to_json() == Scalar(product).to_json()
