@@ -12,7 +12,19 @@ digit k-1 are invisible to them.  The crossed-product automorphism is
 with sign = +1 for the tower of alpha and -1 for the tower of its inverse
 (``dual()`` swaps the two).  An OdometerElement is a finite sum
 sum_d f_d U^d with the relations U f U* = sigma(f), multiplied by promoting
-operands to a common depth first.
+operands to a common depth first:
+
+    (f U^d)(g U^e) = f * sigma^d(g) U^(d+e).
+
+Cylinder functions are stored sparsely, as a dict from index to nonzero
+value, because rho images and the indicators of coefficient extraction are
+mostly zero.  Each operation walks only the support; promotion copies it to
+every index j + t n_k below n_(k').  ``f.times_shifted(g, d)`` is the product
+f * sigma^d(g) of the rule above: sigma^d(g) at i is alpha^(sign*d) of g at
+i - d, and the product vanishes wherever f or that value does, so alpha is
+applied only to the values of g that land on the support of f.  The dense
+table (``values``, zeros filled by ``coeff.zero()``) is rebuilt only for
+JSON and repr, so serialized forms are unchanged.
 """
 
 from __future__ import annotations
@@ -121,11 +133,9 @@ class OdometerAlgebra:
         return CylinderFunction(self, depth, (a,) * self.stages.size(depth))
 
     def indicator(self, index: int, depth: int, value=None) -> CylinderFunction:
-        n = self.stages.size(depth)
-        zero = self.coeff.zero()
-        values = [zero] * n
-        values[index % n] = self.coeff.one() if value is None else value
-        return CylinderFunction(self, depth, values)
+        value = self.coeff.one() if value is None else value
+        support = {} if value.is_zero() else {index % self.stages.size(depth): value}
+        return CylinderFunction._of(self, depth, support)
 
     def unit(self, depth: int = 1) -> OdometerElement:
         return OdometerElement(self, {0: self.constant(self.coeff.one(), depth)})
@@ -149,9 +159,15 @@ class OdometerAlgebra:
 
 
 class CylinderFunction:
-    """A function on the Cantor set depending on the first depth-1 digits."""
+    """A function on the Cantor set depending on the first depth-1 digits.
 
-    __slots__ = ("algebra", "depth", "values")
+    Stored sparsely: ``support`` maps an index j in [0, n_k) to the value at
+    cylinder j, for the nonzero values only, so every operation walks the
+    support instead of all n_k cylinders.  ``values`` rebuilds the dense
+    table, with ``coeff.zero()`` off the support, for serialization.
+    """
+
+    __slots__ = ("algebra", "depth", "support")
 
     def __init__(self, algebra: OdometerAlgebra, depth: int, values):
         values = tuple(values)
@@ -159,7 +175,23 @@ class CylinderFunction:
             raise MismatchError(f"depth-{depth} cylinder function needs {algebra.stages.size(depth)} values")
         self.algebra = algebra
         self.depth = depth
-        self.values = values
+        self.support = {j: v for j, v in enumerate(values) if not v.is_zero()}
+
+    @classmethod
+    def _of(cls, algebra: OdometerAlgebra, depth: int, support: dict) -> CylinderFunction:
+        """Wrap a support dict that holds no zero value."""
+        f = cls.__new__(cls)
+        f.algebra, f.depth, f.support = algebra, depth, support
+        return f
+
+    @property
+    def size(self) -> int:
+        return self.algebra.stages.size(self.depth)
+
+    @property
+    def values(self) -> tuple:
+        zero = self.algebra.coeff.zero()
+        return tuple(self.support.get(j, zero) for j in range(self.size))
 
     def _aligned(self, other: CylinderFunction) -> tuple[CylinderFunction, CylinderFunction]:
         if self.algebra != other.algebra:
@@ -172,51 +204,68 @@ class CylinderFunction:
             raise MismatchError("promotion must not decrease depth")
         if depth == self.depth:
             return self
-        n_old = len(self.values)
-        n_new = self.algebra.stages.size(depth)
-        return CylinderFunction(self.algebra, depth, (self.values[j % n_old] for j in range(n_new)))
+        n_old, n_new = self.size, self.algebra.stages.size(depth)
+        support = {j + t: v for t in range(0, n_new, n_old) for j, v in self.support.items()}
+        return CylinderFunction._of(self.algebra, depth, support)
 
     def shifted(self, d: int) -> CylinderFunction:
         """sigma^d: indices shift by +d mod n_k, alpha^(sign*d) entrywise."""
         if d == 0:
             return self
-        n = len(self.values)
-        alg = self.algebra
-        return CylinderFunction(
-            alg, self.depth,
-            (alg.coeff.alpha_power(self.values[(i - d) % n], alg.alpha_sign * d) for i in range(n)),
-        )
+        n, alg = self.size, self.algebra
+        power = alg.alpha_sign * d
+        support = {(j + d) % n: alg.coeff.alpha_power(v, power) for j, v in self.support.items()}
+        return CylinderFunction._of(alg, self.depth, support)
+
+    def times_shifted(self, g: CylinderFunction, d: int) -> CylinderFunction:
+        """self * g.shifted(d), applying alpha only to values of g that meet self's support.
+
+        sigma^d(g) at index i is alpha^(sign*d)(g at i - d), so the product
+        at i is nonzero only if i is in self's support and i - d in g's; the
+        other shifted values would be multiplied by zero.
+        """
+        f, g = self._aligned(g)
+        n, alg = f.size, f.algebra
+        power = alg.alpha_sign * d
+        out = {}
+        for i, x in f.support.items():
+            y = g.support.get((i - d) % n)
+            if y is not None:
+                v = x * (alg.coeff.alpha_power(y, power) if d else y)
+                if not v.is_zero():
+                    out[i] = v
+        return CylinderFunction._of(alg, f.depth, out)
 
     def flip_compose(self) -> CylinderFunction:
         """f circle g, with g the digit complement: index j -> n_k - 1 - j."""
-        n = len(self.values)
-        return CylinderFunction(self.algebra, self.depth, (self.values[n - 1 - j] for j in range(n)))
+        n = self.size
+        return CylinderFunction._of(self.algebra, self.depth, {n - 1 - j: v for j, v in self.support.items()})
 
     def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.values)
+        return not self.support
 
     def __add__(self, other: CylinderFunction) -> CylinderFunction:
         a, b = self._aligned(other)
-        return CylinderFunction(self.algebra, a.depth, (x + y for x, y in zip(a.values, b.values)))
+        support = add_entries(a.support, b.support)
+        return CylinderFunction._of(self.algebra, a.depth, {j: v for j, v in support.items() if not v.is_zero()})
 
     def __neg__(self) -> CylinderFunction:
-        return CylinderFunction(self.algebra, self.depth, (-a for a in self.values))
+        return CylinderFunction._of(self.algebra, self.depth, {j: -v for j, v in self.support.items()})
 
     def __sub__(self, other: CylinderFunction) -> CylinderFunction:
         return self + (-other)
 
     def __mul__(self, other: CylinderFunction) -> CylinderFunction:
-        a, b = self._aligned(other)
-        return CylinderFunction(self.algebra, a.depth, (x * y for x, y in zip(a.values, b.values)))
+        return self.times_shifted(other, 0)
 
     def star(self) -> CylinderFunction:
-        return CylinderFunction(self.algebra, self.depth, (a.star() for a in self.values))
+        return CylinderFunction._of(self.algebra, self.depth, {j: v.star() for j, v in self.support.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CylinderFunction):
             return NotImplemented
         a, b = self._aligned(other)
-        return all(x == y for x, y in zip(a.values, b.values))
+        return equal_entries(a.support, b.support)
 
     def to_json(self) -> dict:
         return {"depth": self.depth, "values": [self.algebra.coeff.element_to_json(v) for v in self.values]}
@@ -273,7 +322,7 @@ class OdometerElement:
         for d, f in a.coeffs.items():
             for e, g in b.coeffs.items():
                 key = d + e
-                term = f * g.shifted(d)
+                term = f.times_shifted(g, d)
                 out[key] = out[key] + term if key in out else term
         return OdometerElement(self.algebra, out, depth=depth)
 
@@ -296,9 +345,9 @@ class OdometerElement:
         if f is None:
             return Scalar.zero()
         total = Scalar.zero()
-        for v in f.values:
+        for v in f.support.values():
             total = total + self.algebra.coeff.trace0(v)
-        return Fraction(1, len(f.values)) * total
+        return Fraction(1, f.size) * total
 
     def to_json(self) -> dict:
         return {
@@ -309,6 +358,8 @@ class OdometerElement:
     @staticmethod
     def from_json(data: dict, algebra: OdometerAlgebra) -> OdometerElement:
         depth = int(data["depth"])
+        if not 1 <= depth <= algebra.stages.depth:
+            raise ValueError(f"odometer depth {depth} outside 1..{algebra.stages.depth}")
         coeffs = {}
         for key, val in data.get("coeffs", {}).items():
             if not key.startswith("U:"):
@@ -355,14 +406,14 @@ def rho_extract(algebra: OdometerAlgebra, stage: int, Y: OdometerElement, p: int
     for d, f in Z.coeffs.items():
         if d % n != 0:
             return None
-        # the coefficient must be (a at cylinder 0) promoted: equal values on
-        # indices = 0 mod n, zero elsewhere
-        value = f.values[0]
-        for idx, v in enumerate(f.values):
-            if (v != value) if idx % n == 0 else (not v.is_zero()):
-                return None
-        if not value.is_zero():
-            coeffs[d // n] = value
+        # the coefficient must be (a at cylinder 0) promoted: the support is
+        # every index = 0 mod n, all with the same value
+        value = f.support.get(0)
+        if value is None or len(f.support) != f.size // n:
+            return None
+        if any(idx % n or v != value for idx, v in f.support.items()):
+            return None
+        coeffs[d // n] = value
     return CrossedElement(algebra.coeff, algebra.alpha_sign * n, coeffs)
 
 
@@ -371,7 +422,7 @@ def psi_map(x: OdometerElement) -> OdometerElement:
     dual = x.algebra.dual()
     out = {}
     for d, f in x.coeffs.items():
-        out[-d] = CylinderFunction(dual, f.depth, f.flip_compose().values)
+        out[-d] = CylinderFunction._of(dual, f.depth, f.flip_compose().support)
     return OdometerElement(dual, out, depth=x.depth)
 
 

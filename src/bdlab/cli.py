@@ -80,7 +80,12 @@ def _run_suite(args) -> Report:
     elif args.suite == "fock-id":
         _merge(report, fock.verify_fock_identity(algebra, seed, count, args.depth or 8), "id")
     elif args.suite == "fock-blocks":
-        for period in (int(p) for p in args.periods.split(",")):
+        periods = [int(p) for p in args.periods.split(",")]
+        # below twice the period the creation block's trust window holds no entry
+        if args.depth is not None and args.depth < 2 * max(periods):
+            raise ValueError(f"--depth must be at least twice the largest period, {2 * max(periods)}, "
+                             f"got {args.depth}")
+        for period in periods:
             depth = args.depth or 4 * period
             _merge(report, fock.verify_weighted_blocks(algebra, period, seed, count, depth), f"k={period}")
     elif args.suite == "compact-preserve":
@@ -116,14 +121,25 @@ def _run_suite(args) -> Report:
 
 
 def _read_element(args) -> dict:
-    if args.infile:
-        with open(args.infile, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    else:
-        data = json.load(sys.stdin)
+    try:
+        if args.infile:
+            with open(args.infile, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        else:
+            data = json.load(sys.stdin)
+    except RecursionError:
+        raise ValueError("input JSON is nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError(f"input JSON must be an object, got {type(data).__name__}")
     return data
+
+
+def _parse(from_json, data: dict, *extra):
+    """Run a from_json parser; a JSON value of the wrong shape is a usage error."""
+    try:
+        return from_json(data, *extra)
+    except (TypeError, AttributeError, IndexError, OverflowError) as exc:
+        raise ValueError(f"malformed element JSON: {exc}") from None
 
 
 def _emit(args, text: str) -> None:
@@ -145,22 +161,22 @@ def cmd_verify(args) -> int:
 def cmd_apply(args) -> int:
     data = _read_element(args)
     if args.map == "gamma":
-        X = MatrixElement.from_json(data)
+        X = _parse(MatrixElement.from_json, data)
         if X.size != args.src:
             raise MismatchError(f"input has size {X.size}, expected --from {args.src}")
         _emit(args, canonical_json(limits.gamma(args.src, args.dst, X).to_json()))
     elif args.map == "shuffle":
-        X = MatrixElement.from_json(data)
+        X = _parse(MatrixElement.from_json, data)
         _emit(args, canonical_json(limits.amplification_shuffle(args.p, X).to_json()))
     elif args.map == "rho":
-        X = MatrixElement.from_json(data)
+        X = _parse(MatrixElement.from_json, data)
         stages = cantor.StageSequence(_parse_sizes(args.sizes))
         odo = cantor.OdometerAlgebra(stages, X.algebra)
         _emit(args, canonical_json(cantor.rho(odo, args.stage, X).to_json()))
     elif args.map == "psi":
         stages = cantor.StageSequence(_parse_sizes(args.sizes))
         odo = cantor.OdometerAlgebra(stages, _algebra_from_args(args))
-        x = cantor.OdometerElement.from_json(data, odo)
+        x = _parse(cantor.OdometerElement.from_json, data, odo)
         _emit(args, canonical_json(cantor.psi_map(x).to_json()))
     else:
         raise MismatchError(f"unknown map {args.map!r}")
@@ -168,7 +184,7 @@ def cmd_apply(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    X = MatrixElement.from_json(_read_element(args))
+    X = _parse(MatrixElement.from_json, _read_element(args))
     _emit(args, canonical_json(X.trace().to_json()))
     return 0
 

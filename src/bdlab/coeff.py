@@ -60,9 +60,11 @@ class Angle:
     @staticmethod
     def parse(text: str) -> Angle:
         """Parse 'q+r*theta' style input, e.g. 'theta', '-theta+1/8', '1/2*theta+3/4'."""
-        terms = re.findall(r"([+-]?)([^+-]+)", text.replace(" ", ""))
-        if not terms:
-            raise ValueError(f"no term in angle {text!r}")
+        text = text.replace(" ", "")
+        # each sign must be followed by a term: no doubled, leading-double or trailing sign
+        if not re.fullmatch(r"[+-]?[^+-]+(?:[+-][^+-]+)*", text):
+            raise ValueError(f"angle {text!r} is not a sum of signed terms")
+        terms = re.findall(r"([+-]?)([^+-]+)", text)
         q = Fraction(0)
         r = Fraction(0)
         for sign, body in terms:
@@ -381,7 +383,10 @@ class FiniteCyclicShift(CoefficientAlgebra):
         return element.to_json()
 
     def element_from_json(self, data: dict) -> FiniteCyclicFunction:
-        return FiniteCyclicFunction.from_json(data)
+        element = FiniteCyclicFunction.from_json(data)
+        if element.modulus != self.d:
+            raise ValueError(f"function on Z/{element.modulus} given for the algebra on Z/{self.d}")
+        return element
 
 
 def cyclic_orbits(d: int, n: int) -> list[frozenset[int]]:

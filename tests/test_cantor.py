@@ -1,6 +1,7 @@
 import pytest
 
 from bdlab.cantor import (
+    CylinderFunction,
     OdometerAlgebra,
     OdometerElement,
     StageSequence,
@@ -18,6 +19,81 @@ from bdlab.cantor import (
 from bdlab.coeff import CircleFunction
 from bdlab.crossed import CrossedElement, MatrixElement, sample_matrix
 from bdlab.errors import MismatchError
+
+
+class DenseCylinder:
+    """Oracle: the dense cylinder arithmetic, a table of all n_k values per function."""
+
+    def __init__(self, algebra, depth, values):
+        self.algebra, self.depth, self.values = algebra, depth, tuple(values)
+        assert len(self.values) == algebra.stages.size(depth)
+
+    @staticmethod
+    def of(f):
+        return DenseCylinder(f.algebra, f.depth, f.values)
+
+    def _aligned(self, other):
+        depth = max(self.depth, other.depth)
+        return self.promote(depth), other.promote(depth)
+
+    def promote(self, depth):
+        n_old, n_new = len(self.values), self.algebra.stages.size(depth)
+        return DenseCylinder(self.algebra, depth, (self.values[j % n_old] for j in range(n_new)))
+
+    def shifted(self, d):
+        if d == 0:
+            return self
+        n, alg = len(self.values), self.algebra
+        return DenseCylinder(alg, self.depth,
+                             (alg.coeff.alpha_power(self.values[(i - d) % n], alg.alpha_sign * d) for i in range(n)))
+
+    def flip_compose(self):
+        return DenseCylinder(self.algebra, self.depth, self.values[::-1])
+
+    def is_zero(self):
+        return all(v.is_zero() for v in self.values)
+
+    def __add__(self, other):
+        a, b = self._aligned(other)
+        return DenseCylinder(self.algebra, a.depth, (x + y for x, y in zip(a.values, b.values)))
+
+    def __sub__(self, other):
+        a, b = self._aligned(other)
+        return DenseCylinder(self.algebra, a.depth, (x - y for x, y in zip(a.values, b.values)))
+
+    def __mul__(self, other):
+        a, b = self._aligned(other)
+        return DenseCylinder(self.algebra, a.depth, (x * y for x, y in zip(a.values, b.values)))
+
+    def star(self):
+        return DenseCylinder(self.algebra, self.depth, (v.star() for v in self.values))
+
+    def __eq__(self, other):
+        a, b = self._aligned(other)
+        return all(x == y for x, y in zip(a.values, b.values))
+
+    def to_json(self):
+        return {"depth": self.depth, "values": [self.algebra.coeff.element_to_json(v) for v in self.values]}
+
+
+def dense_odometer_mul(x, y):
+    """sum_(d,e) f_d * sigma^d(g_e) U^(d+e), densely, as JSON with zero coefficients dropped."""
+    depth = max(x.depth, y.depth)
+    out = {}
+    for d, f in x.coeffs.items():
+        for e, g in y.coeffs.items():
+            term = DenseCylinder.of(f).promote(depth) * DenseCylinder.of(g).promote(depth).shifted(d)
+            out[d + e] = out[d + e] + term if d + e in out else term
+    return {"depth": depth,
+            "coeffs": {f"U:{k}": out[k].to_json() for k in sorted(out) if not out[k].is_zero()}}
+
+
+def assert_matches_dense(f, dense):
+    """Same depth, equal values, the same JSON, and a support of exactly the nonzero values."""
+    assert isinstance(f, CylinderFunction) and f.depth == dense.depth
+    assert all(x == y for x, y in zip(f.values, dense.values))
+    assert f.to_json() == dense.to_json()
+    assert f.support.keys() == {j for j, v in enumerate(dense.values) if not v.is_zero()}
 
 
 @pytest.fixture
@@ -227,3 +303,58 @@ def test_odometer_cycle_order(stages):
             seen.add(digits)
         assert len(seen) == n
         assert odometer_step(prefix, digits) == stages.index_to_digits(0, stage)
+
+
+@pytest.fixture(params=["circle", "circle_dual", "circle_q", "cyclic3", "cyclic3_dual"])
+def any_odometer(request, stages):
+    name = request.param
+    odo = OdometerAlgebra(stages, request.getfixturevalue(name.removesuffix("_dual")))
+    return odo.dual() if name.endswith("_dual") else odo
+
+
+def _sample_cylinder(odo, rng):
+    """A random function at depth 1-3: sampled, an indicator, zero, or a constant."""
+    depth = rng.randint(1, 3)
+    kind = rng.random()
+    if kind < 0.6:
+        return odo.sample_function(rng, depth)
+    if kind < 0.8:
+        return odo.indicator(rng.randrange(6), depth, odo.coeff.sample(rng))
+    if kind < 0.9:
+        return odo.constant(odo.coeff.zero(), depth)
+    return odo.constant(odo.coeff.sample(rng), depth)
+
+
+class TestSparseAgainstDenseOracle:
+    def test_cylinder_operations(self, any_odometer, rng):
+        odo = any_odometer
+        for _ in range(40):
+            f, g = _sample_cylinder(odo, rng), _sample_cylinder(odo, rng)
+            F, G = DenseCylinder.of(f), DenseCylinder.of(g)
+            d = rng.randint(-7, 7)
+            assert_matches_dense(f.promote(3), F.promote(3))
+            assert_matches_dense(f.shifted(d), F.shifted(d))
+            assert_matches_dense(f.flip_compose(), F.flip_compose())
+            assert_matches_dense(f + g, F + G)
+            assert_matches_dense(f - g, F - G)
+            assert_matches_dense(f * g, F * G)
+            assert_matches_dense(f.star(), F.star())
+            assert_matches_dense(f.times_shifted(g, d), F * G.shifted(d))
+            assert_matches_dense(f.times_shifted(f, d), F * F.shifted(d))
+            for a, b, A, B in ((f, g, F, G), (f, f.promote(3), F, F.promote(3)), (f, (f + g) - g, F, (F + G) - G)):
+                assert (a == b) == (A == B) == (b == a)
+            assert f == f.promote(3) and f == (f + g) - g
+
+    def test_odometer_product(self, any_odometer, rng):
+        odo = any_odometer
+        for _ in range(20):
+            x, y = (OdometerElement(odo, {rng.randint(-7, 7): _sample_cylinder(odo, rng) for _ in range(2)})
+                    for _ in range(2))
+            assert (x * y).to_json() == dense_odometer_mul(x, y)
+            assert (y * x).to_json() == dense_odometer_mul(y, x)
+
+    def test_dense_constructor_drops_zeros(self, odometer, circle):
+        z = CircleFunction.z()
+        f = CylinderFunction(odometer, 2, (circle.zero(), z))
+        assert f.support == {1: z} and f.values == (circle.zero(), z)
+        assert f.to_json() == {"depth": 2, "values": [{}, z.to_json()]}

@@ -1,9 +1,11 @@
 import contextlib
 import io
 import json
+import random
 import subprocess
 import sys
 from datetime import timedelta
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -96,6 +98,12 @@ class TestVerifyCommand:
         (["gamma-comp", "--sizes", "1,2", "--count", "1"], "no case"),
         (["trace-compat", "--sizes", "1,2", "--count", "0"], "no case"),
         (["rg", "--sizes", "1", "--count", "1"], "no case"),
+        (["fock-blocks", "--periods", "4", "--depth", "1", "--count", "1"], "--depth"),
+        (["fock-blocks", "--periods", "1,2", "--depth", "3", "--count", "1"], "--depth"),
+        (["gamma-hom", "--angle=--theta", "--sizes", "1,2", "--count", "1"], "angle"),
+        (["gamma-hom", "--angle", "1--theta", "--sizes", "1,2", "--count", "1"], "angle"),
+        (["gamma-hom", "--angle", "theta++1/2", "--sizes", "1,2", "--count", "1"], "angle"),
+        (["gamma-hom", "--angle", "theta+", "--sizes", "1,2", "--count", "1"], "angle"),
     ])
     def test_degenerate_option_is_usage_error(self, capsys, argv, needle):
         # each ran a vacuous suite (exit 0 with no or empty cases), ended in a
@@ -127,6 +135,7 @@ def _verify_argv(suite, algebra, sizes, depth, p, count, modulus, periods):
 @example("amplification", "circle", "1,2", 4, 0, 1, 3, "1")
 @example("shuffle", "circle", "1,2", -3, 2, 1, 3, "1")
 @example("shuffle", "cyclic", "1,2", 0, 2, 1, 3, "1")
+@example("fock-blocks", "circle", "1,2", 1, 2, 1, 3, "3")
 def test_verify_integer_options_fuzz(suite, algebra, sizes, depth, p, count, modulus, periods):
     """Every small input exits 0-3 without a traceback, and exit 0 checked something."""
     out, err = io.StringIO(), io.StringIO()
@@ -140,6 +149,8 @@ def test_verify_integer_options_fuzz(suite, algebra, sizes, depth, p, count, mod
     if code == 0:
         assert json.loads(out.getvalue())["cases"] > 0
         assert depth >= 1 and p >= 1
+        if suite == "fock-blocks":
+            assert depth >= 2 * max(int(k) for k in periods.split(","))
 
 
 class TestApplyCommand:
@@ -226,6 +237,112 @@ class TestApplyCommand:
         feed_stdin(monkeypatch, payload)
         code, out, err = run_cli(capsys, ["apply", "--map", "gamma", "--from", "1", "--to", "2"])
         assert code == 3 and out == "" and err.startswith("budget exceeded:") and err.count("\n") == 1
+
+
+class TestMalformedElementJson:
+    """Input of the wrong shape is a one-line usage error, never a traceback or an out-of-range element."""
+
+    PSI = ["apply", "--map", "psi", "--sizes", "1,2,6"]
+
+    @pytest.mark.parametrize("payload", [
+        {"depth": 3, "coeffs": {"U:1": {"depth": 3, "values": 5}}},  # was a TypeError
+        {"depth": 3, "coeffs": [1]},  # was an AttributeError
+        {"depth": 3, "coeffs": {"U:1": {"depth": 3, "values": [1, 2, 3, 4, 5, 6]}}},  # was an AttributeError
+        {"depth": 1, "coeffs": {"U:1": {"depth": 1, "values": [{"z:0": {"coeff": "1"}}]}}},  # was an AttributeError
+    ])
+    def test_psi_shape_error_is_usage_error(self, capsys, monkeypatch, payload):
+        feed_stdin(monkeypatch, payload)
+        code, out, err = run_cli(capsys, self.PSI)
+        assert code == 2 and out == "" and err.startswith("error: malformed element JSON") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("depth", [9, 0, -4])
+    def test_psi_depth_outside_stages_is_usage_error(self, capsys, monkeypatch, depth):
+        # exited 0 with an element of a depth the stage sequence does not have
+        feed_stdin(monkeypatch, {"depth": depth, "coeffs": {}})
+        code, out, err = run_cli(capsys, self.PSI)
+        assert code == 2 and out == "" and "outside 1..3" in err and err.count("\n") == 1
+
+    def test_trace_of_empty_rows_is_usage_error(self, capsys, monkeypatch):
+        # was an IndexError
+        feed_stdin(monkeypatch, {"size": 2, "entries": []})
+        code, out, err = run_cli(capsys, ["trace"])
+        assert code == 2 and out == "" and err.startswith("error: malformed element JSON") and err.count("\n") == 1
+
+    def test_cyclic_modulus_mismatch_is_usage_error(self, capsys, monkeypatch):
+        # a function on Z/2 inside the algebra on Z/3 was traced as if on Z/3
+        entry = {"n": 1, "algebra": {"kind": "cyclic", "d": 3},
+                 "coeffs": {"u:0": {"d": 2, "values": [[{"coeff": "1"}], []]}}}
+        feed_stdin(monkeypatch, {"size": 1, "entries": [[entry]]})
+        code, out, err = run_cli(capsys, ["trace"])
+        assert code == 2 and out == "" and "Z/2" in err and err.count("\n") == 1
+
+    def test_deeply_nested_json_is_usage_error(self, capsys, monkeypatch):
+        # json.load raised a RecursionError
+        monkeypatch.setattr(sys, "stdin", io.StringIO("[" * 100000 + "]" * 100000))
+        code, out, err = run_cli(capsys, ["trace"])
+        assert code == 2 and out == "" and "nested" in err and err.count("\n") == 1
+
+
+def _json_templates():
+    from bdlab.cantor import OdometerAlgebra, StageSequence, rho
+    from bdlab.coeff import Angle, CircleRotation, FiniteCyclicShift
+    from bdlab.crossed import sample_matrix
+
+    rng = random.Random(5)
+    circle = CircleRotation(Angle.parse("theta+1/4"))
+    cyclic = FiniteCyclicShift(2)
+    odo = OdometerAlgebra(StageSequence((1, 2, 6)), circle)
+    return [
+        (["apply", "--map", "psi", "--sizes", "1,2,6", "--angle", "theta+1/4"],
+         rho(odo, 2, sample_matrix(circle, 2, 2, rng)).to_json()),
+        (["apply", "--map", "psi", "--sizes", "1,2", "--algebra", "cyclic", "--modulus", "2"],
+         rho(OdometerAlgebra(StageSequence((1, 2)), cyclic), 2, sample_matrix(cyclic, 2, 2, rng)).to_json()),
+        (["trace"], sample_matrix(circle, 2, 2, rng).to_json()),
+        (["trace"], sample_matrix(cyclic, 2, 2, rng).to_json()),
+    ]
+
+
+JSON_TEMPLATES = _json_templates()
+_JSON_WORDS = ["depth", "coeffs", "values", "U:0", "U:1", "U:-1", "z:0", "z:2", "u:0", "u:1", "coeff", "root",
+               "theta", "size", "entries", "n", "algebra", "kind", "angle", "q", "r", "d", "circle", "cyclic",
+               "0", "1", "-1/2", "1/0", "1/3", "x"]
+_json_trees = st.recursive(
+    st.none() | st.booleans() | st.integers(-8, 8) | st.floats() | st.sampled_from(_JSON_WORDS) | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.sampled_from(_JSON_WORDS) | st.text(max_size=3), children, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _mutated_json(draw, node):
+    """The node with one subtree, picked by a random walk, replaced by a random tree or dropped."""
+    if not isinstance(node, (dict, list)) or not node or draw(st.integers(0, 3)) == 0:
+        return draw(_json_trees)
+    node = dict(node) if isinstance(node, dict) else list(node)
+    key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+    if draw(st.integers(0, 5)) == 0:
+        del node[key]
+    else:
+        node[key] = draw(_mutated_json(node[key]))
+    return node
+
+
+@settings(max_examples=200, deadline=timedelta(seconds=5))
+@given(st.sampled_from(range(len(JSON_TEMPLATES))).flatmap(
+    lambda i: st.tuples(st.just(JSON_TEMPLATES[i][0]), _mutated_json(JSON_TEMPLATES[i][1]) | _json_trees)))
+def test_malformed_element_json_fuzz(case):
+    """apply --map psi and trace on random and mutated JSON: exit 0, 2 or 3 and no traceback."""
+    argv, payload = case
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(payload))), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2, 3)
+    if code == 0:
+        json.loads(out.getvalue())
+    else:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1
 
 
 class TestTraceCommand:

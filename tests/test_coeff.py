@@ -208,6 +208,12 @@ class TestAngle:
         with pytest.raises(ValueError):
             Angle.parse(text)
 
+    @pytest.mark.parametrize("text", ["--theta", "1--theta", "theta++1/2", "theta+"])
+    def test_parse_rejects_stray_signs(self, text):
+        # read as -theta, 1 - theta, theta + 1/2 and theta before
+        with pytest.raises(ValueError, match="signed terms"):
+            Angle.parse(text)
+
     def test_str_round_trip(self):
         for angle in (Angle(Fraction(1, 8), Fraction(-1)), Angle(Fraction(0), Fraction(1, 2))):
             assert Angle.parse(str(angle)) == angle
