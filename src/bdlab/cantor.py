@@ -194,7 +194,7 @@ class CylinderFunction:
         return tuple(self.support.get(j, zero) for j in range(self.size))
 
     def _aligned(self, other: CylinderFunction) -> tuple[CylinderFunction, CylinderFunction]:
-        if self.algebra != other.algebra:
+        if self.algebra is not other.algebra and self.algebra != other.algebra:
             raise MismatchError("cylinder functions from different algebras")
         depth = max(self.depth, other.depth)
         return self.promote(depth), other.promote(depth)
@@ -286,7 +286,7 @@ class OdometerElement:
         self.depth = depth
         self.coeffs = {}
         for d, f in coeffs.items():
-            if f.algebra != algebra:
+            if f.algebra is not algebra and f.algebra != algebra:
                 raise MismatchError("coefficient from a different odometer algebra")
             f = f.promote(depth)
             if not f.is_zero():
@@ -298,7 +298,7 @@ class OdometerElement:
         return OdometerElement(self.algebra, {d: f.promote(depth) for d, f in self.coeffs.items()}, depth=depth)
 
     def _align(self, other: OdometerElement) -> tuple[OdometerElement, OdometerElement, int]:
-        if self.algebra != other.algebra:
+        if self.algebra is not other.algebra and self.algebra != other.algebra:
             raise MismatchError("odometer elements from different algebras")
         depth = max(self.depth, other.depth)
         return self.promote(depth), other.promote(depth), depth

@@ -14,6 +14,7 @@ refinement budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -308,8 +309,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process: building it costs more than most commands."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "apply" and args.map == "gamma":

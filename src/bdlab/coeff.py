@@ -115,9 +115,6 @@ class CircleFunction:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def z_degree(self) -> int:
-        return max((abs(m) for m in self.coeffs), default=0)
-
     def __add__(self, other: CircleFunction) -> CircleFunction:
         return CircleFunction(add_entries(self.coeffs, other.coeffs))
 
@@ -138,9 +135,6 @@ class CircleFunction:
                 out[m] = out.get(m, Scalar.zero()) + prod
         return CircleFunction(out)
 
-    def scale(self, scalar: Scalar) -> CircleFunction:
-        return CircleFunction({m: scalar * c for m, c in self.coeffs.items()})
-
     def star(self) -> CircleFunction:
         return CircleFunction({-m: c.star() for m, c in self.coeffs.items()})
 
@@ -148,15 +142,6 @@ class CircleFunction:
         if not isinstance(other, CircleFunction):
             return NotImplemented
         return equal_entries(self.coeffs, other.coeffs)
-
-    def evaluate(self, theta_value: float, point: float) -> complex:
-        """Numeric value at z = exp(2*pi*i*point) with t = exp(2*pi*i*theta_value)."""
-        import cmath
-
-        return sum(
-            c.evaluate(theta_value) * cmath.exp(2j * cmath.pi * m * point)
-            for m, c in self.coeffs.items()
-        )
 
     def to_json(self) -> dict:
         return {f"z:{m}": self.coeffs[m].to_json() for m in sorted(self.coeffs)}
@@ -212,9 +197,6 @@ class FiniteCyclicFunction:
     def __mul__(self, other: FiniteCyclicFunction) -> FiniteCyclicFunction:
         self._check(other)
         return FiniteCyclicFunction(self.modulus, (a * b for a, b in zip(self.values, other.values)))
-
-    def scale(self, scalar: Scalar) -> FiniteCyclicFunction:
-        return FiniteCyclicFunction(self.modulus, (scalar * a for a in self.values))
 
     def star(self) -> FiniteCyclicFunction:
         return FiniteCyclicFunction(self.modulus, (a.star() for a in self.values))

@@ -69,9 +69,6 @@ class CrossedElement:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def u_degree(self) -> int:
-        return max((abs(l) for l in self.coeffs), default=0)
-
     def _check(self, other: CrossedElement) -> None:
         if self.algebra != other.algebra or self.power != other.power:
             raise MismatchError("crossed elements from different stage algebras")
@@ -98,11 +95,6 @@ class CrossedElement:
                 term = a * alg.alpha_power(b, n * l)
                 out[e] = out[e] + term if e in out else term
         return CrossedElement(alg, n, out)
-
-    def scale(self, scalar: Scalar | int | Fraction) -> CrossedElement:
-        if isinstance(scalar, (int, Fraction)):
-            scalar = Scalar.from_rational(scalar)
-        return CrossedElement(self.algebra, self.power, {l: a.scale(scalar) for l, a in self.coeffs.items()})
 
     def star(self) -> CrossedElement:
         alg, n = self.algebra, self.power

@@ -113,7 +113,8 @@ class FockOperator:
         return FockOperator(algebra, depth, {(0, 0): algebra.one()}, step=step)
 
     def _check(self, other: FockOperator) -> None:
-        if self.algebra != other.algebra or self.depth != other.depth or self.step != other.step:
+        same_algebra = self.algebra is other.algebra or self.algebra == other.algebra
+        if not same_algebra or self.depth != other.depth or self.step != other.step:
             raise MismatchError("fock operators on different truncated spaces")
 
     def raise_degree(self) -> int:
@@ -238,7 +239,7 @@ class BlockMatrix:
         for (i, j), op in (entries or {}).items():
             if not (0 <= i < size and 0 <= j < size):
                 raise MismatchError(f"block ({i},{j}) outside {size}x{size}")
-            if op.depth != depth or op.step != step or op.algebra != algebra:
+            if op.depth != depth or op.step != step or (op.algebra is not algebra and op.algebra != algebra):
                 raise MismatchError("block on a different truncated space")
             if op.entries or op.trust < depth:
                 self.entries[(i, j)] = op

@@ -12,46 +12,64 @@ of the root-exponent denominators, under the identification e(a/N) = zeta_N^a.
 Since 1, zeta_N, ..., zeta_N^(phi(N)-1) form a basis of the cyclotomic field,
 a reduced combination is zero exactly when it has no terms, which makes
 equality decidable: x == y iff (x - y) normalises to the empty sum.  A stored
-form fixes its value, so equal term maps answer x == y at once.  The stored
+form fixes its value, so equal stored forms answer x == y at once.  The stored
 form still depends on the conductor the terms arrived with (e.g. zeta_3 and
-zeta_6 - 1 are the same number in different clothes), so unequal term maps
+zeta_6 - 1 are the same number in different clothes), so unequal stored forms
 fall back to the subtraction.
 
+Layout: a scalar stores, for each theta exponent s, one integer group
+(N, D, nums) with value sum nums[a]/D * e(a/N) over the nonzero integer
+numerators nums[a].  N is the joint conductor of the stored roots, D > 0,
+gcd(D, *nums) == 1 and every a < phi(N).  This is the canonical form above
+written in integers: the term e(a/N) * t^s with coefficient nums[a]/D is
+exactly the term a Fraction-keyed form stores, so serialized forms do not
+depend on the layout.  A theta exponent is kept as an int when it is
+integral and as a Fraction otherwise; the two hash and compare alike, so
+mixed keys are safe.  ``terms`` and ``to_json`` expose the Fraction view.
+
 Multiplying by a pure power t^s (``theta_shifted``) needs no reduction.
-``_normalize`` groups terms by theta exponent and leaves a canonical root
-group unchanged, and a shift by s moves whole groups without touching their
-roots, so the shifted terms are exactly what the general product t^s * x
-stores.  A factor with a root, e(a) * t^s with a != 0, is different: adding a
-to the roots of x and reducing gives an equal scalar, but its stored form can
-differ from the product's, because the stored form depends on the conductor
-the terms arrive with.  Such factors go through the general product with the
-normalized factor, so serialized results stay byte-identical.
+``_normalize`` leaves a canonical group unchanged, and a shift by s moves
+whole groups without touching their roots, so the shifted groups are exactly
+what the general product t^s * x stores.  A factor with a root, e(a) * t^s
+with a != 0, is different: adding a to the roots of x and reducing gives an
+equal scalar, but its stored form can differ from the product's, because the
+stored form depends on the conductor the terms arrive with.  Such factors go
+through the general product with the normalized factor, so serialized
+results stay byte-identical.
 
 ``_normalize`` is the only reduction, and it runs only where the result can
 differ from its input.  Public input (``Scalar(...)``, ``term``,
 ``root_of_unity``, ``from_json``) is converted to Fractions with roots in
-[0, 1) once, on the way in; ``+``, ``*`` and ``star`` hand ``_normalize`` the
-Fractions they already hold and store its result as canonical.  A rational
-factor q (a single term at root 0, theta 0) skips ``_normalize`` altogether:
-q * x keeps the keys of x and scales its coefficients, which is exactly what
-the general product stores.  Scaling by q != 0 keeps every root, and a canonical
-root group stays canonical: a group reduced at conductor N whose surviving
-roots have joint conductor N1 (a divisor of N) holds exponents
-b = a * N1 / N < phi(N) * N1 / N <= phi(N1), so ``_reduce_root_group`` returns
-it unchanged.  The same fact makes ``_normalize`` idempotent.
+[0, 1) once, on the way in; ``+``, ``*`` and ``star`` hand ``_normalize`` raw
+integer groups and store its result as canonical.  ``+`` reduces only the
+theta exponents both sides hold.  A rational factor q (a single term at root
+0, theta 0) skips ``_normalize`` altogether: q * x keeps the roots of x and
+scales its numerators, which is exactly what the general product stores.
+Scaling by q != 0 keeps every root, and a canonical group stays canonical: a
+group reduced at conductor N whose surviving roots have joint conductor N1 (a
+divisor of N) holds exponents b = a * N1 / N < phi(N) * N1 / N <= phi(N1), so
+``_reduce_root_group`` returns it unchanged.  The same fact makes
+``_normalize`` idempotent.
+
+``_reduce_root_group(group)`` is the per-group step, one call per theta
+exponent that ``_normalize`` reduces.  The bench tracer wraps it and reads
+``group.items()`` as (root, coefficient) pairs: ``_RawGroup.items`` yields
+(Fraction(a, N), nums[a]), so the tracer sees each root's true denominator.
 """
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Union
 
 from .errors import BudgetError
 
 RationalLike = Union[int, Fraction]
+Theta = Union[int, Fraction]
+#: A canonical root group (N, D, nums): the value sum nums[a]/D * e(a/N).
+Group = tuple[int, int, dict[int, int]]
 
 #: Root-exponent denominators above this bound are rejected rather than
 #: reduced; guards against runaway conductors from pathological inputs.
@@ -59,8 +77,16 @@ CONDUCTOR_LIMIT = 10**6
 
 
 def parse_fraction(text: str) -> Fraction:
+    """A rational from 'p', 'p/q' or a decimal; exponent notation is rejected.
+
+    Fraction would build 10^e exactly for '1e10000000', which takes seconds
+    and grows with e, so a short string could stall any caller.
+    """
+    text = text.strip()
+    if "e" in text or "E" in text:
+        raise ValueError(f"exponent notation is not accepted: {text!r}")
     try:
-        return Fraction(text.strip())
+        return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
 
@@ -123,65 +149,165 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _reduce_root_group(group: dict[Fraction, Fraction]) -> dict[Fraction, Fraction]:
-    """Reduce a root-exponent -> coefficient map modulo the joint conductor."""
-    group = {r: c for r, c in group.items() if c}
-    if not group:
-        return group
-    conductor = 1
-    for r in group:
-        conductor = lcm(conductor, r.denominator)
-    if conductor > CONDUCTOR_LIMIT:
-        raise BudgetError(f"root-of-unity conductor {conductor} exceeds limit {CONDUCTOR_LIMIT}")
-    if conductor == 1:
-        return group
-    phi = euler_phi(conductor)
-    exps = {r.numerator * (conductor // r.denominator): c for r, c in group.items()}
-    if all(a < phi for a in exps):
-        return group
-    coeffs = [Fraction(0)] * conductor
-    for a, c in exps.items():
-        coeffs[a] += c
-    den = cyclotomic_polynomial(conductor)
-    for i in range(conductor - 1, phi - 1, -1):
+def _theta_key(theta: RationalLike) -> Theta:
+    """The stored theta exponent: an int when integral, else the Fraction."""
+    if type(theta) is int:
+        return theta
+    return theta.numerator if theta.denominator == 1 else theta
+
+
+class _RawGroup:
+    """One theta exponent's roots before reduction: sum nums[a]/den * e(a/modulus).
+
+    Any a in [0, modulus) may occur, numerators may be zero, and neither the
+    modulus nor den need be the least one.
+    """
+
+    __slots__ = ("modulus", "den", "nums")
+
+    def __init__(self, modulus: int, den: int, nums: dict[int, int]):
+        self.modulus, self.den, self.nums = modulus, den, nums
+
+    def items(self) -> list[tuple[Fraction, int]]:
+        """(root, numerator) pairs, roots as reduced Fractions."""
+        return [(Fraction(a, self.modulus), c) for a, c in self.nums.items()]
+
+
+def _at_joint_conductor(n: int, nums: dict[int, int]) -> tuple[int, dict[int, int]]:
+    """The same roots over the least modulus that holds them all."""
+    g = gcd(n, *nums)
+    if g == 1:
+        return n, nums
+    return n // g, {a // g: c for a, c in nums.items()}
+
+
+def _mod_cyclotomic(n: int, phi: int, nums: dict[int, int]) -> dict[int, int]:
+    """nums as a polynomial in zeta_n, reduced modulo Phi_n to degree < phi."""
+    top = max(nums)
+    coeffs = [0] * (top + 1)
+    for a, c in nums.items():
+        coeffs[a] = c
+    poly = cyclotomic_polynomial(n)
+    for i in range(top, phi - 1, -1):
         c = coeffs[i]
         if c:
-            for j in range(len(den)):
-                coeffs[i - phi + j] -= c * den[j]
-    return {Fraction(a, conductor): c for a, c in enumerate(coeffs[:phi]) if c}
+            base = i - phi
+            for j, pc in enumerate(poly):
+                if pc:
+                    coeffs[base + j] -= c * pc
+    return {a: c for a, c in enumerate(coeffs[:phi]) if c}
 
 
-def _normalize(raw: Iterable[tuple[tuple[Fraction, Fraction], Fraction]]) -> dict:
-    """Canonical terms from ((root, theta), coeff) pairs of Fractions, roots in [0, 1)."""
-    by_theta: dict[Fraction, dict[Fraction, Fraction]] = {}
-    for (root, theta), coeff in raw:
-        if coeff:
-            group = by_theta.setdefault(theta, {})
-            total = group.get(root)
-            group[root] = coeff if total is None else total + coeff
-    terms = {}
-    for theta, group in by_theta.items():
-        for root, coeff in _reduce_root_group(group).items():
-            terms[(root, theta)] = coeff
-    return terms
+def _reduce_root_group(group: _RawGroup) -> Group | None:
+    """The canonical group of a raw one, or None when its value is zero."""
+    n, nums = group.modulus, group.nums
+    if not all(nums.values()):
+        nums = {a: c for a, c in nums.items() if c}
+    if not nums:
+        return None
+    if n > 1:
+        n, nums = _at_joint_conductor(n, nums)
+    if n > CONDUCTOR_LIMIT:
+        raise BudgetError(f"root-of-unity conductor {n} exceeds limit {CONDUCTOR_LIMIT}")
+    if n > 1:
+        phi = euler_phi(n)
+        if max(nums) >= phi:
+            nums = _mod_cyclotomic(n, phi, nums)
+            if not nums:
+                return None
+            n, nums = _at_joint_conductor(n, nums)
+    den = group.den
+    g = gcd(den, *nums.values())
+    if g > 1:
+        den //= g
+        nums = {a: c // g for a, c in nums.items()}
+    return n, den, nums
+
+
+def _normalize(raw: dict[Theta, _RawGroup]) -> dict[Theta, Group]:
+    """Canonical groups of raw ones, by theta exponent; groups that vanish are dropped."""
+    groups = {}
+    for theta, group in raw.items():
+        reduced = _reduce_root_group(group)
+        if reduced is not None:
+            groups[theta] = reduced
+    return groups
+
+
+def _from_fractions(pairs: list[tuple[Fraction, Fraction]]) -> _RawGroup:
+    """The raw group of (root, coeff) pairs, roots in [0, 1)."""
+    n = lcm(*(r.denominator for r, _ in pairs))
+    d = lcm(*(c.denominator for _, c in pairs))
+    nums: dict[int, int] = {}
+    for r, c in pairs:
+        a = r.numerator * (n // r.denominator)
+        nums[a] = nums.get(a, 0) + c.numerator * (d // c.denominator)
+    return _RawGroup(n, d, nums)
+
+
+def _joined(x: Group, y: Group) -> _RawGroup:
+    """The raw sum of two groups at one theta exponent."""
+    (n1, d1, nums1), (n2, d2, nums2) = x, y
+    n, d = lcm(n1, n2), lcm(d1, d2)
+    s, f = n // n1, d // d1
+    nums = {a * s: c * f for a, c in nums1.items()}
+    s, f = n // n2, d // d2
+    for a, c in nums2.items():
+        a *= s
+        nums[a] = nums.get(a, 0) + c * f
+    return _RawGroup(n, d, nums)
+
+
+def _rescaled(groups: dict[Theta, Group], n: int, d: int) -> list[tuple[Theta, dict[int, int]]]:
+    """Each group's numerators over modulus n and denominator d, multiples of its own."""
+    out = []
+    for theta, (gn, gd, nums) in groups.items():
+        s, f = n // gn, d // gd
+        if s != 1 or f != 1:
+            nums = {a * s: c * f for a, c in nums.items()}
+        out.append((theta, nums))
+    return out
+
+
+def _scaled(groups: dict[Theta, Group], qn: int, qd: int) -> dict[Theta, Group]:
+    """The groups times the nonzero rational qn/qd, in lowest terms."""
+    out = {}
+    for theta, (n, d, nums) in groups.items():
+        d *= qd
+        nums = {a: c * qn for a, c in nums.items()}
+        g = gcd(d, *nums.values())
+        if g > 1:
+            d //= g
+            nums = {a: c // g for a, c in nums.items()}
+        out[theta] = (n, d, nums)
+    return out
 
 
 class Scalar:
     """Immutable exact scalar; supports +, -, *, star() and complete equality."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_groups",)
 
-    def __init__(self, terms: Iterable | dict = (), *, _canonical: bool = False):
-        if _canonical:
-            self._terms = terms if isinstance(terms, dict) else dict(terms)
-            return
+    def __init__(self, terms: Iterable | dict = ()):
         if isinstance(terms, dict):
             terms = terms.items()
-        self._terms = _normalize(((Fraction(r) % 1, Fraction(t)), Fraction(c)) for (r, t), c in terms)
+        by_theta: dict[Theta, list[tuple[Fraction, Fraction]]] = {}
+        for (r, t), c in terms:
+            root, theta, coeff = Fraction(r) % 1, Fraction(t), Fraction(c)
+            if coeff:
+                by_theta.setdefault(_theta_key(theta), []).append((root, coeff))
+        self._groups = _normalize({theta: _from_fractions(pairs) for theta, pairs in by_theta.items()})
+
+    @classmethod
+    def _of(cls, groups: dict[Theta, Group]) -> Scalar:
+        """Wrap canonical groups."""
+        s = cls.__new__(cls)
+        s._groups = groups
+        return s
 
     @staticmethod
     def zero() -> Scalar:
-        return Scalar((), _canonical=True)
+        return Scalar._of({})
 
     @staticmethod
     def one() -> Scalar:
@@ -192,7 +318,7 @@ class Scalar:
         value = Fraction(value)
         if not value:
             return Scalar.zero()
-        return Scalar({(Fraction(0), Fraction(0)): value}, _canonical=True)
+        return Scalar._of({0: (1, value.denominator, {0: value.numerator})})
 
     @staticmethod
     def root_of_unity(root: RationalLike) -> Scalar:
@@ -201,51 +327,53 @@ class Scalar:
 
     @staticmethod
     def t_power(exponent: RationalLike) -> Scalar:
-        return Scalar({(Fraction(0), Fraction(exponent)): Fraction(1)}, _canonical=True)
+        return Scalar._of({_theta_key(Fraction(exponent)): (1, 1, {0: 1})})
 
     @staticmethod
     def term(coeff: RationalLike, root: RationalLike = 0, theta: RationalLike = 0) -> Scalar:
         return Scalar([((Fraction(root), Fraction(theta)), Fraction(coeff))])
 
     @property
-    def terms(self) -> dict:
-        return dict(self._terms)
+    def terms(self) -> dict[tuple[Fraction, Fraction], Fraction]:
+        """{(root, theta): coefficient}, all Fractions, roots in [0, 1)."""
+        return {
+            (Fraction(a, n), Fraction(theta)): Fraction(c, d)
+            for theta, (n, d, nums) in self._groups.items()
+            for a, c in nums.items()
+        }
 
     def is_zero(self) -> bool:
-        return not self._terms
-
-    def is_rational(self) -> bool:
-        return all(root == 0 and theta == 0 for root, theta in self._terms)
-
-    def as_rational(self) -> Fraction:
-        if not self._terms:
-            return Fraction(0)
-        if not self.is_rational():
-            raise ValueError(f"not a rational scalar: {self!r}")
-        return next(iter(self._terms.values()))
+        return not self._groups
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._groups)
 
     def __add__(self, other) -> Scalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not other._terms:
+        if not other._groups:
             return self
-        if not self._terms:
+        if not self._groups:
             return other
-        merged = dict(self._terms)
-        for key, coeff in other._terms.items():
-            total = merged.get(key)
-            merged[key] = coeff if total is None else total + coeff
-        # Joining two canonical forms can raise the conductor, so re-reduce.
-        return Scalar(_normalize(merged.items()), _canonical=True)
+        merged = dict(self._groups)
+        raw = {}
+        for theta, group in other._groups.items():
+            mine = merged.pop(theta, None)
+            if mine is None:
+                merged[theta] = group
+            else:
+                raw[theta] = _joined(mine, group)
+        # Joining two canonical groups can raise the conductor, so re-reduce.
+        merged.update(_normalize(raw))
+        return Scalar._of(merged)
 
     __radd__ = __add__
 
     def __neg__(self) -> Scalar:
-        return Scalar({k: -c for k, c in self._terms.items()}, _canonical=True)
+        return Scalar._of({
+            theta: (n, d, {a: -c for a, c in nums.items()}) for theta, (n, d, nums) in self._groups.items()
+        })
 
     def __sub__(self, other) -> Scalar:
         other = _coerce(other)
@@ -260,21 +388,42 @@ class Scalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self._terms or not other._terms:
+        xg, yg = self._groups, other._groups
+        if not xg or not yg:
             return Scalar.zero()
-        for x, y in ((self, other), (other, self)):
-            if len(y._terms) == 1:
-                ((root, theta), q), = y._terms.items()
-                if not root and not theta:
-                    # a rational factor keeps the keys (see the module docstring)
-                    return Scalar({key: c * q for key, c in x._terms.items()}, _canonical=True)
-        raw: dict[tuple[Fraction, Fraction], Fraction] = {}
-        for (r1, t1), c1 in self._terms.items():
-            for (r2, t2), c2 in other._terms.items():
-                key = ((r1 + r2) % 1, t1 + t2)
-                total = raw.get(key)
-                raw[key] = c1 * c2 if total is None else total + c1 * c2
-        return Scalar(_normalize(raw.items()), _canonical=True)
+        for x, y in ((xg, yg), (yg, xg)):
+            if len(y) == 1:
+                q = y.get(0)
+                if q is not None and q[0] == 1:
+                    # a rational factor keeps the roots (see the module docstring)
+                    return Scalar._of(_scaled(x, q[2][0], q[1]))
+        n, dx, dy = 1, 1, 1
+        for gn, gd, _ in xg.values():
+            n, dx = lcm(n, gn), lcm(dx, gd)
+        for gn, gd, _ in yg.values():
+            n, dy = lcm(n, gn), lcm(dy, gd)
+        d = dx * dy
+        raw: dict[Theta, _RawGroup] = {}
+        ys = _rescaled(yg, n, dy)
+        for t1, nums1 in _rescaled(xg, n, dx):
+            for t2, nums2 in ys:
+                theta = t1 + t2  # _theta_key, inlined in the innermost loop
+                if type(theta) is not int and theta.denominator == 1:
+                    theta = theta.numerator
+                group = raw.get(theta)
+                if group is None:
+                    group = raw[theta] = _RawGroup(n, d, {})
+                acc = group.nums
+                if n == 1:
+                    acc[0] = acc.get(0, 0) + nums1[0] * nums2[0]
+                    continue
+                for a1, c1 in nums1.items():
+                    for a2, c2 in nums2.items():
+                        a = a1 + a2
+                        if a >= n:
+                            a -= n
+                        acc[a] = acc.get(a, 0) + c1 * c2
+        return Scalar._of(_normalize(raw))
 
     __rmul__ = __mul__
 
@@ -282,36 +431,34 @@ class Scalar:
         """self * t^shift, without renormalizing (see the module docstring)."""
         if not shift:
             return self
-        return Scalar((((root, theta + shift), c) for (root, theta), c in self._terms.items()), _canonical=True)
+        return Scalar._of({_theta_key(theta + shift): group for theta, group in self._groups.items()})
 
     def star(self) -> Scalar:
         """Complex conjugation: e(r) -> e(-r), t^s -> t^(-s), rationals fixed."""
-        return Scalar(
-            _normalize((((-root) % 1, -theta), coeff) for (root, theta), coeff in self._terms.items()),
-            _canonical=True,
-        )
+        return Scalar._of(_normalize({
+            -theta: _RawGroup(n, d, {-a % n: c for a, c in nums.items()})
+            for theta, (n, d, nums) in self._groups.items()
+        }))
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         # Equal stored forms are equal values; unequal ones may still be equal.
-        return self._terms == other._terms or (self - other).is_zero()
-
-    def evaluate(self, theta_value: float | Fraction) -> complex:
-        """Numeric value with t = exp(2*pi*i*theta_value)."""
-        tv = float(theta_value)
-        total = 0j
-        for (root, theta), coeff in self._terms.items():
-            total += float(coeff) * cmath.exp(2j * cmath.pi * (float(root) + theta * tv))
-        return total
+        return self._groups == other._groups or (self - other).is_zero()
 
     def to_json(self) -> list[dict[str, str]]:
-        items = sorted(self._terms.items(), key=lambda kv: (kv[0][1], kv[0][0]))
-        return [
-            {"coeff": format_fraction(c), "root": format_fraction(r), "theta": format_fraction(t)}
-            for (r, t), c in items
-        ]
+        out = []
+        for theta in sorted(self._groups):
+            n, d, nums = self._groups[theta]
+            t = str(theta)
+            for a in sorted(nums):
+                c = nums[a]
+                g = gcd(c, d)
+                coeff = str(c // g) if g == d else f"{c // g}/{d // g}"
+                g = gcd(a, n)
+                out.append({"coeff": coeff, "root": f"{a // g}/{n // g}" if a else "0", "theta": t})
+        return out
 
     @staticmethod
     def from_json(data: list[dict[str, str]]) -> Scalar:
@@ -325,10 +472,10 @@ class Scalar:
         return Scalar(terms)
 
     def __repr__(self) -> str:
-        if not self._terms:
+        if not self._groups:
             return "0"
         parts = []
-        for (root, theta), coeff in sorted(self._terms.items(), key=lambda kv: (kv[0][1], kv[0][0])):
+        for (root, theta), coeff in sorted(self.terms.items(), key=lambda kv: (kv[0][1], kv[0][0])):
             factors = []
             if coeff != 1 or (root == 0 and theta == 0):
                 factors.append(str(coeff))

@@ -104,6 +104,7 @@ class TestVerifyCommand:
         (["gamma-hom", "--angle", "1--theta", "--sizes", "1,2", "--count", "1"], "angle"),
         (["gamma-hom", "--angle", "theta++1/2", "--sizes", "1,2", "--count", "1"], "angle"),
         (["gamma-hom", "--angle", "theta+", "--sizes", "1,2", "--count", "1"], "angle"),
+        (["gamma-hom", "--angle", "1e5*theta", "--sizes", "1,2", "--count", "1"], "exponent"),
     ])
     def test_degenerate_option_is_usage_error(self, capsys, argv, needle):
         # each ran a vacuous suite (exit 0 with no or empty cases), ended in a
@@ -380,6 +381,14 @@ class TestTraceCommand:
         code, out, err = run_cli(capsys, ["trace"])
         assert code == 2 and out == "" and "1/0" in err
 
+    @pytest.mark.parametrize("field,text", [("coeff", "1e1000000"), ("root", "1E-3"), ("theta", "2e1")])
+    def test_exponent_notation_is_usage_error(self, capsys, monkeypatch, field, text):
+        # "1e1000000" used to spend most of a second building 10^1000000 exactly
+        term = {"coeff": "1", "root": "0", "theta": "0", field: text}
+        feed_stdin(monkeypatch, self._matrix(1, {(0, 0): {"u:0": {"z:0": [term]}}}))
+        code, out, err = run_cli(capsys, ["trace"])
+        assert code == 2 and out == "" and err.count("\n") == 1 and "exponent" in err
+
 
 class TestClassifyCommand:
     CASES = [
@@ -429,6 +438,8 @@ class TestKTheoryCommand:
         ["--tau=1/2,-1", "--theta-cf", "..."],
         ["--tau=1/2,-1", "--theta-cf", "0,0,..."],
         ["--tau=1/2,-1", "--theta-cf", "0,2,...", "--precision", "1/0"],
+        ["--tau=1e9,1", "--theta-cf", "0,2,..."],
+        ["--tau=1/2,-1", "--theta-cf", "0,2,...", "--precision", "1e9"],
     ])
     def test_bad_tau_input_is_usage_error(self, capsys, argv):
         code, out, err = run_cli(capsys, ["ktheory", "--sizes", "1,2", *argv])
@@ -442,6 +453,29 @@ class TestKTheoryCommand:
 
 
 class TestDeterminism:
+    def test_cached_parser_matches_fresh_parser(self, capsys, monkeypatch):
+        calls = [
+            (["apply", "--map", "rho", "--sizes", "1,2", "--stage", "1"], GAMMA_INPUT),
+            (["trace"], GAMMA_INPUT),
+            (["verify", "fock-id", "--depth", "0", "--count", "1"], None),
+            (["apply", "--map", "gamma", "--from", "1", "--to", "2"], GAMMA_INPUT),
+            (["classify", "--theta1", "theta", "--delta1", "2^inf", "--theta2", "theta", "--delta2", "2^inf"], None),
+            (["apply", "--map", "rho", "--sizes", "1,2", "--stage", "1"], GAMMA_INPUT),
+        ]
+
+        def run_all():
+            results = []
+            for argv, payload in calls:
+                feed_stdin(monkeypatch, payload)
+                results.append(run_cli(capsys, argv))
+            return results
+
+        cached = run_all()
+        with mock.patch.object(cli, "_parser", cli.build_parser):
+            fresh = run_all()
+        assert cached == fresh
+        assert [code for code, _, _ in cached] == [0, 0, 2, 0, 0, 0]
+
     def test_in_process_reports_byte_identical(self, capsys):
         argv = ["verify", "gamma-hom", "--sizes", "1,2", "--count", "15", "--seed", "99"]
         _, out1, _ = run_cli(capsys, argv)

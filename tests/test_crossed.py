@@ -8,6 +8,7 @@ from bdlab.coeff import Angle, CircleFunction, CircleRotation
 from bdlab.crossed import CrossedElement, MatrixElement, sample_crossed, sample_matrix
 from bdlab.errors import BudgetError, MismatchError
 from bdlab.scalar import Scalar
+from numeric import scalar_value
 
 FIB = [1, 1]
 while len(FIB) < 25:
@@ -111,7 +112,7 @@ def test_trace_faithfulness_probe(circle):
         x = sample_crossed(circle, 2, rng, u_degree=3, coeff_degree=3)
         value = (x.star() * x).trace()
         for theta0 in GOLDEN_APPROXES:
-            numeric = value.evaluate(theta0)
+            numeric = scalar_value(value, theta0)
             assert abs(numeric.imag) < 1e-10
             assert numeric.real >= -1e-10
 

@@ -1,12 +1,15 @@
+import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import bdlab.scalar as scalar_mod
 from bdlab.errors import BudgetError
-from bdlab.scalar import Scalar, cyclotomic_polynomial, euler_phi
+from bdlab.scalar import Scalar, cyclotomic_polynomial, euler_phi, parse_fraction
+from numeric import scalar_value
 
 e = Scalar.root_of_unity
 t = Scalar.t_power
@@ -118,8 +121,8 @@ def test_numerical_soundness():
     for _ in range(100):
         a, b = _random_scalar(rng), _random_scalar(rng)
         theta0 = Fraction(rng.randint(1, 30), 31)
-        assert abs((a + b).evaluate(theta0) - (a.evaluate(theta0) + b.evaluate(theta0))) < 1e-12
-        assert abs((a * b).evaluate(theta0) - a.evaluate(theta0) * b.evaluate(theta0)) < 1e-12
+        assert abs(scalar_value(a + b, theta0) - (scalar_value(a, theta0) + scalar_value(b, theta0))) < 1e-12
+        assert abs(scalar_value(a * b, theta0) - scalar_value(a, theta0) * scalar_value(b, theta0)) < 1e-12
 
 
 @given(st.integers(-6, 6), st.integers(1, 6), st.integers(-4, 4), st.integers(1, 4))
@@ -151,6 +154,13 @@ def test_star_property(a, b):
 @given(scalars)
 def test_json_round_trip_property(a):
     assert Scalar.from_json(a.to_json()) == a
+
+
+@pytest.mark.parametrize("text", ["1e5", "2E-3", " 3e1 ", "1e10000000", "1.5e2"])
+def test_parse_fraction_rejects_exponent_notation(text):
+    # Fraction would build 10^e exactly: seconds for 1e10000000
+    with pytest.raises(ValueError, match="exponent"):
+        parse_fraction(text)
 
 
 def test_conductor_limit(monkeypatch):
@@ -217,3 +227,157 @@ def test_star_add_mul_match_constructor(x, y):
     assert (x + y).to_json() == Scalar(xs + ys).to_json()
     product = [((r1 + r2, t1 + t2), c1 * c2) for (r1, t1), c1 in xs for (r2, t2), c2 in ys]
     assert (x * y).to_json() == Scalar(product).to_json()
+
+
+# Reference kernel: the Fraction-keyed canonical form the integer groups must
+# reproduce term for term.  Terms are {(root, theta): coeff}, all Fractions,
+# roots in [0, 1); within one theta the roots are reduced modulo the
+# cyclotomic polynomial of their joint conductor.
+
+def ref_reduce_root_group(group, limit):
+    group = {r: c for r, c in group.items() if c}
+    if not group:
+        return group
+    conductor = 1
+    for r in group:
+        conductor = math.lcm(conductor, r.denominator)
+    if conductor > limit:
+        raise BudgetError(f"root-of-unity conductor {conductor} exceeds limit {limit}")
+    if conductor == 1:
+        return group
+    phi = euler_phi(conductor)
+    exps = {r.numerator * (conductor // r.denominator): c for r, c in group.items()}
+    if all(a < phi for a in exps):
+        return group
+    coeffs = [Fraction(0)] * conductor
+    for a, c in exps.items():
+        coeffs[a] += c
+    den = cyclotomic_polynomial(conductor)
+    for i in range(conductor - 1, phi - 1, -1):
+        c = coeffs[i]
+        if c:
+            for j in range(len(den)):
+                coeffs[i - phi + j] -= c * den[j]
+    return {Fraction(a, conductor): c for a, c in enumerate(coeffs[:phi]) if c}
+
+
+def ref_normalize(raw, limit=scalar_mod.CONDUCTOR_LIMIT):
+    by_theta = {}
+    for (root, theta), coeff in raw:
+        root, theta, coeff = Fraction(root) % 1, Fraction(theta), Fraction(coeff)
+        if coeff:
+            group = by_theta.setdefault(theta, {})
+            group[root] = group.get(root, 0) + coeff
+    terms = {}
+    for theta, group in by_theta.items():
+        for root, coeff in ref_reduce_root_group(group, limit).items():
+            terms[(root, theta)] = coeff
+    return terms
+
+
+def ref_add(x, y, limit=scalar_mod.CONDUCTOR_LIMIT):
+    return ref_normalize([*x.items(), *y.items()], limit)
+
+
+def ref_mul(x, y, limit=scalar_mod.CONDUCTOR_LIMIT):
+    for p, q in ((x, y), (y, x)):
+        if len(q) == 1:
+            ((root, theta), c), = q.items()
+            if not root and not theta:
+                return {key: v * c for key, v in p.items()}
+    return ref_normalize([((r1 + r2, t1 + t2), c1 * c2)
+                          for (r1, t1), c1 in x.items() for (r2, t2), c2 in y.items()], limit)
+
+
+def ref_star(x, limit=scalar_mod.CONDUCTOR_LIMIT):
+    return ref_normalize([((-r, -t), c) for (r, t), c in x.items()], limit)
+
+
+def ref_shifted(x, shift):
+    return {(r, t + shift): c for (r, t), c in x.items()}
+
+
+def ref_json(x):
+    return [{"coeff": str(c), "root": str(r), "theta": str(t)}
+            for (r, t), c in sorted(x.items(), key=lambda kv: (kv[0][1], kv[0][0]))]
+
+
+ORACLE_CONDUCTORS = (1, 2, 3, 4, 5, 6, 8, 10, 12, 15, 30)
+oracle_roots = st.builds(lambda n, k: Fraction(k, n), st.sampled_from(ORACLE_CONDUCTORS), st.integers(-30, 60))
+oracle_thetas = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 1, 2)))
+oracle_coeffs = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+oracle_term = st.tuples(st.tuples(oracle_roots, oracle_thetas), oracle_coeffs)
+
+
+@st.composite
+def oracle_terms(draw):
+    """Terms at mixed conductors, some with a vanishing sum of p-th roots of unity mixed in."""
+    terms = draw(st.lists(oracle_term, max_size=5))
+    for _ in range(draw(st.integers(0, 2))):
+        p = draw(st.sampled_from((2, 3, 5)))
+        (shift, theta), c = draw(oracle_term)
+        terms += [((shift + Fraction(k, p), theta), c) for k in range(p)]
+    return draw(st.permutations(terms))
+
+
+def ref_groups(terms):
+    """The integer groups (N, D, nums) by theta that store the reference terms."""
+    by_theta = {}
+    for (r, t), c in terms.items():
+        by_theta.setdefault(t, []).append((r, c))
+    groups = {}
+    for t, pairs in by_theta.items():
+        n = math.lcm(*(r.denominator for r, _ in pairs))
+        d = math.lcm(*(c.denominator for _, c in pairs))
+        groups[t] = (n, d, {r.numerator * (n // r.denominator): c.numerator * (d // c.denominator) for r, c in pairs})
+    return groups
+
+
+def _matches(got, want):
+    assert got.terms == want
+    assert got._groups == ref_groups(want)
+    assert got.to_json() == ref_json(want)
+
+
+@settings(max_examples=200)
+@given(oracle_terms(), oracle_terms(), oracle_coeffs, oracle_thetas)
+@example([((Fraction(1, 3), 0), 1)], [((Fraction(1, 6), 0), 1), ((0, 0), -1)], Fraction(1), Fraction(1, 2))
+def test_kernel_matches_reference(xs, ys, q, shift):
+    x, y = Scalar(xs), Scalar(ys)
+    rx, ry = ref_normalize(xs), ref_normalize(ys)
+    _matches(x, rx)
+    _matches(y, ry)
+    _matches(x + y, ref_add(rx, ry))
+    _matches(x - x, {})
+    _matches(x * y, ref_mul(rx, ry))
+    _matches(x.star(), ref_star(rx))
+    _matches(x.theta_shifted(shift), ref_shifted(rx, shift))
+    rq = ref_normalize([((0, 0), q)])
+    for got in (x * q, q * x, rat(q) * x):
+        _matches(got, ref_mul(rx, rq))
+    assert Scalar.from_json(x.to_json()).terms == rx
+    assert (x == y) == (not ref_add(rx, {k: -c for k, c in ry.items()}))
+
+
+def _outcome(fn):
+    """The value of fn(), or the exception type it raised."""
+    try:
+        return fn()
+    except BudgetError:
+        return BudgetError
+
+
+@settings(max_examples=200)
+@given(st.sampled_from((1, 2, 3, 4, 5, 6, 10, 12)), oracle_terms(), oracle_terms())
+def test_conductor_limit_matches_reference(limit, xs, ys):
+    with mock.patch.object(scalar_mod, "CONDUCTOR_LIMIT", limit):
+        x, y = _outcome(lambda: Scalar(xs)), _outcome(lambda: Scalar(ys))
+        rx, ry = _outcome(lambda: ref_normalize(xs, limit)), _outcome(lambda: ref_normalize(ys, limit))
+        assert (x is BudgetError) == (rx is BudgetError) and (y is BudgetError) == (ry is BudgetError)
+        if x is BudgetError or y is BudgetError:
+            return
+        for op, ref_op in ((lambda: x + y, lambda: ref_add(rx, ry, limit)),
+                           (lambda: x * y, lambda: ref_mul(rx, ry, limit)),
+                           (lambda: x.star(), lambda: ref_star(rx, limit))):
+            got, want = _outcome(lambda: op().terms), _outcome(ref_op)
+            assert got == want
