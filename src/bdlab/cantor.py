@@ -39,7 +39,7 @@ from .errors import MismatchError
 from .limits import _stage_generators, check_divisibility_chain, gamma
 from .report import Report, case_rng
 from .scalar import Scalar
-from .sparse import add_entries, equal_entries
+from .sparse import Subtraction, add_entries, convolve_entries, equal_entries
 
 
 @dataclass(frozen=True)
@@ -158,7 +158,7 @@ class OdometerAlgebra:
         return CylinderFunction(self, depth, values)
 
 
-class CylinderFunction:
+class CylinderFunction(Subtraction):
     """A function on the Cantor set depending on the first depth-1 digits.
 
     Stored sparsely: ``support`` maps an index j in [0, n_k) to the value at
@@ -252,9 +252,6 @@ class CylinderFunction:
     def __neg__(self) -> CylinderFunction:
         return CylinderFunction._of(self.algebra, self.depth, {j: -v for j, v in self.support.items()})
 
-    def __sub__(self, other: CylinderFunction) -> CylinderFunction:
-        return self + (-other)
-
     def __mul__(self, other: CylinderFunction) -> CylinderFunction:
         return self.times_shifted(other, 0)
 
@@ -268,13 +265,13 @@ class CylinderFunction:
         return equal_entries(a.support, b.support)
 
     def to_json(self) -> dict:
-        return {"depth": self.depth, "values": [self.algebra.coeff.element_to_json(v) for v in self.values]}
+        return {"depth": self.depth, "values": [v.to_json() for v in self.values]}
 
     def __repr__(self) -> str:
         return f"Cyl(depth={self.depth}, {list(self.values)!r})"
 
 
-class OdometerElement:
+class OdometerElement(Subtraction):
     """A finite sum  sum_d f_d U^d  with depth-aligned cylinder coefficients."""
 
     __slots__ = ("algebra", "depth", "coeffs")
@@ -313,17 +310,10 @@ class OdometerElement:
     def __neg__(self) -> OdometerElement:
         return OdometerElement(self.algebra, {d: -f for d, f in self.coeffs.items()}, depth=self.depth)
 
-    def __sub__(self, other: OdometerElement) -> OdometerElement:
-        return self + (-other)
-
     def __mul__(self, other: OdometerElement) -> OdometerElement:
         a, b, depth = self._align(other)
-        out: dict[int, CylinderFunction] = {}
-        for d, f in a.coeffs.items():
-            for e, g in b.coeffs.items():
-                key = d + e
-                term = f.times_shifted(g, d)
-                out[key] = out[key] + term if key in out else term
+        # uncapped: rho sends u^l to U^(n_k l), so U-degrees scale with the stage size
+        out = convolve_entries(a.coeffs, b.coeffs, lambda d, f, g: f.times_shifted(g, d), None)
         return OdometerElement(self.algebra, out, depth=depth)
 
     def star(self) -> OdometerElement:

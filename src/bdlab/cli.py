@@ -251,21 +251,19 @@ def build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_count=True):
+    def common(p):
         p.add_argument("--sizes", default="1,2,4", help="comma-separated divisibility chain, n1=1")
         p.add_argument("--algebra", choices=("circle", "cyclic"), default="circle")
         p.add_argument("--angle", default="theta", help="rotation angle q+r*theta (circle algebra)")
         p.add_argument("--modulus", type=int, default=3, help="d for the cyclic algebra")
-        p.add_argument("--depth", type=int, default=None, help="Fock truncation depth")
-        p.add_argument("--seed", type=int, default=0)
-        if with_count:
-            p.add_argument("--count", type=int, default=100)
-        p.add_argument("--budget", type=int, default=None, help="enclosure refinement budget")
         p.add_argument("--out", default=None, help="also write the JSON output to this file")
 
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("suite", choices=SUITES)
     common(pv)
+    pv.add_argument("--depth", type=int, default=None, help="Fock truncation depth")
+    pv.add_argument("--seed", type=int, default=0)
+    pv.add_argument("--count", type=int, default=100)
     pv.add_argument("--p", type=int, default=2, help="amplification order")
     pv.add_argument("--periods", default="1,2,3", help="periods for fock-blocks")
     pv.set_defaults(func=cmd_verify)
@@ -277,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--stage", type=int, default=None, help="stage index for rho")
     pa.add_argument("--p", type=int, default=2, help="block order for shuffle")
     pa.add_argument("--in", dest="infile", default=None, help="element JSON file (default stdin)")
-    common(pa, with_count=False)
+    common(pa)
     pa.set_defaults(func=cmd_apply)
 
     pt = sub.add_parser("trace", help="normalized trace of a matrix element JSON")

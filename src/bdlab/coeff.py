@@ -27,12 +27,9 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import BudgetError, MismatchError
+from .errors import MismatchError
 from .scalar import Scalar, format_fraction, parse_fraction
-from .sparse import add_entries, equal_entries
-
-#: z-degree above which circle-function products are rejected.
-DEGREE_CAP = 64
+from .sparse import DEGREE_CAP, Subtraction, add_entries, convolve_entries, equal_entries
 
 #: Distinct alpha-phase exponents memoized per CircleRotation.
 PHASE_CACHE_SIZE = 1024
@@ -92,7 +89,7 @@ class Angle:
         return Angle(parse_fraction(data["q"]), parse_fraction(data["r"]))
 
 
-class CircleFunction:
+class CircleFunction(Subtraction):
     """Trigonometric polynomial sum c_m z^m with Scalar coefficients."""
 
     __slots__ = ("coeffs",)
@@ -121,19 +118,8 @@ class CircleFunction:
     def __neg__(self) -> CircleFunction:
         return CircleFunction({m: -c for m, c in self.coeffs.items()})
 
-    def __sub__(self, other: CircleFunction) -> CircleFunction:
-        return self + (-other)
-
     def __mul__(self, other: CircleFunction) -> CircleFunction:
-        out: dict[int, Scalar] = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                m = m1 + m2
-                if abs(m) > DEGREE_CAP:
-                    raise BudgetError(f"z-degree {m} exceeds cap {DEGREE_CAP}")
-                prod = c1 * c2
-                out[m] = out.get(m, Scalar.zero()) + prod
-        return CircleFunction(out)
+        return CircleFunction(convolve_entries(self.coeffs, other.coeffs, lambda _, a, b: a * b, DEGREE_CAP, "z"))
 
     def star(self) -> CircleFunction:
         return CircleFunction({-m: c.star() for m, c in self.coeffs.items()})
@@ -161,7 +147,7 @@ class CircleFunction:
         return " + ".join(f"({self.coeffs[m]!r})*z^{m}" if m else f"({self.coeffs[m]!r})" for m in sorted(self.coeffs))
 
 
-class FiniteCyclicFunction:
+class FiniteCyclicFunction(Subtraction):
     """A Scalar-valued function on Z/d."""
 
     __slots__ = ("modulus", "values")
@@ -190,9 +176,6 @@ class FiniteCyclicFunction:
 
     def __neg__(self) -> FiniteCyclicFunction:
         return FiniteCyclicFunction(self.modulus, (-a for a in self.values))
-
-    def __sub__(self, other: FiniteCyclicFunction) -> FiniteCyclicFunction:
-        return self + (-other)
 
     def __mul__(self, other: FiniteCyclicFunction) -> FiniteCyclicFunction:
         self._check(other)
@@ -251,9 +234,6 @@ class CoefficientAlgebra(ABC):
         """Canonical identity of the automorphism alpha^power (for retags)."""
 
     @abstractmethod
-    def element_to_json(self, element) -> dict: ...
-
-    @abstractmethod
     def element_from_json(self, data: dict): ...
 
     @staticmethod
@@ -282,24 +262,19 @@ class CircleRotation(CoefficientAlgebra):
     def alpha_power(self, element: CircleFunction, power: int) -> CircleFunction:
         if power == 0 or element.is_zero():
             return element
-        out = {}
-        for m, c in element.coeffs.items():
-            shift, phase = self._phase(m, power)
-            out[m] = c.theta_shifted(shift) if phase is None else phase * c
-        return CircleFunction(out)
+        return CircleFunction({m: self._phase(m, power) * c for m, c in element.coeffs.items()})
 
-    def _phase(self, z_power: int, alpha_power: int) -> tuple[Fraction, Scalar | None]:
+    def _phase(self, z_power: int, alpha_power: int) -> Scalar:
         """The phase e(-e*q) * t^(-e*r) that alpha^m puts on z^p, for e = p*m.
 
-        Returned as (-e*r, None) when the root e(-e*q) is 1, so the phase is a
-        pure theta shift; otherwise as (-e*r, phase) with the normalized phase
-        scalar.  Memoized per e, for at most PHASE_CACHE_SIZE exponents.
+        Memoized per e, for at most PHASE_CACHE_SIZE exponents.  A phase with
+        no root is a root-free monomial, which Scalar multiplies without
+        reducing.
         """
         e = z_power * alpha_power
         phase = self._phases.get(e)
         if phase is None:
-            root, theta = (-e * self.angle.q) % 1, -e * self.angle.r
-            phase = theta, (Scalar.term(1, root=root, theta=theta) if root else None)
+            phase = Scalar.term(1, root=-e * self.angle.q, theta=-e * self.angle.r)
             if len(self._phases) < PHASE_CACHE_SIZE:
                 self._phases[e] = phase
         return phase
@@ -318,9 +293,6 @@ class CircleRotation(CoefficientAlgebra):
 
     def composite_tag(self, power: int) -> tuple:
         return ("circle", (self.angle.q * power) % 1, self.angle.r * power)
-
-    def element_to_json(self, element: CircleFunction) -> dict:
-        return element.to_json()
 
     def element_from_json(self, data: dict) -> CircleFunction:
         return CircleFunction.from_json(data)
@@ -360,9 +332,6 @@ class FiniteCyclicShift(CoefficientAlgebra):
 
     def composite_tag(self, power: int) -> tuple:
         return ("cyclic", self.d, power % self.d)
-
-    def element_to_json(self, element: FiniteCyclicFunction) -> dict:
-        return element.to_json()
 
     def element_from_json(self, data: dict) -> FiniteCyclicFunction:
         element = FiniteCyclicFunction.from_json(data)

@@ -17,8 +17,9 @@ kept separate so that p x p blocks of n x n stage matrices can be flattened
 before the amplification shuffle re-tags them.
 
 Zero coefficients are pruned eagerly so structural emptiness means zero, and
-u-degrees are capped to reject runaway products.  Sums of both types and the
-matrix product go through ``sparse.py``.
+u-degrees are capped (``sparse.DEGREE_CAP``) to reject runaway products.
+Sums of both types, the twisted convolution and the matrix product go through
+``sparse.py``.
 """
 
 from __future__ import annotations
@@ -28,15 +29,12 @@ import random
 from fractions import Fraction
 
 from .coeff import CoefficientAlgebra
-from .errors import BudgetError, MismatchError
+from .errors import MismatchError
 from .scalar import Scalar
-from .sparse import add_entries, equal_entries, mul_entries
-
-#: u-degree above which crossed products are rejected.
-DEGREE_CAP = 64
+from .sparse import DEGREE_CAP, Subtraction, add_entries, convolve_entries, equal_entries, mul_entries
 
 
-class CrossedElement:
+class CrossedElement(Subtraction):
     """A finite sum  sum_l a_l u^l  in A x_(alpha^power) Z."""
 
     __slots__ = ("algebra", "power", "coeffs")
@@ -70,7 +68,8 @@ class CrossedElement:
         return not self.coeffs
 
     def _check(self, other: CrossedElement) -> None:
-        if self.algebra != other.algebra or self.power != other.power:
+        same_algebra = self.algebra is other.algebra or self.algebra == other.algebra
+        if not same_algebra or self.power != other.power:
             raise MismatchError("crossed elements from different stage algebras")
 
     def __add__(self, other: CrossedElement) -> CrossedElement:
@@ -80,20 +79,10 @@ class CrossedElement:
     def __neg__(self) -> CrossedElement:
         return CrossedElement(self.algebra, self.power, {l: -a for l, a in self.coeffs.items()})
 
-    def __sub__(self, other: CrossedElement) -> CrossedElement:
-        return self + (-other)
-
     def __mul__(self, other: CrossedElement) -> CrossedElement:
         self._check(other)
         alg, n = self.algebra, self.power
-        out: dict[int, object] = {}
-        for l, a in self.coeffs.items():
-            for r, b in other.coeffs.items():
-                e = l + r
-                if abs(e) > DEGREE_CAP:
-                    raise BudgetError(f"u-degree {e} exceeds cap {DEGREE_CAP}")
-                term = a * alg.alpha_power(b, n * l)
-                out[e] = out[e] + term if e in out else term
+        out = convolve_entries(self.coeffs, other.coeffs, lambda l, a, b: a * alg.alpha_power(b, n * l), DEGREE_CAP)
         return CrossedElement(alg, n, out)
 
     def star(self) -> CrossedElement:
@@ -120,7 +109,7 @@ class CrossedElement:
         return {
             "n": self.power,
             "algebra": self.algebra.tag(),
-            "coeffs": {f"u:{l}": self.algebra.element_to_json(self.coeffs[l]) for l in sorted(self.coeffs)},
+            "coeffs": {f"u:{l}": self.coeffs[l].to_json() for l in sorted(self.coeffs)},
         }
 
     @staticmethod
@@ -153,7 +142,7 @@ def sample_crossed(
     return CrossedElement(algebra, power, coeffs)
 
 
-class MatrixElement:
+class MatrixElement(Subtraction):
     """A size x size matrix over one crossed-product algebra."""
 
     __slots__ = ("algebra", "power", "size", "entries")
@@ -166,7 +155,7 @@ class MatrixElement:
         for (i, j), x in (entries or {}).items():
             if not (0 <= i < size and 0 <= j < size):
                 raise MismatchError(f"entry ({i},{j}) outside {size}x{size} matrix")
-            if x.algebra != algebra or x.power != power:
+            if (x.algebra is not algebra and x.algebra != algebra) or x.power != power:
                 raise MismatchError("matrix entry from a different stage algebra")
             if not x.is_zero():
                 clean[(i, j)] = x
@@ -195,7 +184,8 @@ class MatrixElement:
         return self.entries.get((i, j), CrossedElement.zero(self.algebra, self.power))
 
     def _check(self, other: MatrixElement) -> None:
-        if self.algebra != other.algebra or self.power != other.power or self.size != other.size:
+        same_algebra = self.algebra is other.algebra or self.algebra == other.algebra
+        if not same_algebra or self.power != other.power or self.size != other.size:
             raise MismatchError("matrix elements from different stage algebras")
 
     def __add__(self, other: MatrixElement) -> MatrixElement:
@@ -204,9 +194,6 @@ class MatrixElement:
 
     def __neg__(self) -> MatrixElement:
         return MatrixElement(self.algebra, self.power, self.size, {k: -x for k, x in self.entries.items()})
-
-    def __sub__(self, other: MatrixElement) -> MatrixElement:
-        return self + (-other)
 
     def __mul__(self, other: MatrixElement) -> MatrixElement:
         self._check(other)

@@ -26,13 +26,12 @@ product go through ``sparse.py``.
 from __future__ import annotations
 
 import operator
-import random
 from dataclasses import dataclass
 
 from .coeff import CoefficientAlgebra
 from .errors import MismatchError
 from .report import Report, case_rng
-from .sparse import add_entries, mul_entries
+from .sparse import Subtraction, add_entries, mul_entries
 
 
 @dataclass(frozen=True)
@@ -55,7 +54,7 @@ class WeightSequence:
         return self.weights[(index - 1) % self.period]
 
 
-class FockOperator:
+class FockOperator(Subtraction):
     """Band matrix over A on levels 0..depth-1, with a trusted window."""
 
     __slots__ = ("algebra", "depth", "step", "trust", "entries")
@@ -130,9 +129,6 @@ class FockOperator:
         return FockOperator(self.algebra, self.depth, {k: -a for k, a in self.entries.items()},
                             step=self.step, trust=self.trust)
 
-    def __sub__(self, other: FockOperator) -> FockOperator:
-        return self + (-other)
-
     def compose(self, other: FockOperator) -> FockOperator:
         """Matrix composition; trust shrinks by the right factor's level-raise."""
         self._check(other)
@@ -171,7 +167,7 @@ class FockOperator:
             "depth": self.depth,
             "trust": self.trust,
             "step": self.step,
-            "entries": {f"{i},{j}": self.algebra.element_to_json(a) for (i, j), a in sorted(self.entries.items())},
+            "entries": {f"{i},{j}": a.to_json() for (i, j), a in sorted(self.entries.items())},
         }
 
     def __repr__(self) -> str:
@@ -210,21 +206,7 @@ def block_decompose(X: FockOperator, k: int) -> dict[tuple[int, int], FockOperat
     return blocks
 
 
-def block_reassemble(blocks: dict[tuple[int, int], FockOperator], k: int, depth: int,
-                     *, step: int = 1, trust: int | None = None) -> FockOperator:
-    """Inverse of block_decompose for blocks sharing one decomposition."""
-    entries = {}
-    algebra = None
-    for (lp, l), block in blocks.items():
-        algebra = block.algebra
-        for (qp, q), a in block.entries.items():
-            entries[(qp * k + lp, q * k + l)] = a
-    if algebra is None:
-        raise MismatchError("no blocks to reassemble")
-    return FockOperator(algebra, depth, entries, step=step, trust=trust)
-
-
-class BlockMatrix:
+class BlockMatrix(Subtraction):
     """A square matrix of FockOperators sharing depth and step (absent = zero)."""
 
     __slots__ = ("algebra", "size", "depth", "step", "entries")
@@ -262,9 +244,6 @@ class BlockMatrix:
     def __neg__(self) -> BlockMatrix:
         return BlockMatrix(self.algebra, self.size, self.depth,
                            {k: -op for k, op in self.entries.items()}, step=self.step)
-
-    def __sub__(self, other: BlockMatrix) -> BlockMatrix:
-        return self + (-other)
 
     def __mul__(self, other: BlockMatrix) -> BlockMatrix:
         self._check(other)
@@ -469,12 +448,3 @@ def verify_shuffle(algebra: CoefficientAlgebra, n: int, m: int, seed: int, depth
         report.record(label, lhs.agrees(rhs), lhs=lhs, rhs=rhs)
     return report
 
-
-def sample_fock(algebra: CoefficientAlgebra, depth: int, rng: random.Random, *, step: int = 1,
-                band: int = 2, density: float = 0.4) -> FockOperator:
-    entries = {}
-    for i in range(depth):
-        for j in range(max(0, i - band), min(depth, i + band + 1)):
-            if rng.random() < density:
-                entries[(i, j)] = algebra.sample(rng)
-    return FockOperator(algebra, depth, entries, step=step)

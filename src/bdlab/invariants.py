@@ -28,6 +28,7 @@ from typing import Iterable, Iterator
 from .coeff import Angle, cyclic_invariant_ideal_search, cyclic_orbits
 from .errors import BudgetError, MismatchError
 from .scalar import format_fraction
+from .sparse import Subtraction
 
 INF = math.inf
 
@@ -157,17 +158,8 @@ def q_delta_member(r: Fraction, delta: SupernaturalNumber) -> bool:
     return all(e <= delta.exponent(p) for p, e in factorize(Fraction(r).denominator).items())
 
 
-def witness_stage(r: Fraction, sizes: Iterable[int]) -> int | None:
-    """Smallest 1-based stage whose size the denominator of r divides."""
-    den = Fraction(r).denominator
-    for k, n in enumerate(sizes, start=1):
-        if n % den == 0:
-            return k
-    return None
-
-
 @dataclass(frozen=True)
-class K0Class:
+class K0Class(Subtraction):
     """q + m*theta in the K0 presentation Q(delta) + theta*Z."""
 
     q: Fraction
@@ -178,9 +170,6 @@ class K0Class:
 
     def __neg__(self) -> K0Class:
         return K0Class(-self.q, -self.m)
-
-    def __sub__(self, other: K0Class) -> K0Class:
-        return self + (-other)
 
     def is_zero(self) -> bool:
         return self.q == 0 and self.m == 0
@@ -263,10 +252,12 @@ class ThetaEnclosure:
 def k0_tau_value(c: K0Class, theta: ThetaEnclosure, precision: Fraction,
                  budget: int | None = None) -> tuple[Fraction, Fraction]:
     """Rational interval around q + m*theta with width below `precision`."""
+    precision = Fraction(precision)
+    if precision <= 0:
+        raise ValueError(f"precision must be positive, got {precision}")
     if c.m == 0:
         return (c.q, c.q)
     budget = _resolve_budget(budget)
-    precision = Fraction(precision)
     for _ in range(budget):
         lo, hi = theta.current
         vlo, vhi = c.q + c.m * lo, c.q + c.m * hi

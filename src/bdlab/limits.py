@@ -23,9 +23,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeff import Angle, CircleRotation, CoefficientAlgebra
-from .crossed import DEGREE_CAP, CrossedElement, MatrixElement, sample_matrix
+from .crossed import CrossedElement, MatrixElement, sample_matrix
 from .errors import BudgetError, MismatchError
 from .report import Report, case_rng
+from .sparse import DEGREE_CAP
 
 
 def check_divisibility_chain(sizes) -> tuple[int, ...]:
@@ -268,21 +269,6 @@ def verify_trace_compatibility(
         lhs = gamma(n, m, X).trace()
         rhs = X.trace()
         report.record(idx, lhs == rhs, lhs=lhs, rhs=rhs)
-    return report
-
-
-def verify_gamma_injectivity(
-    algebra: CoefficientAlgebra, n: int, m: int, seed: int, count: int,
-    u_degree: int = 2, coeff_degree: int = 2,
-) -> Report:
-    report = Report(
-        "gamma-inverse",
-        config={"n": n, "m": m, "algebra": algebra.tag(), "seed": seed, "count": count},
-    )
-    for idx in range(count):
-        X = sample_matrix(algebra, n, n, case_rng(seed, idx), u_degree, coeff_degree)
-        back = gamma_left_inverse(n, m, gamma(n, m, X))
-        report.record(idx, back is not None and back == X, lhs=back, rhs=X)
     return report
 
 

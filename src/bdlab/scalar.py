@@ -27,29 +27,35 @@ depend on the layout.  A theta exponent is kept as an int when it is
 integral and as a Fraction otherwise; the two hash and compare alike, so
 mixed keys are safe.  ``terms`` and ``to_json`` expose the Fraction view.
 
-Multiplying by a pure power t^s (``theta_shifted``) needs no reduction.
-``_normalize`` leaves a canonical group unchanged, and a shift by s moves
-whole groups without touching their roots, so the shifted groups are exactly
-what the general product t^s * x stores.  A factor with a root, e(a) * t^s
-with a != 0, is different: adding a to the roots of x and reducing gives an
-equal scalar, but its stored form can differ from the product's, because the
-stored form depends on the conductor the terms arrive with.  Such factors go
-through the general product with the normalized factor, so serialized
-results stay byte-identical.
-
 ``_normalize`` is the only reduction, and it runs only where the result can
 differ from its input.  Public input (``Scalar(...)``, ``term``,
 ``root_of_unity``, ``from_json``) is converted to Fractions with roots in
 [0, 1) once, on the way in; ``+``, ``*`` and ``star`` hand ``_normalize`` raw
 integer groups and store its result as canonical.  ``+`` reduces only the
-theta exponents both sides hold.  A rational factor q (a single term at root
-0, theta 0) skips ``_normalize`` altogether: q * x keeps the roots of x and
-scales its numerators, which is exactly what the general product stores.
-Scaling by q != 0 keeps every root, and a canonical group stays canonical: a
-group reduced at conductor N whose surviving roots have joint conductor N1 (a
-divisor of N) holds exponents b = a * N1 / N < phi(N) * N1 / N <= phi(N1), so
-``_reduce_root_group`` returns it unchanged.  The same fact makes
-``_normalize`` idempotent.
+theta exponents both sides hold.
+
+A canonical group (N, D, nums) has every a < phi(N) at the joint conductor N
+of its roots: the last reduction mod Phi_M left exponents a < phi(M), and
+going down to the joint conductor N (a divisor of M) maps them to
+b = a * N / M < phi(M) * N / M <= phi(N).  So ``_reduce_root_group`` returns
+a canonical group unchanged, which makes ``_normalize`` idempotent.
+
+One product skips ``_normalize``: a factor that is a root-free monomial
+q * t^s (one theta exponent s whose group has conductor 1), times any x.
+The general product would put q * nums[a] over q's denominator times D at
+exponent a of each group of x (rescaled to a common modulus), under the
+theta exponent theta + s.  Distinct theta exponents stay distinct after the
+shift, so no two groups meet; q != 0 removes no root, so each group goes
+back to its own joint conductor N with every a < phi(N), and
+``_reduce_root_group`` only divides out the gcd of the denominator and the
+numerators.  So the general product stores exactly the groups of x moved to
+theta + s, with numerators times q in lowest terms, and that is what the fast
+path stores.  Rational factors are the case s = 0, and alpha phases with no
+root are the case q = 1.  A factor with a root, e(a) * t^s with a != 0, is
+different: adding a to the roots of x and reducing gives an equal scalar, but
+its stored form can differ from the product's, because the stored form
+depends on the conductor the terms arrive with.  Such factors go through the
+general product, so serialized results stay byte-identical.
 
 ``_reduce_root_group(group)`` is the per-group step, one call per theta
 exponent that ``_normalize`` reduces.  The bench tracer wraps it and reads
@@ -269,17 +275,18 @@ def _rescaled(groups: dict[Theta, Group], n: int, d: int) -> list[tuple[Theta, d
     return out
 
 
-def _scaled(groups: dict[Theta, Group], qn: int, qd: int) -> dict[Theta, Group]:
-    """The groups times the nonzero rational qn/qd, in lowest terms."""
+def _times_monomial(groups: dict[Theta, Group], qn: int, qd: int, s: Theta) -> dict[Theta, Group]:
+    """The groups times the root-free monomial qn/qd * t^s, qn != 0, in lowest terms."""
     out = {}
     for theta, (n, d, nums) in groups.items():
-        d *= qd
-        nums = {a: c * qn for a, c in nums.items()}
-        g = gcd(d, *nums.values())
-        if g > 1:
-            d //= g
-            nums = {a: c // g for a, c in nums.items()}
-        out[theta] = (n, d, nums)
+        if qn != 1 or qd != 1:
+            d *= qd
+            nums = {a: c * qn for a, c in nums.items()}
+            g = gcd(d, *nums.values())
+            if g > 1:
+                d //= g
+                nums = {a: c // g for a, c in nums.items()}
+        out[_theta_key(theta + s) if s else theta] = (n, d, nums)
     return out
 
 
@@ -393,10 +400,10 @@ class Scalar:
             return Scalar.zero()
         for x, y in ((xg, yg), (yg, xg)):
             if len(y) == 1:
-                q = y.get(0)
-                if q is not None and q[0] == 1:
-                    # a rational factor keeps the roots (see the module docstring)
-                    return Scalar._of(_scaled(x, q[2][0], q[1]))
+                (s, (yn, yd, ynums)), = y.items()
+                if yn == 1:
+                    # a root-free monomial factor keeps the roots (see the module docstring)
+                    return Scalar._of(_times_monomial(x, ynums[0], yd, s))
         n, dx, dy = 1, 1, 1
         for gn, gd, _ in xg.values():
             n, dx = lcm(n, gn), lcm(dx, gd)
@@ -426,12 +433,6 @@ class Scalar:
         return Scalar._of(_normalize(raw))
 
     __rmul__ = __mul__
-
-    def theta_shifted(self, shift: RationalLike) -> Scalar:
-        """self * t^shift, without renormalizing (see the module docstring)."""
-        if not shift:
-            return self
-        return Scalar._of({_theta_key(theta + shift): group for theta, group in self._groups.items()})
 
     def star(self) -> Scalar:
         """Complex conjugation: e(r) -> e(-r), t^s -> t^(-s), rationals fixed."""
@@ -494,6 +495,3 @@ def _coerce(value) -> Scalar:
         return Scalar.from_rational(value)
     return NotImplemented
 
-
-ZERO = Scalar.zero()
-ONE = Scalar.one()

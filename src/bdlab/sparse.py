@@ -2,10 +2,21 @@
 
 Every sparse element type of the library stores only its nonzero entries in a
 dict: Laurent coefficients by exponent, matrix entries by (row, column).  Two
-such dicts add key by key, and two (row, column) dicts multiply as matrices;
-these are the only places where that is written out.  Neither ``add_entries``
-nor ``mul_entries`` prunes zeros: the constructor of the type that receives
+such dicts add key by key, two (row, column) dicts multiply as matrices, and
+two exponent dicts multiply as twisted Laurent sums; these are the only places
+where that is written out.  None of ``add_entries``, ``mul_entries`` and
+``convolve_entries`` prunes zeros: the constructor of the type that receives
 the dict does.
+
+The three algebras with Laurent coefficients multiply by one rule,
+
+    (a u^l)(b u^r) = a * twist^l(b) * u^(l+r),
+
+with the twist the identity on C(T), alpha^n on the stage algebra
+A x_(alpha^n) Z and sigma on the odometer crossed product.
+``convolve_entries`` is that rule with the twisted product ``mul(l, a, b)``
+supplied by the caller.  Exponents above ``DEGREE_CAP`` in absolute value are
+rejected when a cap is given; the odometer product passes none.
 
 Because the constructors drop exact-zero entries, two elements are equal
 exactly when their dicts have the same keys and equal entries under each key
@@ -16,6 +27,20 @@ exactly when their dicts have the same keys and equal entries under each key
 from __future__ import annotations
 
 from typing import Callable
+
+from .errors import BudgetError
+
+#: u- and z-degree above which Laurent products are rejected.
+DEGREE_CAP = 64
+
+
+class Subtraction:
+    """``a - b`` as ``a + (-b)`` for element types that define ``+`` and unary ``-``."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        return self + (-other)
 
 
 def add_entries(a: dict, b: dict) -> dict:
@@ -42,4 +67,21 @@ def mul_entries(a: dict, b: dict, mul: Callable) -> dict:
             prod = mul(x, y)
             key = (i, j)
             out[key] = out[key] + prod if key in out else prod
+    return out
+
+
+def convolve_entries(a: dict, b: dict, mul: Callable, cap: int | None, symbol: str = "u") -> dict:
+    """Laurent product of two exponent dicts: mul(l, x, y) lands at l + r.
+
+    Raises BudgetError, naming the ``symbol``-degree, as soon as some
+    |l + r| exceeds ``cap``; ``cap=None`` leaves the degree unbounded.
+    """
+    out: dict = {}
+    for l, x in a.items():
+        for r, y in b.items():
+            e = l + r
+            if cap is not None and abs(e) > cap:
+                raise BudgetError(f"{symbol}-degree {e} exceeds cap {cap}")
+            prod = mul(l, x, y)
+            out[e] = out[e] + prod if e in out else prod
     return out

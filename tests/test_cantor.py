@@ -73,7 +73,7 @@ class DenseCylinder:
         return all(x == y for x, y in zip(a.values, b.values))
 
     def to_json(self):
-        return {"depth": self.depth, "values": [self.algebra.coeff.element_to_json(v) for v in self.values]}
+        return {"depth": self.depth, "values": [v.to_json() for v in self.values]}
 
 
 def dense_odometer_mul(x, y):
@@ -188,6 +188,12 @@ class TestOdometerElements:
                 assert (a == b) == (a - b).is_zero()
                 assert (b == a) == (a == b)
             assert x == (x + y) - y and (x * y) * z == x * (y * z) and x == x.promote(3)
+
+    def test_products_are_uncapped(self, odometer):
+        # the u- and z-degree cap of 64 does not apply to U-degrees
+        U40 = odometer.u_power(40, 3)
+        assert U40 * U40 == odometer.u_power(80, 3)
+        assert U40.star() * U40.star() == odometer.u_power(-80, 3)
 
     def test_json_round_trip(self, odometer, rng):
         x = OdometerElement(odometer, {2: odometer.sample_function(rng, 3),

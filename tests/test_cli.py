@@ -54,6 +54,21 @@ class TestVerifyCommand:
             cli.main(["verify", "does-not-exist"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "gamma-hom", "--sizes", "1,2", "--count", "1", "--budget", "0"],
+        ["apply", "--map", "gamma", "--from", "1", "--to", "2", "--budget", "0"],
+        ["apply", "--map", "gamma", "--from", "1", "--to", "2", "--depth", "3"],
+        ["apply", "--map", "gamma", "--from", "1", "--to", "2", "--seed", "5"],
+    ])
+    def test_option_the_command_does_not_take_is_usage_error(self, capsys, monkeypatch, argv):
+        # each was parsed and then ignored, so the command exited 0
+        feed_stdin(monkeypatch, GAMMA_INPUT)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments" in captured.err
+
     def test_failures_exit_one(self, capsys, monkeypatch):
         broken = Report("fake")
         broken.record(0, False, lhs=1, rhs=2)
@@ -440,6 +455,8 @@ class TestKTheoryCommand:
         ["--tau=1/2,-1", "--theta-cf", "0,2,...", "--precision", "1/0"],
         ["--tau=1e9,1", "--theta-cf", "0,2,..."],
         ["--tau=1/2,-1", "--theta-cf", "0,2,...", "--precision", "1e9"],
+        ["--tau=1/2,-1", "--theta-cf", "0,2,...", "--precision", "0"],
+        ["--tau=1/2,-1", "--theta-cf", "0,2,...", "--precision=-1"],
     ])
     def test_bad_tau_input_is_usage_error(self, capsys, argv):
         code, out, err = run_cli(capsys, ["ktheory", "--sizes", "1,2", *argv])

@@ -14,6 +14,7 @@ from bdlab.coeff import (
     cyclic_orbits,
     sample_scalar,
 )
+from bdlab.errors import BudgetError
 from bdlab.scalar import Scalar
 from numeric import circle_value
 
@@ -39,6 +40,15 @@ class TestCircleRotation:
     def test_alpha_identity_power(self, circle):
         f = CircleFunction.z(5)
         assert circle.alpha_power(f, 0) == f
+
+    def test_z_degree_cap(self):
+        # the cap is on |l + r| of each pair of z-powers, not on the operands
+        assert CircleFunction.z(32) * CircleFunction.z(32) == CircleFunction.z(64)
+        assert CircleFunction.z(-32) * CircleFunction.z(-32) == CircleFunction.z(-64)
+        with pytest.raises(BudgetError, match="z-degree 65"):
+            CircleFunction.z(33) * CircleFunction.z(32)
+        with pytest.raises(BudgetError, match="z-degree -65"):
+            CircleFunction.z(-33) * CircleFunction.z(-32)
 
     def test_alpha_rational_angle(self):
         quarter = CircleRotation(Angle(Fraction(1, 4), Fraction(0)))

@@ -1,16 +1,15 @@
 import pytest
 
 from bdlab.coeff import CircleFunction
+from bdlab.errors import MismatchError
 from bdlab.fock import (
     BlockMatrix,
     FockOperator,
     WeightSequence,
     block_decompose,
-    block_reassemble,
     compact_preservation_sides,
     eq_id_sides,
     weighted_blocks_check,
-    sample_fock,
     theta_block_map,
     verify_compact_preservation,
     verify_fock_identity,
@@ -18,6 +17,29 @@ from bdlab.fock import (
     verify_shuffle,
 )
 from bdlab.scalar import Scalar
+
+
+def block_reassemble(blocks, k, depth, *, step=1, trust=None):
+    """Inverse of block_decompose for blocks sharing one decomposition."""
+    entries = {}
+    algebra = None
+    for (lp, l), block in blocks.items():
+        algebra = block.algebra
+        for (qp, q), a in block.entries.items():
+            entries[(qp * k + lp, q * k + l)] = a
+    if algebra is None:
+        raise MismatchError("no blocks to reassemble")
+    return FockOperator(algebra, depth, entries, step=step, trust=trust)
+
+
+def sample_fock(algebra, depth, rng, *, step=1, band=2, density=0.4):
+    """A random band operator: each entry within ``band`` of the diagonal is set with probability ``density``."""
+    entries = {}
+    for i in range(depth):
+        for j in range(max(0, i - band), min(depth, i + band + 1)):
+            if rng.random() < density:
+                entries[(i, j)] = algebra.sample(rng)
+    return FockOperator(algebra, depth, entries, step=step)
 
 
 class TestGenerators:

@@ -1,7 +1,7 @@
 """Golden serialized outputs.
 
-A fixed corpus of CLI calls, run in-process, and one failure report from a
-library suite.  Each output (exit code and stdout) is compared by SHA-256
+A fixed corpus of CLI calls, run in-process, and three failure reports from
+library suites.  Each output (exit code and stdout) is compared by SHA-256
 with a value pinned here, so any change to a serialized element form shows.
 The inputs are written out by hand, not sampled, so the pins depend only on
 the maps and the serialization.  A change that alters a serialized form on
@@ -17,8 +17,8 @@ import sys
 from contextlib import redirect_stdout
 from unittest import mock
 
-from bdlab import cli, limits
-from bdlab.coeff import Angle, CircleRotation
+from bdlab import cantor, cli, limits
+from bdlab.coeff import Angle, CircleRotation, FiniteCyclicShift
 from bdlab.report import canonical_json
 
 
@@ -113,11 +113,22 @@ def _run(argv, payload):
     return f"{code}\n{out.getvalue()}"
 
 
-def _failure_report():
+def _failure_report(algebra=None):
     """gamma-hom with gamma followed by the adjoint, which reverses products, so cases fail."""
+    algebra = algebra or CircleRotation(Angle.parse("theta+1/4"))
     real_gamma = limits.gamma
     with mock.patch.object(limits, "gamma", lambda n, m, X: real_gamma(n, m, X).star()):
-        report = limits.verify_gamma_homomorphism(CircleRotation(Angle.parse("theta+1/4")), 1, 2, 5, 2)
+        report = limits.verify_gamma_homomorphism(algebra, 1, 2, 5, 2)
+    assert report.failures and report.failures[0].lhs != report.failures[0].rhs
+    return canonical_json(report.to_json())
+
+
+def _rho_failure_report():
+    """rho-hom with rho followed by the adjoint: the failures serialize odometer products."""
+    real_rho = cantor.rho
+    odo = cantor.OdometerAlgebra(cantor.StageSequence((1, 2, 4)), CircleRotation(Angle.parse("theta+1/4")))
+    with mock.patch.object(cantor, "rho", lambda algebra, stage, X: real_rho(algebra, stage, X).star()):
+        report = cantor.verify_rho_homomorphism(odo, 2, 5, 2)
     assert report.failures and report.failures[0].lhs != report.failures[0].rhs
     return canonical_json(report.to_json())
 
@@ -129,6 +140,9 @@ def _digest(text):
 def current_digests():
     out = {name: _digest(_run(argv, payload)) for name, (argv, payload) in _corpus().items()}
     out["report:gamma-hom-failure"] = _digest(_failure_report())
+    # over cyclic(3) alpha makes no phases, so scalar products take the rational path
+    out["report:gamma-hom-failure:cyclic"] = _digest(_failure_report(FiniteCyclicShift(3)))
+    out["report:rho-hom-failure"] = _digest(_rho_failure_report())
     return out
 
 
@@ -160,6 +174,8 @@ PINS = {
     'classify:amplified': '56d0423da9b3d62645fbdc97e994431454b5322de64109ed28f4ab80f1f9d813',
     'ktheory': '2131a8770f1e04d8195d047b801b66bf5df119f4651b06cecc3a95b7d2777f13',
     'report:gamma-hom-failure': 'ac28dd81ba3ea77d165e03a8ba46675c2f2a5bcec7955134dcd2ec472e3291fa',
+    'report:gamma-hom-failure:cyclic': '67b0f1d2355f621bd4e3d6bbf6be14761e699e48fcd64567bad2d52f6c503d3d',
+    'report:rho-hom-failure': 'ea3b25ff83b8d3dbcf9d592c0f0d280855106720eae5a194fc2c6c6834b36f1a',
 }
 
 

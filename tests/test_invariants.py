@@ -22,12 +22,20 @@ from bdlab.invariants import (
     k1_limit_normalize,
     ktheory_presentation,
     q_delta_member,
-    witness_stage,
 )
 
 THETA = Angle(Fraction(0), Fraction(1))
 D2INF = SupernaturalNumber.parse("2^inf")
 D3INF = SupernaturalNumber.parse("3^inf")
+
+
+def witness_stage(r, sizes):
+    """Smallest 1-based stage whose size the denominator of r divides."""
+    den = Fraction(r).denominator
+    for k, n in enumerate(sizes, start=1):
+        if n % den == 0:
+            return k
+    return None
 
 
 def sqrt2_minus_one_stream():

@@ -16,12 +16,22 @@ from bdlab.limits import (
     verify_amplification_intertwining,
     verify_gamma_composition,
     verify_gamma_homomorphism,
-    verify_gamma_injectivity,
     verify_trace_compatibility,
 )
+from bdlab.report import Report, case_rng
 from bdlab.scalar import Scalar
 
 SIZE_PAIRS = [(1, 2), (1, 3), (2, 4), (2, 6), (3, 6)]
+
+
+def verify_gamma_injectivity(algebra, n, m, seed, count, u_degree=2, coeff_degree=2):
+    """gamma_left_inverse recovers X from gamma_{n,m}(X) for random stage elements."""
+    report = Report("gamma-inverse", config={"n": n, "m": m, "algebra": algebra.tag(), "seed": seed, "count": count})
+    for idx in range(count):
+        X = sample_matrix(algebra, n, n, case_rng(seed, idx), u_degree, coeff_degree)
+        back = gamma_left_inverse(n, m, gamma(n, m, X))
+        report.record(idx, back is not None and back == X, lhs=back, rhs=X)
+    return report
 
 
 def gamma_generator_product(n: int, m: int, X: MatrixElement) -> MatrixElement:
