@@ -149,10 +149,10 @@ class OdometerAlgebra:
     def zero(self, depth: int = 1) -> OdometerElement:
         return OdometerElement(self, {}, depth=depth)
 
-    def sample_function(self, rng: random.Random, depth: int, coeff_degree: int = 2) -> CylinderFunction:
+    def sample_function(self, rng: random.Random, depth: int) -> CylinderFunction:
         n = self.stages.size(depth)
         values = [
-            self.coeff.sample(rng, coeff_degree) if rng.random() < 0.7 else self.coeff.zero()
+            self.coeff.sample(rng) if rng.random() < 0.7 else self.coeff.zero()
             for _ in range(n)
         ]
         return CylinderFunction(self, depth, values)

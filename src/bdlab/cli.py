@@ -7,8 +7,8 @@ classify (the isomorphism decider), ktheory (K-group presentations).
 All output is canonical JSON on stdout; diagnostics, including wall time, go
 to stderr so that reports are byte-identical given (config, seed).  Exit
 codes: 0 success, 1 verification failure, 2 usage or parse error, 3 resource
-budget exceeded.  The environment variable BD_LAB_BUDGET overrides the
-refinement budget.
+budget exceeded; ktheory --tau gives up with 3 after
+invariants.REFINEMENT_BUDGET enclosure refinements.
 """
 
 from __future__ import annotations
@@ -193,10 +193,8 @@ def cmd_trace(args) -> int:
 def cmd_classify(args) -> int:
     theta1, delta1 = Angle.parse(args.theta1), invariants.SupernaturalNumber.parse(args.delta1)
     theta2, delta2 = Angle.parse(args.theta2), invariants.SupernaturalNumber.parse(args.delta2)
-    if args.amplify1 > 1:
-        theta1, delta1 = invariants.decide_amplification(args.amplify1, theta1, delta1)
-    if args.amplify2 > 1:
-        theta2, delta2 = invariants.decide_amplification(args.amplify2, theta2, delta2)
+    theta1, delta1 = invariants.decide_amplification(args.amplify1, theta1, delta1)
+    theta2, delta2 = invariants.decide_amplification(args.amplify2, theta2, delta2)
     decision = invariants.decide_isomorphism(theta1, delta1, theta2, delta2)
     payload = decision.to_json()
     payload["left"] = {"theta": str(theta1), "delta": delta1.to_json()}
@@ -223,6 +221,9 @@ def _theta_stream(text: str):
 def cmd_ktheory(args) -> int:
     sizes = _parse_sizes(args.sizes)
     tail = invariants.SupernaturalNumber.parse(args.tail).factors if args.tail else None
+    precision = parse_fraction(args.precision)
+    if precision <= 0:
+        raise ValueError(f"--precision must be positive, got {precision}")
     payload = invariants.ktheory_presentation(sizes, tail)
     if args.normalize:
         stage_text, pair_text = args.normalize.split(":", 1)
@@ -235,12 +236,9 @@ def cmd_ktheory(args) -> int:
         q_text, m_text = args.tau.split(",")
         cls0 = invariants.K0Class(parse_fraction(q_text), int(m_text))
         enclosure = invariants.ThetaEnclosure.from_continued_fraction(_theta_stream(args.theta_cf))
-        lo, hi = invariants.k0_tau_value(cls0, enclosure, parse_fraction(args.precision), budget=args.budget)
+        lo, hi = invariants.k0_tau_value(cls0, enclosure, precision)
         positive = invariants.k0_positive(
-            cls0,
-            invariants.ThetaEnclosure.from_continued_fraction(_theta_stream(args.theta_cf)),
-            budget=args.budget,
-        )
+            cls0, invariants.ThetaEnclosure.from_continued_fraction(_theta_stream(args.theta_cf)))
         payload["tau"] = {"class": cls0.to_json(), "interval": [str(lo), str(hi)], "positive": positive}
     _emit(args, canonical_json(payload))
     return 0
@@ -301,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--theta-cf", dest="theta_cf", default=None,
                     help="continued-fraction coefficients of theta, e.g. 0,2,... (repeat last)")
     pk.add_argument("--precision", default="1/1000000", help="target interval width for --tau")
-    pk.add_argument("--budget", type=int, default=None)
     pk.add_argument("--out", default=None)
     pk.set_defaults(func=cmd_ktheory)
     return parser

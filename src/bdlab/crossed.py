@@ -267,11 +267,10 @@ def sample_matrix(
     rng: random.Random,
     u_degree: int = 2,
     coeff_degree: int = 2,
-    density: float = 0.5,
 ) -> MatrixElement:
     entries = {}
     for i in range(size):
         for j in range(size):
-            if rng.random() < density:
+            if rng.random() < 0.5:
                 entries[(i, j)] = sample_crossed(algebra, power, rng, u_degree, coeff_degree)
     return MatrixElement(algebra, power, size, entries)

@@ -20,7 +20,6 @@ three-valued: definite only when every completion of the evidence agrees.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -32,16 +31,10 @@ from .sparse import Subtraction
 
 INF = math.inf
 
-#: Default number of enclosure refinements before giving up; the BD_LAB_BUDGET
-#: environment variable overrides it when no explicit budget is passed.
-DEFAULT_REFINEMENT_BUDGET = 10_000
-
-
-def _resolve_budget(budget: int | None) -> int:
-    if budget is not None:
-        return budget
-    env = os.environ.get("BD_LAB_BUDGET")
-    return int(env) if env else DEFAULT_REFINEMENT_BUDGET
+#: Enclosure refinements before a K0 value gives up.  Convergent gaps shrink at
+#: least like Fibonacci^-2, so this many reach widths near 10^-4180: the cap
+#: only stops streams that do not narrow.
+REFINEMENT_BUDGET = 10_000
 
 #: The circle-rotation coefficient algebra has a unique invariant trace by
 #: unique ergodicity of irrational rotation; this is asserted theory-level,
@@ -106,6 +99,8 @@ class SupernaturalNumber:
             if "^" in chunk:
                 base, exp = chunk.split("^", 1)
                 e = INF if exp.strip() in ("inf", "oo") else int(exp)
+                if e < 0:
+                    raise ValueError(f"negative exponent in {chunk!r}")
                 for p, pe in factorize(int(base)).items():
                     factors[p] = INF if e == INF else factors.get(p, 0) + pe * e
             else:
@@ -249,50 +244,44 @@ class ThetaEnclosure:
         return ThetaEnclosure(intervals())
 
 
-def k0_tau_value(c: K0Class, theta: ThetaEnclosure, precision: Fraction,
-                 budget: int | None = None) -> tuple[Fraction, Fraction]:
+def _value_intervals(c: K0Class, theta: ThetaEnclosure, goal: str) -> Iterator[tuple[Fraction, Fraction]]:
+    """Nested intervals around q + m*theta, one per refinement; BudgetError naming `goal` after the cap."""
+    for _ in range(REFINEMENT_BUDGET):
+        lo, hi = theta.current
+        vlo, vhi = c.q + c.m * lo, c.q + c.m * hi
+        yield (vlo, vhi) if vlo <= vhi else (vhi, vlo)
+        theta.refine()
+    raise BudgetError(f"{goal} within {REFINEMENT_BUDGET} refinements")
+
+
+def k0_tau_value(c: K0Class, theta: ThetaEnclosure, precision: Fraction) -> tuple[Fraction, Fraction]:
     """Rational interval around q + m*theta with width below `precision`."""
     precision = Fraction(precision)
     if precision <= 0:
         raise ValueError(f"precision must be positive, got {precision}")
     if c.m == 0:
         return (c.q, c.q)
-    budget = _resolve_budget(budget)
-    for _ in range(budget):
-        lo, hi = theta.current
-        vlo, vhi = c.q + c.m * lo, c.q + c.m * hi
-        if vlo > vhi:
-            vlo, vhi = vhi, vlo
+    for vlo, vhi in _value_intervals(c, theta, f"enclosure did not reach precision {precision}"):
         if vhi - vlo < precision:
             return (vlo, vhi)
-        theta.refine()
-    raise BudgetError(f"enclosure did not reach precision {precision} within {budget} refinements")
 
 
-def k0_positive(c: K0Class, theta: ThetaEnclosure,
-                budget: int | None = None) -> bool:
+def k0_positive(c: K0Class, theta: ThetaEnclosure) -> bool:
     """Membership of q + m*theta in the positive cone (nonnegative reals).
 
     The zero class is in the cone by convention.  For nonzero classes with
     m != 0 the value is irrational, so refinement is guaranteed to separate
     it from zero eventually.
     """
-    budget = _resolve_budget(budget)
     if c.is_zero():
         return True
     if c.m == 0:
         return c.q > 0
-    for _ in range(budget):
-        lo, hi = theta.current
-        vlo, vhi = c.q + c.m * lo, c.q + c.m * hi
-        if vlo > vhi:
-            vlo, vhi = vhi, vlo
+    for vlo, vhi in _value_intervals(c, theta, f"sign of {c} undecided"):
         if vlo > 0:
             return True
         if vhi < 0:
             return False
-        theta.refine()
-    raise BudgetError(f"sign of {c} undecided within {budget} refinements")
 
 
 def k1_limit_normalize(stage: int, pair: tuple[int, int], sizes: Iterable[int]) -> K1Class:

@@ -214,21 +214,19 @@ def verify_gamma_homomorphism(
     m: int,
     seed: int,
     count: int,
-    u_degree: int = 2,
-    coeff_degree: int = 2,
 ) -> Report:
     report = Report(
         "gamma-hom",
         config={"n": n, "m": m, "algebra": algebra.tag(), "seed": seed, "count": count,
-                "uDegree": u_degree, "coeffDegree": coeff_degree},
+                "uDegree": 2, "coeffDegree": 2},
     )
     one_n = MatrixElement.identity(algebra, n, n)
     one_m = MatrixElement.identity(algebra, m, m)
     report.record("unital", gamma(n, m, one_n) == one_m, lhs=gamma(n, m, one_n), rhs=one_m)
     for idx in range(count):
         rng = case_rng(seed, idx)
-        X = sample_matrix(algebra, n, n, rng, u_degree, coeff_degree)
-        Y = sample_matrix(algebra, n, n, rng, u_degree, coeff_degree)
+        X = sample_matrix(algebra, n, n, rng)
+        Y = sample_matrix(algebra, n, n, rng)
         gX, gY = gamma(n, m, X), gamma(n, m, Y)
         lhs, rhs = gamma(n, m, X * Y), gX * gY
         report.record(f"{idx}:mul", lhs == rhs, lhs=lhs, rhs=rhs)
@@ -239,7 +237,6 @@ def verify_gamma_homomorphism(
 
 def verify_gamma_composition(
     algebra: CoefficientAlgebra, n: int, k: int, l: int, seed: int, count: int = 50,
-    u_degree: int = 2, coeff_degree: int = 2,
 ) -> Report:
     nk, nkl = n * k, n * k * l
     report = Report(
@@ -248,7 +245,7 @@ def verify_gamma_composition(
     )
     cases = [(f"gen{i}", X) for i, X in enumerate(_stage_generators(algebra, n, n, case_rng(seed, "gen")))]
     for idx in range(count):
-        cases.append((idx, sample_matrix(algebra, n, n, case_rng(seed, idx), u_degree, coeff_degree)))
+        cases.append((idx, sample_matrix(algebra, n, n, case_rng(seed, idx))))
     for label, X in cases:
         lhs = gamma(nk, nkl, gamma(n, nk, X))
         rhs = gamma(n, nkl, X)
@@ -258,14 +255,13 @@ def verify_gamma_composition(
 
 def verify_trace_compatibility(
     algebra: CoefficientAlgebra, n: int, m: int, seed: int, count: int,
-    u_degree: int = 2, coeff_degree: int = 2,
 ) -> Report:
     report = Report(
         "trace-compat",
         config={"n": n, "m": m, "algebra": algebra.tag(), "seed": seed, "count": count},
     )
     for idx in range(count):
-        X = sample_matrix(algebra, n, n, case_rng(seed, idx), u_degree, coeff_degree)
+        X = sample_matrix(algebra, n, n, case_rng(seed, idx))
         lhs = gamma(n, m, X).trace()
         rhs = X.trace()
         report.record(idx, lhs == rhs, lhs=lhs, rhs=rhs)
@@ -274,7 +270,6 @@ def verify_trace_compatibility(
 
 def verify_amplification_intertwining(
     angle: Angle, p: int, n: int, m: int, seed: int, count: int,
-    u_degree: int = 2, coeff_degree: int = 2,
 ) -> Report:
     """psi circle (gamma_{n,m} blockwise) == gamma_{pn,pm} circle psi.
 
@@ -300,7 +295,7 @@ def verify_amplification_intertwining(
         lhs, rhs = both_sides(X)
         report.record(f"gen{i}", lhs == rhs, lhs=lhs, rhs=rhs)
     for idx in range(count):
-        X = sample_matrix(base, n, p * n, case_rng(seed, idx), u_degree, coeff_degree)
+        X = sample_matrix(base, n, p * n, case_rng(seed, idx))
         lhs, rhs = both_sides(X)
         report.record(idx, lhs == rhs, lhs=lhs, rhs=rhs)
     return report

@@ -29,13 +29,9 @@ class Failure:
     case: int | str
     lhs: Any
     rhs: Any
-    note: str = ""
 
     def to_json(self) -> dict:
-        data = {"case": self.case, "lhs": self.lhs, "rhs": self.rhs}
-        if self.note:
-            data["note"] = self.note
-        return data
+        return {"case": self.case, "lhs": self.lhs, "rhs": self.rhs}
 
 
 @dataclass
@@ -49,10 +45,10 @@ class Report:
     def ok(self) -> bool:
         return not self.failures
 
-    def record(self, case: int | str, ok: bool, lhs: Any = None, rhs: Any = None, note: str = "") -> None:
+    def record(self, case: int | str, ok: bool, lhs: Any = None, rhs: Any = None) -> None:
         self.cases += 1
         if not ok:
-            self.failures.append(Failure(case, _jsonable(lhs), _jsonable(rhs), note))
+            self.failures.append(Failure(case, _jsonable(lhs), _jsonable(rhs)))
 
     def to_json(self) -> dict:
         return {

@@ -59,6 +59,7 @@ class TestVerifyCommand:
         ["apply", "--map", "gamma", "--from", "1", "--to", "2", "--budget", "0"],
         ["apply", "--map", "gamma", "--from", "1", "--to", "2", "--depth", "3"],
         ["apply", "--map", "gamma", "--from", "1", "--to", "2", "--seed", "5"],
+        ["ktheory", "--sizes", "1,2", "--budget", "5"],
     ])
     def test_option_the_command_does_not_take_is_usage_error(self, capsys, monkeypatch, argv):
         # each was parsed and then ignored, so the command exited 0
@@ -154,19 +155,46 @@ def _verify_argv(suite, algebra, sizes, depth, p, count, modulus, periods):
 @example("fock-blocks", "circle", "1,2", 1, 2, 1, 3, "3")
 def test_verify_integer_options_fuzz(suite, algebra, sizes, depth, p, count, modulus, periods):
     """Every small input exits 0-3 without a traceback, and exit 0 checked something."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(_verify_argv(suite, algebra, sizes, depth, p, count, modulus, periods))
-        except SystemExit as exc:
-            code = exc.code
+    code, out, err = _main_captured(_verify_argv(suite, algebra, sizes, depth, p, count, modulus, periods))
     assert code in (0, 1, 2, 3)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
     if code == 0:
-        assert json.loads(out.getvalue())["cases"] > 0
+        assert json.loads(out)["cases"] > 0
         assert depth >= 1 and p >= 1
         if suite == "fock-blocks":
             assert depth >= 2 * max(int(k) for k in periods.split(","))
+
+
+def _main_captured(argv):
+    """cli.main's exit code, stdout and stderr, argparse's own exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=100, deadline=timedelta(seconds=5))
+@given(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3),
+       st.sampled_from(["-1", "0", "1/0", "1/1000"]), st.booleans())
+@example(-3, 1, 0, "1/1000", False)
+@example(1, 1, -1, "1/1000", False)
+@example(1, 1, 0, "1/0", False)
+def test_classify_ktheory_options_fuzz(amplify1, amplify2, e, precision, tau):
+    """Orders, tail exponents and precisions exit 0, 2 or 3 at once, and exit 0 only when all are valid."""
+    classify = ["classify", "--theta1", "theta", "--delta1", "2^inf", "--theta2", "theta+1/4",
+                "--delta2", "2^inf", f"--amplify1={amplify1}", f"--amplify2={amplify2}"]
+    ktheory = ["ktheory", "--sizes", "1,2", f"--tail=2^{e}", f"--precision={precision}",
+               *(["--tau=1/2,-1", "--theta-cf", "0,2,..."] if tau else [])]
+    for argv, valid, key in ((classify, amplify1 >= 1 and amplify2 >= 1, "answer"),
+                             (ktheory, e >= 0 and precision == "1/1000", "tau" if tau else "delta")):
+        code, out, err = _main_captured(argv)
+        assert code in (0, 2, 3) and "Traceback" not in err
+        assert (code == 0) == valid, (argv, code, err)
+        if code == 0:
+            assert key in json.loads(out)
 
 
 class TestApplyCommand:
@@ -426,6 +454,14 @@ class TestClassifyCommand:
                                         "--theta2", "theta", "--delta2", "2^inf"])
         assert code == 0 and json.loads(out)["answer"] == "isomorphic"
 
+    @pytest.mark.parametrize("argv", [["--amplify1=-3"], ["--amplify1", "0"], ["--amplify2", "0"],
+                                      ["--delta2", "2^-1"]])
+    def test_bad_amplification_or_delta_is_usage_error(self, capsys, argv):
+        # each used to be dropped silently, and the command exited 0 with an answer
+        code, out, err = run_cli(capsys, ["classify", "--theta1", "theta", "--delta1", "2^inf",
+                                          "--theta2", "theta", "--delta2", "2^inf", *argv])
+        assert code == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1
+
     def test_zero_denominator_angle_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, ["classify", "--theta1", "1/0", "--delta1", "2^inf",
                                           "--theta2", "theta", "--delta2", "2^inf"])
@@ -457,16 +493,19 @@ class TestKTheoryCommand:
         ["--tau=1/2,-1", "--theta-cf", "0,2,...", "--precision", "1e9"],
         ["--tau=1/2,-1", "--theta-cf", "0,2,...", "--precision", "0"],
         ["--tau=1/2,-1", "--theta-cf", "0,2,...", "--precision=-1"],
+        ["--precision", "1/0"],
+        ["--precision", "0"],
+        ["--tail", "2^-1"],
     ])
     def test_bad_tau_input_is_usage_error(self, capsys, argv):
         code, out, err = run_cli(capsys, ["ktheory", "--sizes", "1,2", *argv])
         assert code == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1
 
-    def test_budget_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("BD_LAB_BUDGET", "1")
-        code, _, err = run_cli(capsys, ["ktheory", "--sizes", "1,2", "--tau", "1/2,-1",
-                                        "--theta-cf", "0,2,...", "--precision", "1/100000000"])
-        assert code == 3 and "budget" in err.lower()
+    def test_exhausted_theta_stream_is_budget_exit(self, capsys):
+        # [0; 2, 2] gives two enclosures of width 1/2 and 1/10, then runs out
+        code, out, err = run_cli(capsys, ["ktheory", "--sizes", "1,2", "--tau", "1/2,-1",
+                                          "--theta-cf", "0,2,2", "--precision", "1/100000000"])
+        assert code == 3 and out == "" and err.startswith("budget exceeded:") and err.count("\n") == 1
 
 
 class TestDeterminism:

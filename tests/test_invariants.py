@@ -9,6 +9,7 @@ from bdlab.coeff import Angle
 from bdlab.errors import BudgetError, MismatchError
 from bdlab.invariants import (
     INF,
+    REFINEMENT_BUDGET,
     K0Class,
     K1Class,
     SupernaturalNumber,
@@ -67,6 +68,12 @@ class TestSupernatural:
 
     def test_parse_plain_integer(self):
         assert SupernaturalNumber.parse("12").factors == {2: 2, 3: 1}
+
+    @pytest.mark.parametrize("text", ["2^-1", "3*2^-2", "6^-1*2^inf"])
+    def test_parse_negative_exponent_is_error(self, text):
+        # "2^-1" used to drop the factor silently
+        with pytest.raises(ValueError, match="negative exponent"):
+            SupernaturalNumber.parse(text)
 
     def test_json_round_trip(self):
         d = SupernaturalNumber.parse("2^inf*3^2")
@@ -144,8 +151,18 @@ class TestK0:
             assert k0_positive(K0Class(q, m), sqrt2_minus_one_stream()) == expected
 
     def test_budget_error(self):
-        with pytest.raises(BudgetError):
-            k0_positive(K0Class(Fraction(1, 2), -1), sqrt2_minus_one_stream(), budget=1)
+        # theta in [0, 1] forever: 1/2 - theta stays in [-1/2, 1/2], never signed or narrowed
+        for decide in (lambda c, theta: k0_tau_value(c, theta, Fraction(1, 10)), k0_positive):
+            pulls = []
+
+            def never_narrows():
+                for interval in itertools.repeat((0, 1)):
+                    pulls.append(interval)
+                    yield interval
+
+            with pytest.raises(BudgetError, match=f"within {REFINEMENT_BUDGET} refinements"):
+                decide(K0Class(Fraction(1, 2), -1), ThetaEnclosure(never_narrows()))
+            assert len(pulls) == 1 + REFINEMENT_BUDGET  # the first interval, then each refinement
 
     def test_group_structure(self):
         a = K0Class(Fraction(1, 2), 3)
