@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from .coeff import CoefficientAlgebra
 from .errors import MismatchError
 from .report import Report, case_rng
-from .sparse import Subtraction, add_entries, mul_entries
+from .sparse import Subtraction, add_entries, equal_entries, mul_entries, shuffled_entries
 
 
 @dataclass(frozen=True)
@@ -116,10 +116,6 @@ class FockOperator(Subtraction):
         if not same_algebra or self.depth != other.depth or self.step != other.step:
             raise MismatchError("fock operators on different truncated spaces")
 
-    def raise_degree(self) -> int:
-        """Maximal level-raise max(i - j), floored at 0."""
-        return max((i - j for (i, j) in self.entries), default=0) if self.entries else 0
-
     def __add__(self, other: FockOperator) -> FockOperator:
         self._check(other)
         return FockOperator(self.algebra, self.depth, add_entries(self.entries, other.entries),
@@ -130,10 +126,11 @@ class FockOperator(Subtraction):
                             step=self.step, trust=self.trust)
 
     def compose(self, other: FockOperator) -> FockOperator:
-        """Matrix composition; trust shrinks by the right factor's level-raise."""
+        """Matrix composition; trust shrinks by the right factor's level-raise max(i - j), if positive."""
         self._check(other)
         out = mul_entries(self.entries, other.entries, operator.mul)
-        trust = min(self.trust, other.trust) - max(0, other.raise_degree())
+        raise_degree = max((i - j for (i, j) in other.entries), default=0)
+        trust = min(self.trust, other.trust) - max(0, raise_degree)
         return FockOperator(self.algebra, self.depth, out, step=self.step, trust=trust)
 
     __matmul__ = compose
@@ -146,21 +143,11 @@ class FockOperator(Subtraction):
         """Equality on the joint trusted window max(i, j) < min(trusts)."""
         self._check(other)
         window = min(self.trust, other.trust)
-        keys = set(self.entries) | set(other.entries)
-        for (i, j) in keys:
-            if max(i, j) >= window:
-                continue
-            a = self.entries.get((i, j))
-            b = other.entries.get((i, j))
-            if a is None:
-                if not b.is_zero():
-                    return False
-            elif b is None:
-                if not a.is_zero():
-                    return False
-            elif not (a == b):
-                return False
-        return True
+
+        def inside(entries: dict) -> dict:
+            return {key: a for key, a in entries.items() if max(key) < window}
+
+        return equal_entries(inside(self.entries), inside(other.entries))
 
     def to_json(self) -> dict:
         return {
@@ -413,11 +400,9 @@ def _beta_image(algebra: CoefficientAlgebra, n: int, m: int, kind: str, element,
     return BlockMatrix(algebra, m, depth, entries, step=m)
 
 
-def shuffle_conjugate(M: BlockMatrix, n: int, k: int) -> BlockMatrix:
-    """Reindex the n x n of k x k block picture by (i, c) -> i + c*n."""
-    perm = {i * k + c: i + c * n for i in range(n) for c in range(k)}
-    entries = {(perm[r], perm[c]): op for (r, c), op in M.entries.items()}
-    return BlockMatrix(M.algebra, M.size, M.depth, entries, step=M.step)
+def shuffle_conjugate(M: BlockMatrix, n: int) -> BlockMatrix:
+    """Reindex the n x n of k x k block picture by i*k + c -> i + c*n (k = size / n)."""
+    return BlockMatrix(M.algebra, M.size, M.depth, shuffled_entries(M.entries, n, M.size), step=M.step)
 
 
 def verify_shuffle(algebra: CoefficientAlgebra, n: int, m: int, seed: int, depth: int = 8) -> Report:
@@ -443,7 +428,7 @@ def verify_shuffle(algebra: CoefficientAlgebra, n: int, m: int, seed: int, depth
         assembled: dict[tuple[int, int], FockOperator] = {}
         for (c, cp), op in theta_img.entries.items():
             assembled[(gi * k + c, gj * k + cp)] = op
-        lhs = shuffle_conjugate(BlockMatrix(algebra, m, depth, assembled, step=m), n, k)
+        lhs = shuffle_conjugate(BlockMatrix(algebra, m, depth, assembled, step=m), n)
         rhs = _beta_image(algebra, n, m, kind, element if kind != "unit" else (gi, gj), depth)
         report.record(label, lhs.agrees(rhs), lhs=lhs, rhs=rhs)
     return report

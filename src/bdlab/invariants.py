@@ -26,7 +26,7 @@ from typing import Iterable, Iterator
 
 from .coeff import Angle, cyclic_invariant_ideal_search, cyclic_orbits
 from .errors import BudgetError, MismatchError
-from .scalar import format_fraction
+from .scalar import factorize, format_fraction
 from .sparse import Subtraction
 
 INF = math.inf
@@ -40,21 +40,6 @@ REFINEMENT_BUDGET = 10_000
 #: unique ergodicity of irrational rotation; this is asserted theory-level,
 #: not computed, and recorded as such wherever it is reported.
 CIRCLE_TRACE_UNIQUENESS = "asserted: unique ergodicity of irrational rotation (not computed)"
-
-
-def factorize(n: int) -> dict[int, int]:
-    if n < 1:
-        raise ValueError("factorize expects a positive integer")
-    factors: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    return factors
 
 
 class SupernaturalNumber:

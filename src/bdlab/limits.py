@@ -26,7 +26,7 @@ from .coeff import Angle, CircleRotation, CoefficientAlgebra
 from .crossed import CrossedElement, MatrixElement, sample_matrix
 from .errors import BudgetError, MismatchError
 from .report import Report, case_rng
-from .sparse import DEGREE_CAP
+from .sparse import DEGREE_CAP, shuffled_entries
 
 
 def check_divisibility_chain(sizes) -> tuple[int, ...]:
@@ -167,10 +167,7 @@ def amplification_shuffle(p: int, X: MatrixElement) -> MatrixElement:
     """
     if p < 1 or X.size % p != 0:
         raise MismatchError(f"size {X.size} is not a multiple of p={p}")
-    n = X.size // p
-    perm = {b * n + i: i * p + b for b in range(p) for i in range(n)}
-    entries = {(perm[r], perm[c]): x for (r, c), x in X.entries.items()}
-    return MatrixElement(X.algebra, X.power, X.size, entries)
+    return MatrixElement(X.algebra, X.power, X.size, shuffled_entries(X.entries, p, X.size))
 
 
 def blockwise_gamma(p: int, n: int, m: int, X: MatrixElement) -> MatrixElement:
@@ -178,20 +175,14 @@ def blockwise_gamma(p: int, n: int, m: int, X: MatrixElement) -> MatrixElement:
     if X.size != p * n or X.power != n:
         raise MismatchError("expected a p x p block matrix of size-n stage elements")
     algebra = X.algebra
+    blocks: dict[tuple[int, int], dict] = {}
+    for (r, c), x in X.entries.items():
+        blocks.setdefault((r // n, c // n), {})[(r % n, c % n)] = x
     out: dict[tuple[int, int], CrossedElement] = {}
-    for B in range(p):
-        for C in range(p):
-            block = {
-                (i, j): X.entries[(B * n + i, C * n + j)]
-                for i in range(n)
-                for j in range(n)
-                if (B * n + i, C * n + j) in X.entries
-            }
-            if not block:
-                continue
-            image = gamma(n, m, MatrixElement(algebra, n, n, block))
-            for (i, j), v in image.entries.items():
-                out[(B * m + i, C * m + j)] = v
+    for (B, C), block in blocks.items():
+        image = gamma(n, m, MatrixElement(algebra, n, n, block))
+        for (i, j), v in image.entries.items():
+            out[(B * m + i, C * m + j)] = v
     return MatrixElement(algebra, m, p * m, out)
 
 

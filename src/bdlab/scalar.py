@@ -57,6 +57,11 @@ its stored form can differ from the product's, because the stored form
 depends on the conductor the terms arrive with.  Such factors go through the
 general product, so serialized results stay byte-identical.
 
+``factorize`` is the library's one prime factorization, behind
+``euler_phi``, ``cyclotomic_polynomial`` (built from the primes of N alone)
+and the supernatural numbers of ``invariants``.  Its trial division stops
+with a BudgetError past FACTOR_LIMIT, which no conductor reaches.
+
 ``_reduce_root_group(group)`` is the per-group step, one call per theta
 exponent that ``_normalize`` reduces.  The bench tracer wraps it and reads
 ``group.items()`` as (root, coefficient) pairs: ``_RawGroup.items`` yields
@@ -81,6 +86,10 @@ Group = tuple[int, int, dict[int, int]]
 #: reduced; guards against runaway conductors from pathological inputs.
 CONDUCTOR_LIMIT = 10**6
 
+#: Trial divisors above this bound are not tried: ``factorize`` raises a
+#: BudgetError instead of running for minutes on a large prime factor.
+FACTOR_LIMIT = 10**6
+
 
 def parse_fraction(text: str) -> Fraction:
     """A rational from 'p', 'p/q' or a decimal; exponent notation is rejected.
@@ -101,30 +110,29 @@ def format_fraction(value: RationalLike) -> str:
     return str(Fraction(value))
 
 
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+def factorize(n: int) -> dict[int, int]:
+    """{prime: exponent} of n >= 1 by trial division, exact for n <= FACTOR_LIMIT**2."""
+    if n < 1:
+        raise ValueError("factorize expects a positive integer")
+    factors: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        if p > FACTOR_LIMIT:
+            raise BudgetError(f"factoring {n} needs trial divisors above {FACTOR_LIMIT}")
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
 
 
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     result = n
-    p, m = 2, n
-    while p * p <= m:
-        if m % p == 0:
-            result -= result // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        result -= result // m
+    for p in factorize(n):
+        result -= result // p
     return result
 
 
@@ -144,15 +152,25 @@ def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
     return quot
 
 
+def _substitute_power(poly: list[int], s: int) -> list[int]:
+    """The coefficients of poly(x^s)."""
+    out = [0] * ((len(poly) - 1) * s + 1)
+    out[::s] = poly
+    return out
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Integer coefficients of the n-th cyclotomic polynomial, index = degree."""
-    if n == 1:
-        return (-1, 1)
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in _divisors(n)[:-1]:
-        poly = _poly_div_exact(poly, cyclotomic_polynomial(d))
-    return tuple(poly)
+    """Integer coefficients of the n-th cyclotomic polynomial, index = degree.
+
+    From Phi_1 = x - 1, Phi_pm(x) = Phi_m(x^p) / Phi_m(x) for each prime p of n
+    (p not dividing m) reaches Phi_rad(n); then Phi_n(x) = Phi_rad(n)(x^(n/rad(n))).
+    """
+    poly, rad = [-1, 1], 1
+    for p in factorize(n):
+        poly = _poly_div_exact(_substitute_power(poly, p), tuple(poly))
+        rad *= p
+    return tuple(_substitute_power(poly, n // rad))
 
 
 def _theta_key(theta: RationalLike) -> Theta:

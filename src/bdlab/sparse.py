@@ -21,7 +21,9 @@ rejected when a cap is given; the odometer product passes none.
 Because the constructors drop exact-zero entries, two elements are equal
 exactly when their dicts have the same keys and equal entries under each key
 (``equal_entries``): a key held by one dict only carries a nonzero entry.  So
-``__eq__`` compares entries in place instead of building the difference.
+``__eq__``, and the Fock layer's ``agrees`` on its trusted window, compare
+entries in place instead of building the difference.  ``shuffled_entries``
+is the canonical shuffle M_p(M_n) -> M_(pn) of matrices and block matrices.
 """
 
 from __future__ import annotations
@@ -54,6 +56,13 @@ def add_entries(a: dict, b: dict) -> dict:
 def equal_entries(a: dict, b: dict) -> bool:
     """Same keys and equal entries; exact when neither dict stores a zero entry."""
     return a.keys() == b.keys() and all(x == b[key] for key, x in a.items())
+
+
+def shuffled_entries(entries: dict, p: int, size: int) -> dict:
+    """(row, column) entries with each index b*n + i moved to i*p + b, n = size // p."""
+    n = size // p
+    perm = [i * p + b for b in range(p) for i in range(n)]
+    return {(perm[r], perm[c]): x for (r, c), x in entries.items()}
 
 
 def mul_entries(a: dict, b: dict, mul: Callable) -> dict:

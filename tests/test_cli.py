@@ -508,6 +508,32 @@ class TestKTheoryCommand:
         assert code == 3 and out == "" and err.startswith("budget exceeded:") and err.count("\n") == 1
 
 
+BIG_PRIME = "1000000000000000003"
+CLASSIFY = ["classify", "--theta1", "theta", "--theta2", "theta"]
+
+
+class TestFactorGuard:
+    # Each case runs in a subprocess with a timeout, so a missing guard fails
+    # the test instead of hanging the suite.
+    @pytest.mark.parametrize("argv", [
+        [*CLASSIFY, "--delta1", "2^inf", "--delta2", "2^inf", "--amplify1", BIG_PRIME],
+        [*CLASSIFY, "--delta1", "2^inf", "--delta2", "2^inf", "--amplify2", BIG_PRIME],
+        [*CLASSIFY, "--delta1", BIG_PRIME, "--delta2", "2^inf"],
+        [*CLASSIFY, "--delta1", "2^inf", "--delta2", BIG_PRIME],
+        ["ktheory", "--sizes", "1,2", "--tail", f"{BIG_PRIME}^inf"],
+        ["ktheory", "--sizes", f"1,{BIG_PRIME}"],
+    ])
+    def test_large_prime_factor_is_budget_exit(self, argv):
+        done = subprocess.run([sys.executable, "-m", "bdlab.cli", *argv], capture_output=True, timeout=10)
+        err = done.stderr.decode()
+        assert done.returncode == 3 and done.stdout == b""
+        assert err.startswith("budget exceeded:") and err.count("\n") == 1
+
+    def test_prime_below_guard_squared_still_factors(self, capsys):
+        code, out, _ = run_cli(capsys, [*CLASSIFY, "--delta1", "1000000000039", "--delta2", "2^inf"])
+        assert code == 0 and json.loads(out)["left"]["delta"]["factors"] == {"1000000000039": 1}
+
+
 class TestDeterminism:
     def test_cached_parser_matches_fresh_parser(self, capsys, monkeypatch):
         calls = [

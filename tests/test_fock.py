@@ -1,6 +1,6 @@
 import pytest
 
-from bdlab.coeff import CircleFunction
+from bdlab.coeff import CircleFunction, FiniteCyclicFunction
 from bdlab.errors import MismatchError
 from bdlab.fock import (
     BlockMatrix,
@@ -114,6 +114,72 @@ class TestTrustRule:
             rhs = Y.star().compose(X.star())
             if min(lhs.trust, rhs.trust) >= 2:
                 assert lhs.agrees(rhs)
+
+    def test_trust_after_creation_and_its_adjoint(self, circle, rng):
+        K = 8
+        T = FockOperator.creation(circle, CircleFunction.z(), K)
+        assert (T.star() @ T).trust == K - 1
+        assert (T @ T.star()).trust == K
+        # a lowering right factor costs no trust, also below full depth
+        X = FockOperator(circle, K, sample_fock(circle, K, rng).entries, trust=5)
+        assert (X @ T.star()).trust == 5
+        assert (X @ T).trust == 4
+
+
+def loop_agrees(x, y):
+    """The entry-by-entry comparison on the joint trusted window, as an oracle."""
+    window = min(x.trust, y.trust)
+    for key in set(x.entries) | set(y.entries):
+        if max(key) >= window:
+            continue
+        a, b = x.entries.get(key), y.entries.get(key)
+        if a is None:
+            if not b.is_zero():
+                return False
+        elif b is None:
+            if not a.is_zero():
+                return False
+        elif not (a == b):
+            return False
+    return True
+
+
+class TestAgrees:
+    def test_differences_outside_the_window_are_ignored(self, cyclic3):
+        one, a = cyclic3.one(), FiniteCyclicFunction(3, map(Scalar.from_rational, (1, 2, 0)))
+        X = FockOperator(cyclic3, 6, {(0, 0): one, (1, 0): a, (4, 4): one}, trust=4)
+        Y = FockOperator(cyclic3, 6, {(0, 0): one, (1, 0): a, (4, 4): a, (5, 4): one})
+        assert X.agrees(Y) and Y.agrees(X)
+
+    def test_differing_entry_inside_the_window(self, cyclic3):
+        one, a = cyclic3.one(), FiniteCyclicFunction(3, map(Scalar.from_rational, (1, 2, 0)))
+        X = FockOperator(cyclic3, 6, {(0, 0): one, (1, 0): a}, trust=4)
+        Y = FockOperator(cyclic3, 6, {(0, 0): one, (1, 0): one})
+        assert not X.agrees(Y) and not Y.agrees(X)
+
+    def test_entry_on_one_side_only_inside_the_window(self, cyclic3):
+        one = cyclic3.one()
+        X = FockOperator(cyclic3, 6, {(0, 0): one}, trust=4)
+        Y = FockOperator(cyclic3, 6, {(0, 0): one, (3, 2): one})
+        assert not X.agrees(Y) and not Y.agrees(X)
+
+    def test_matches_loop_on_random_pairs(self, cyclic3, rng):
+        outcomes = set()
+        for _ in range(300):
+            X = sample_fock(cyclic3, 6, rng)
+            entries = dict(X.entries)
+            for _ in range(rng.randrange(3)):
+                key = (rng.randrange(6), rng.randrange(6))
+                if rng.random() < 0.5:
+                    entries.pop(key, None)
+                else:
+                    entries[key] = cyclic3.sample(rng)
+            X = FockOperator(cyclic3, 6, X.entries, trust=rng.randrange(7))
+            Y = FockOperator(cyclic3, 6, entries, trust=rng.randrange(7))
+            expected = loop_agrees(X, Y)
+            assert X.agrees(Y) == expected == Y.agrees(X)
+            outcomes.add(expected)
+        assert outcomes == {True, False}
 
 
 class TestEqId:

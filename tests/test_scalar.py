@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import bdlab.scalar as scalar_mod
 from bdlab.errors import BudgetError
-from bdlab.scalar import Scalar, cyclotomic_polynomial, euler_phi, parse_fraction
+from bdlab.scalar import Scalar, cyclotomic_polynomial, euler_phi, factorize, parse_fraction
 from numeric import scalar_value
 
 e = Scalar.root_of_unity
@@ -24,7 +25,7 @@ def poly_mul(a, b):
     return out
 
 
-@pytest.mark.parametrize("n", list(range(1, 31)) + [36, 60, 105])
+@pytest.mark.parametrize("n", list(range(1, 31)) + [36, 60, 105, 210, 1155, 2310])
 def test_cyclotomic_product_over_divisors(n):
     # oracle: prod_{d | n} Phi_d(x) = x^n - 1
     prod = [1]
@@ -34,6 +35,64 @@ def test_cyclotomic_product_over_divisors(n):
     expected = [-1] + [0] * (n - 1) + [1]
     assert prod == expected
     assert len(cyclotomic_polynomial(n)) - 1 == euler_phi(n)
+
+
+@functools.lru_cache(maxsize=None)
+def ref_cyclotomic(n):
+    """Phi_n as x^n - 1 divided by Phi_d for every proper divisor d."""
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            poly = scalar_mod._poly_div_exact(poly, ref_cyclotomic(d))
+    return tuple(poly)
+
+
+def test_cyclotomic_matches_divisor_division():
+    for n in range(1, 401):
+        assert cyclotomic_polynomial(n) == ref_cyclotomic(n), n
+
+
+def mobius(n):
+    factors = factorize(n)
+    return 0 if any(e > 1 for e in factors.values()) else (-1) ** len(factors)
+
+
+def test_cyclotomic_30030_at_two():
+    # Phi_n(2) = prod_{d | n} (2^d - 1)^mu(n/d), and deg Phi_n = phi(n)
+    n = 30030
+    poly = cyclotomic_polynomial(n)
+    num, den = 1, 1
+    for d in range(1, n + 1):
+        if n % d == 0:
+            mu = mobius(n // d)
+            if mu == 1:
+                num *= 2**d - 1
+            elif mu == -1:
+                den *= 2**d - 1
+    assert num % den == 0
+    assert sum(c << i for i, c in enumerate(poly)) == num // den
+    assert len(poly) - 1 == euler_phi(n) == 5760
+
+
+def test_euler_phi_counts_units():
+    for n in range(1, 401):
+        assert euler_phi(n) == sum(1 for a in range(1, n + 1) if math.gcd(a, n) == 1), n
+
+
+def test_factorize():
+    assert factorize(1) == {}
+    assert factorize(360) == {2: 3, 3: 2, 5: 1}
+    assert factorize(999983 * 1000003) == {999983: 1, 1000003: 1}
+    for n in range(1, 401):
+        assert math.prod(p**e for p, e in factorize(n).items()) == n
+    with pytest.raises(ValueError):
+        factorize(0)
+
+
+def test_factorize_budget():
+    # the cofactor is a prime near 10^18: trial division would run to 10^9
+    with pytest.raises(BudgetError, match="factoring"):
+        factorize(1000000000000000003)
 
 
 def test_add_examples():
