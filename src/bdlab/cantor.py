@@ -10,21 +10,20 @@ digit k-1 are invisible to them.  The crossed-product automorphism is
     sigma(f)(x) = alpha^(sign)(f(odometer^(-1)(x)))
 
 with sign = +1 for the tower of alpha and -1 for the tower of its inverse
-(``dual()`` swaps the two).  An OdometerElement is a finite sum
-sum_d f_d U^d with the relations U f U* = sigma(f), multiplied by promoting
-operands to a common depth first:
+(``dual()`` swaps the two).  An OdometerElement is a finite sum of terms
+a delta_j U^d, with delta_j the indicator of depth-k cylinder j and the
+relations U f U* = sigma(f).  It is stored as one sparse dict
+{(d, j): a} of the nonzero values, because rho images and the indicators of
+coefficient extraction are mostly zero.  Operands are promoted to a common
+depth first (cylinder j splits into j + t n_k below n_(k')), and on terms
 
-    (f U^d)(g U^e) = f * sigma^d(g) U^(d+e).
+    (a delta_j U^d)(b delta_i U^e) = a alpha^(sign d)(b) delta_j U^(d+e)
 
-Cylinder functions are stored sparsely, as a dict from index to nonzero
-value, because rho images and the indicators of coefficient extraction are
-mostly zero.  Each operation walks only the support; promotion copies it to
-every index j + t n_k below n_(k').  ``f.times_shifted(g, d)`` is the product
-f * sigma^d(g) of the rule above: sigma^d(g) at i is alpha^(sign*d) of g at
-i - d, and the product vanishes wherever f or that value does, so alpha is
-applied only to the values of g that land on the support of f.  The dense
-table (``values``, zeros filled by ``coeff.zero()``) is rebuilt only for
-JSON and repr, so serialized forms are unchanged.
+when i = j - d mod n_k, and 0 otherwise, so alpha is applied only to the
+values that meet.  Star, sigma^d, psi and rho are key maps with alpha on
+the moved values.  The dense table of each U-degree, zeros filled by
+``coeff.zero()``, is rebuilt only for JSON, so serialized forms are those
+of a list of cylinder functions.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from .errors import MismatchError
 from .limits import _stage_generators, check_divisibility_chain, gamma
 from .report import Report, case_rng
 from .scalar import Scalar
-from .sparse import Subtraction, add_entries, convolve_entries, equal_entries
+from .sparse import Subtraction, add_entries, equal_entries, exponent_from_key, json_int
 
 
 @dataclass(frozen=True)
@@ -129,170 +128,62 @@ class OdometerAlgebra:
         """The same functions crossed by sigma' (alpha replaced by its inverse)."""
         return replace(self, alpha_sign=-self.alpha_sign)
 
-    def constant(self, a, depth: int) -> CylinderFunction:
-        return CylinderFunction(self, depth, (a,) * self.stages.size(depth))
+    def twist(self, a, d: int):
+        """alpha^(sign*d)(a), the value that sigma^d carries along; alpha is not applied at d = 0."""
+        return self.coeff.alpha_power(a, self.alpha_sign * d) if d else a
 
-    def indicator(self, index: int, depth: int, value=None) -> CylinderFunction:
+    def function(self, values, depth: int) -> OdometerElement:
+        """The cylinder function with values[j] on depth-``depth`` cylinder j."""
+        values = tuple(values)
+        n = self.stages.size(depth)
+        if len(values) != n:
+            raise MismatchError(f"depth-{depth} cylinder function needs {n} values")
+        return OdometerElement(self, {(0, j): v for j, v in enumerate(values)}, depth)
+
+    def constant(self, a, depth: int) -> OdometerElement:
+        return self.function((a,) * self.stages.size(depth), depth)
+
+    def indicator(self, index: int, depth: int, value=None) -> OdometerElement:
         value = self.coeff.one() if value is None else value
-        support = {} if value.is_zero() else {index % self.stages.size(depth): value}
-        return CylinderFunction._of(self, depth, support)
+        return OdometerElement(self, {(0, index % self.stages.size(depth)): value}, depth)
 
     def unit(self, depth: int = 1) -> OdometerElement:
-        return OdometerElement(self, {0: self.constant(self.coeff.one(), depth)})
+        return self.u_power(0, depth)
 
     def u_power(self, exponent: int, depth: int = 1) -> OdometerElement:
-        return OdometerElement(self, {exponent: self.constant(self.coeff.one(), depth)})
+        one = self.coeff.one()
+        return OdometerElement(self, {(exponent, j): one for j in range(self.stages.size(depth))}, depth)
 
-    def element(self, f: CylinderFunction, exponent: int = 0) -> OdometerElement:
-        return OdometerElement(self, {exponent: f})
-
-    def zero(self, depth: int = 1) -> OdometerElement:
-        return OdometerElement(self, {}, depth=depth)
-
-    def sample_function(self, rng: random.Random, depth: int) -> CylinderFunction:
+    def sample_function(self, rng: random.Random, depth: int) -> OdometerElement:
         n = self.stages.size(depth)
-        values = [
-            self.coeff.sample(rng) if rng.random() < 0.7 else self.coeff.zero()
-            for _ in range(n)
-        ]
-        return CylinderFunction(self, depth, values)
+        return self.function(
+            (self.coeff.sample(rng) if rng.random() < 0.7 else self.coeff.zero() for _ in range(n)), depth
+        )
 
 
-class CylinderFunction(Subtraction):
-    """A function on the Cantor set depending on the first depth-1 digits.
+class OdometerElement(Subtraction):
+    """A finite sum of terms a delta_j U^d, stored as {(d, j): a} without zero values."""
 
-    Stored sparsely: ``support`` maps an index j in [0, n_k) to the value at
-    cylinder j, for the nonzero values only, so every operation walks the
-    support instead of all n_k cylinders.  ``values`` rebuilds the dense
-    table, with ``coeff.zero()`` off the support, for serialization.
-    """
+    __slots__ = ("algebra", "depth", "terms")
 
-    __slots__ = ("algebra", "depth", "support")
-
-    def __init__(self, algebra: OdometerAlgebra, depth: int, values):
-        values = tuple(values)
-        if len(values) != algebra.stages.size(depth):
-            raise MismatchError(f"depth-{depth} cylinder function needs {algebra.stages.size(depth)} values")
+    def __init__(self, algebra: OdometerAlgebra, terms: dict, depth: int = 1):
         self.algebra = algebra
         self.depth = depth
-        self.support = {j: v for j, v in enumerate(values) if not v.is_zero()}
-
-    @classmethod
-    def _of(cls, algebra: OdometerAlgebra, depth: int, support: dict) -> CylinderFunction:
-        """Wrap a support dict that holds no zero value."""
-        f = cls.__new__(cls)
-        f.algebra, f.depth, f.support = algebra, depth, support
-        return f
+        self.terms = {key: a for key, a in terms.items() if not a.is_zero()}
 
     @property
     def size(self) -> int:
         return self.algebra.stages.size(self.depth)
 
-    @property
-    def values(self) -> tuple:
-        zero = self.algebra.coeff.zero()
-        return tuple(self.support.get(j, zero) for j in range(self.size))
-
-    def _aligned(self, other: CylinderFunction) -> tuple[CylinderFunction, CylinderFunction]:
-        if self.algebra is not other.algebra and self.algebra != other.algebra:
-            raise MismatchError("cylinder functions from different algebras")
-        depth = max(self.depth, other.depth)
-        return self.promote(depth), other.promote(depth)
-
-    def promote(self, depth: int) -> CylinderFunction:
+    def promote(self, depth: int) -> OdometerElement:
+        """The same element on depth-``depth`` cylinders: cylinder j splits into j + t n_k."""
         if depth < self.depth:
             raise MismatchError("promotion must not decrease depth")
         if depth == self.depth:
             return self
         n_old, n_new = self.size, self.algebra.stages.size(depth)
-        support = {j + t: v for t in range(0, n_new, n_old) for j, v in self.support.items()}
-        return CylinderFunction._of(self.algebra, depth, support)
-
-    def shifted(self, d: int) -> CylinderFunction:
-        """sigma^d: indices shift by +d mod n_k, alpha^(sign*d) entrywise."""
-        if d == 0:
-            return self
-        n, alg = self.size, self.algebra
-        power = alg.alpha_sign * d
-        support = {(j + d) % n: alg.coeff.alpha_power(v, power) for j, v in self.support.items()}
-        return CylinderFunction._of(alg, self.depth, support)
-
-    def times_shifted(self, g: CylinderFunction, d: int) -> CylinderFunction:
-        """self * g.shifted(d), applying alpha only to values of g that meet self's support.
-
-        sigma^d(g) at index i is alpha^(sign*d)(g at i - d), so the product
-        at i is nonzero only if i is in self's support and i - d in g's; the
-        other shifted values would be multiplied by zero.
-        """
-        f, g = self._aligned(g)
-        n, alg = f.size, f.algebra
-        power = alg.alpha_sign * d
-        out = {}
-        for i, x in f.support.items():
-            y = g.support.get((i - d) % n)
-            if y is not None:
-                v = x * (alg.coeff.alpha_power(y, power) if d else y)
-                if not v.is_zero():
-                    out[i] = v
-        return CylinderFunction._of(alg, f.depth, out)
-
-    def flip_compose(self) -> CylinderFunction:
-        """f circle g, with g the digit complement: index j -> n_k - 1 - j."""
-        n = self.size
-        return CylinderFunction._of(self.algebra, self.depth, {n - 1 - j: v for j, v in self.support.items()})
-
-    def is_zero(self) -> bool:
-        return not self.support
-
-    def __add__(self, other: CylinderFunction) -> CylinderFunction:
-        a, b = self._aligned(other)
-        support = add_entries(a.support, b.support)
-        return CylinderFunction._of(self.algebra, a.depth, {j: v for j, v in support.items() if not v.is_zero()})
-
-    def __neg__(self) -> CylinderFunction:
-        return CylinderFunction._of(self.algebra, self.depth, {j: -v for j, v in self.support.items()})
-
-    def __mul__(self, other: CylinderFunction) -> CylinderFunction:
-        return self.times_shifted(other, 0)
-
-    def star(self) -> CylinderFunction:
-        return CylinderFunction._of(self.algebra, self.depth, {j: v.star() for j, v in self.support.items()})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CylinderFunction):
-            return NotImplemented
-        a, b = self._aligned(other)
-        return equal_entries(a.support, b.support)
-
-    def to_json(self) -> dict:
-        return {"depth": self.depth, "values": [v.to_json() for v in self.values]}
-
-    def __repr__(self) -> str:
-        return f"Cyl(depth={self.depth}, {list(self.values)!r})"
-
-
-class OdometerElement(Subtraction):
-    """A finite sum  sum_d f_d U^d  with depth-aligned cylinder coefficients."""
-
-    __slots__ = ("algebra", "depth", "coeffs")
-
-    def __init__(self, algebra: OdometerAlgebra, coeffs: dict | None = None, *, depth: int = 1):
-        coeffs = dict(coeffs or {})
-        depth = max([depth] + [f.depth for f in coeffs.values()])
-        self.algebra = algebra
-        self.depth = depth
-        self.coeffs = {}
-        for d, f in coeffs.items():
-            if f.algebra is not algebra and f.algebra != algebra:
-                raise MismatchError("coefficient from a different odometer algebra")
-            f = f.promote(depth)
-            if not f.is_zero():
-                self.coeffs[d] = f
-
-    def promote(self, depth: int) -> OdometerElement:
-        if depth == self.depth:
-            return self
-        return OdometerElement(self.algebra, {d: f.promote(depth) for d, f in self.coeffs.items()}, depth=depth)
+        terms = {(d, j + t): a for t in range(0, n_new, n_old) for (d, j), a in self.terms.items()}
+        return OdometerElement(self.algebra, terms, depth)
 
     def _align(self, other: OdometerElement) -> tuple[OdometerElement, OdometerElement, int]:
         if self.algebra is not other.algebra and self.algebra != other.algebra:
@@ -301,83 +192,101 @@ class OdometerElement(Subtraction):
         return self.promote(depth), other.promote(depth), depth
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.terms
 
     def __add__(self, other: OdometerElement) -> OdometerElement:
         a, b, depth = self._align(other)
-        return OdometerElement(self.algebra, add_entries(a.coeffs, b.coeffs), depth=depth)
+        return OdometerElement(self.algebra, add_entries(a.terms, b.terms), depth)
 
     def __neg__(self) -> OdometerElement:
-        return OdometerElement(self.algebra, {d: -f for d, f in self.coeffs.items()}, depth=self.depth)
+        return OdometerElement(self.algebra, {key: -a for key, a in self.terms.items()}, self.depth)
 
     def __mul__(self, other: OdometerElement) -> OdometerElement:
+        """(a delta_j U^d)(b delta_i U^e) = a sigma^d(b) delta_j U^(d+e) if i = j - d mod n_k, else 0.
+
+        Uncapped: rho sends u^l to U^(n_k l), so U-degrees scale with the stage size.
+        """
         a, b, depth = self._align(other)
-        # uncapped: rho sends u^l to U^(n_k l), so U-degrees scale with the stage size
-        out = convolve_entries(a.coeffs, b.coeffs, lambda d, f, g: f.times_shifted(g, d), None)
-        return OdometerElement(self.algebra, out, depth=depth)
+        n = a.size
+        by_cylinder: dict = {}
+        for (e, i), y in b.terms.items():
+            by_cylinder.setdefault(i, []).append((e, y))
+        out: dict = {}
+        for (d, j), x in a.terms.items():
+            for e, y in by_cylinder.get((j - d) % n, ()):
+                prod = x * self.algebra.twist(y, d)
+                key = (d + e, j)
+                out[key] = out[key] + prod if key in out else prod
+        return OdometerElement(self.algebra, out, depth)
+
+    def shifted(self, d: int) -> OdometerElement:
+        """sigma^d on every coefficient: cylinder j moves to j + d mod n_k, values by alpha^(sign*d)."""
+        n = self.size
+        terms = {(e, (j + d) % n): self.algebra.twist(a, d) for (e, j), a in self.terms.items()}
+        return OdometerElement(self.algebra, terms, self.depth)
 
     def star(self) -> OdometerElement:
-        return OdometerElement(
-            self.algebra,
-            {-d: f.star().shifted(-d) for d, f in self.coeffs.items()},
-            depth=self.depth,
-        )
+        """(a delta_j U^d)* = sigma^(-d)(a* delta_j) U^(-d)."""
+        n = self.size
+        terms = {(-d, (j - d) % n): self.algebra.twist(a.star(), -d) for (d, j), a in self.terms.items()}
+        return OdometerElement(self.algebra, terms, self.depth)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OdometerElement):
             return NotImplemented
         a, b, _ = self._align(other)
-        return equal_entries(a.coeffs, b.coeffs)
+        return equal_entries(a.terms, b.terms)
 
     def state(self) -> Scalar:
         """The canonical tracial state: average of trace0 over the U^0 coefficient."""
-        f = self.coeffs.get(0)
-        if f is None:
-            return Scalar.zero()
         total = Scalar.zero()
-        for v in f.support.values():
-            total = total + self.algebra.coeff.trace0(v)
-        return Fraction(1, f.size) * total
+        for (d, _), a in self.terms.items():
+            if d == 0:
+                total = total + self.algebra.coeff.trace0(a)
+        return Fraction(1, self.size) * total
 
     def to_json(self) -> dict:
+        zero, n = self.algebra.coeff.zero(), self.size
+        rows: dict = {}
+        for (d, j), a in self.terms.items():
+            rows.setdefault(d, [zero] * n)[j] = a
         return {
             "depth": self.depth,
-            "coeffs": {f"U:{d}": self.coeffs[d].to_json() for d in sorted(self.coeffs)},
+            "coeffs": {f"U:{d}": {"depth": self.depth, "values": [v.to_json() for v in rows[d]]}
+                       for d in sorted(rows)},
         }
 
     @staticmethod
     def from_json(data: dict, algebra: OdometerAlgebra) -> OdometerElement:
-        depth = int(data["depth"])
+        depth = json_int(data, "depth")
         if not 1 <= depth <= algebra.stages.depth:
             raise ValueError(f"odometer depth {depth} outside 1..{algebra.stages.depth}")
-        coeffs = {}
-        for key, val in data.get("coeffs", {}).items():
-            if not key.startswith("U:"):
-                raise ValueError(f"bad odometer key {key!r}")
-            cf = CylinderFunction(
-                algebra, int(val["depth"]), (algebra.coeff.element_from_json(v) for v in val["values"])
-            )
-            coeffs[int(key[2:])] = cf
-        return OdometerElement(algebra, coeffs, depth=depth)
+        # each coefficient is read at its own depth and promoted to the deepest one
+        rows = [(exponent_from_key(key, "U"),
+                 algebra.function((algebra.coeff.element_from_json(v) for v in val["values"]), json_int(val, "depth")))
+                for key, val in data.get("coeffs", {}).items()]
+        depth = max([depth] + [f.depth for _, f in rows])
+        terms = {(d, j): a for d, f in rows for (_, j), a in f.promote(depth).terms.items()}
+        return OdometerElement(algebra, terms, depth)
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self.terms:
             return "0"
-        return " + ".join(f"({self.coeffs[d]!r})*U^{d}" if d else f"({self.coeffs[d]!r})" for d in sorted(self.coeffs))
+        return " + ".join(f"({self.terms[d, j]!r})*delta_{j}*U^{d}" for d, j in sorted(self.terms))
 
 
 def rho(algebra: OdometerAlgebra, stage: int, X: MatrixElement) -> OdometerElement:
-    """The stage isomorphism: a u^l e_{i,j} -> sigma^(-i)(a delta_0) U^(j - i + n_k l)."""
+    """The stage isomorphism: a u^l e_{i,j} -> sigma^(-i)(a delta_0) U^(j - i + n_k l).
+
+    sigma^(-i)(a delta_0) is alpha^(-sign*i)(a) on cylinder -i mod n_k, and distinct
+    (i, j, l) land on distinct (U-degree, cylinder) keys, so no two terms add.
+    """
     n = algebra.stages.size(stage)
     if X.size != n or X.power != algebra.alpha_sign * n or X.algebra != algebra.coeff:
         raise MismatchError(f"expected a size-{n} stage element over the coefficient algebra")
-    out: dict[int, CylinderFunction] = {}
-    for (i, j), x in X.entries.items():
-        for l, a in x.coeffs.items():
-            f = algebra.indicator(0, stage, a).shifted(-i)
-            d = j - i + n * l
-            out[d] = out[d] + f if d in out else f
-    return OdometerElement(algebra, out, depth=stage)
+    terms = {(j - i + n * l, -i % n): algebra.twist(a, -i)
+             for (i, j), x in X.entries.items() for l, a in x.coeffs.items()}
+    return OdometerElement(algebra, terms, stage)
 
 
 def rho_extract(algebra: OdometerAlgebra, stage: int, Y: OdometerElement, p: int, q: int) -> CrossedElement | None:
@@ -388,32 +297,20 @@ def rho_extract(algebra: OdometerAlgebra, stage: int, Y: OdometerElement, p: int
     Returns None if the result is not of that shape.
     """
     n = algebra.stages.size(stage)
-    Y = Y.promote(max(stage, Y.depth))
-    left = algebra.u_power(p, stage) * algebra.element(algebra.indicator(n - p, stage))
-    right = algebra.element(algebra.indicator(n - q, stage)) * algebra.u_power(-q, stage)
+    left = algebra.u_power(p, stage) * algebra.indicator(n - p, stage)
+    right = algebra.indicator(n - q, stage) * algebra.u_power(-q, stage)
     Z = left * Y * right
-    coeffs = {}
-    for d, f in Z.coeffs.items():
-        if d % n != 0:
-            return None
-        # the coefficient must be (a at cylinder 0) promoted: the support is
-        # every index = 0 mod n, all with the same value
-        value = f.support.get(0)
-        if value is None or len(f.support) != f.size // n:
-            return None
-        if any(idx % n or v != value for idx, v in f.support.items()):
-            return None
-        coeffs[d // n] = value
-    return CrossedElement(algebra.coeff, algebra.alpha_sign * n, coeffs)
+    # the shape: every U-degree a multiple of n, each value a_l on the stage cylinder 0 promoted
+    head = {(d, 0): a for (d, j), a in Z.terms.items() if j == 0}
+    if any(d % n for d, _ in head) or not OdometerElement(algebra, head, stage).promote(Z.depth) == Z:
+        return None
+    return CrossedElement(algebra.coeff, algebra.alpha_sign * n, {d // n: a for (d, _), a in head.items()})
 
 
 def psi_map(x: OdometerElement) -> OdometerElement:
-    """The flip intertwiner: f U^d -> (f circle g) V^(-d) into the dual algebra."""
-    dual = x.algebra.dual()
-    out = {}
-    for d, f in x.coeffs.items():
-        out[-d] = CylinderFunction._of(dual, f.depth, f.flip_compose().support)
-    return OdometerElement(dual, out, depth=x.depth)
+    """The flip intertwiner: a delta_j U^d -> a delta_(n_k - 1 - j) V^(-d) into the dual algebra."""
+    n = x.size
+    return OdometerElement(x.algebra.dual(), {(-d, n - 1 - j): a for (d, j), a in x.terms.items()}, x.depth)
 
 
 def verify_rho_homomorphism(algebra: OdometerAlgebra, stage: int, seed: int, count: int,
@@ -490,10 +387,9 @@ def verify_psi_flip(algebra: OdometerAlgebra, stage: int, seed: int, count: int)
     report = Report("psi-flip", config={"sizes": list(algebra.stages.sizes), "stage": stage,
                                         "algebra": algebra.coeff.tag(), "seed": seed, "count": count})
 
-    def both_sides(f: CylinderFunction) -> tuple[OdometerElement, OdometerElement]:
-        psi_f = psi_map(algebra.element(f))
-        lhs = dual.u_power(-1, stage) * psi_f * dual.u_power(1, stage)
-        rhs = psi_map(algebra.element(f.shifted(1)))
+    def both_sides(f: OdometerElement) -> tuple[OdometerElement, OdometerElement]:
+        lhs = dual.u_power(-1, stage) * psi_map(f) * dual.u_power(1, stage)
+        rhs = psi_map(f.shifted(1))
         return lhs, rhs
 
     lhs, rhs = both_sides(algebra.constant(algebra.coeff.one(), stage))
@@ -513,9 +409,9 @@ def verify_gk_generation(algebra: OdometerAlgebra) -> Report:
                                              "algebra": algebra.coeff.tag()})
     for stage in range(1, algebra.stages.depth + 1):
         n = algebra.stages.size(stage)
-        delta0 = algebra.element(algebra.indicator(0, stage))
+        delta0 = algebra.indicator(0, stage)
         U = algebra.u_power(1, stage)
-        total = algebra.zero(stage)
+        total = OdometerElement(algebra, {}, stage)
         for j in range(n - 1):
             total = total + algebra.u_power(j + 1, stage) * delta0 * algebra.u_power(j, stage).star()
         corner = (delta0 * algebra.u_power(n, stage) * delta0) * (delta0 * algebra.u_power(n - 1, stage).star())

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .errors import MismatchError
 from .scalar import Scalar, format_fraction, parse_fraction
-from .sparse import DEGREE_CAP, Subtraction, add_entries, convolve_entries, equal_entries
+from .sparse import Subtraction, add_entries, convolve_entries, equal_entries, exponent_from_key, json_int
 
 #: Distinct alpha-phase exponents memoized per CircleRotation.
 PHASE_CACHE_SIZE = 1024
@@ -119,7 +119,7 @@ class CircleFunction(Subtraction):
         return CircleFunction({m: -c for m, c in self.coeffs.items()})
 
     def __mul__(self, other: CircleFunction) -> CircleFunction:
-        return CircleFunction(convolve_entries(self.coeffs, other.coeffs, lambda _, a, b: a * b, DEGREE_CAP, "z"))
+        return CircleFunction(convolve_entries(self.coeffs, other.coeffs, lambda _, a, b: a * b, "z"))
 
     def star(self) -> CircleFunction:
         return CircleFunction({-m: c.star() for m, c in self.coeffs.items()})
@@ -134,12 +134,7 @@ class CircleFunction(Subtraction):
 
     @staticmethod
     def from_json(data: dict) -> CircleFunction:
-        coeffs = {}
-        for key, val in data.items():
-            if not key.startswith("z:"):
-                raise ValueError(f"bad circle-function key {key!r}")
-            coeffs[int(key[2:])] = Scalar.from_json(val)
-        return CircleFunction(coeffs)
+        return CircleFunction({exponent_from_key(key, "z"): Scalar.from_json(val) for key, val in data.items()})
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -198,7 +193,7 @@ class FiniteCyclicFunction(Subtraction):
 
     @staticmethod
     def from_json(data: dict) -> FiniteCyclicFunction:
-        return FiniteCyclicFunction(int(data["d"]), (Scalar.from_json(v) for v in data["values"]))
+        return FiniteCyclicFunction(json_int(data, "d"), (Scalar.from_json(v) for v in data["values"]))
 
     def __repr__(self) -> str:
         return f"FiniteCyclicFunction({self.modulus}, {list(self.values)!r})"
@@ -242,7 +237,7 @@ class CoefficientAlgebra(ABC):
         if kind == "circle":
             return CircleRotation(Angle.from_json(data["angle"]))
         if kind == "cyclic":
-            return FiniteCyclicShift(int(data["d"]))
+            return FiniteCyclicShift(json_int(data, "d"))
         raise ValueError(f"unknown algebra tag {data!r}")
 
 

@@ -31,7 +31,7 @@ from fractions import Fraction
 from .coeff import CoefficientAlgebra
 from .errors import MismatchError
 from .scalar import Scalar
-from .sparse import DEGREE_CAP, Subtraction, add_entries, convolve_entries, equal_entries, mul_entries
+from .sparse import Subtraction, add_entries, convolve_entries, equal_entries, exponent_from_key, json_int, mul_entries
 
 
 class CrossedElement(Subtraction):
@@ -82,7 +82,7 @@ class CrossedElement(Subtraction):
     def __mul__(self, other: CrossedElement) -> CrossedElement:
         self._check(other)
         alg, n = self.algebra, self.power
-        out = convolve_entries(self.coeffs, other.coeffs, lambda l, a, b: a * alg.alpha_power(b, n * l), DEGREE_CAP)
+        out = convolve_entries(self.coeffs, other.coeffs, lambda l, a, b: a * alg.alpha_power(b, n * l))
         return CrossedElement(alg, n, out)
 
     def star(self) -> CrossedElement:
@@ -116,12 +116,9 @@ class CrossedElement(Subtraction):
     def from_json(data: dict, algebra: CoefficientAlgebra | None = None) -> CrossedElement:
         if algebra is None:
             algebra = CoefficientAlgebra.from_tag(data["algebra"])
-        coeffs = {}
-        for key, val in data.get("coeffs", {}).items():
-            if not key.startswith("u:"):
-                raise ValueError(f"bad crossed-element key {key!r}")
-            coeffs[int(key[2:])] = algebra.element_from_json(val)
-        return CrossedElement(algebra, int(data["n"]), coeffs)
+        coeffs = {exponent_from_key(key, "u"): algebra.element_from_json(val)
+                  for key, val in data.get("coeffs", {}).items()}
+        return CrossedElement(algebra, json_int(data, "n"), coeffs)
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -239,7 +236,7 @@ class MatrixElement(Subtraction):
 
     @staticmethod
     def from_json(data: dict, algebra: CoefficientAlgebra | None = None) -> MatrixElement:
-        size = int(data["size"])
+        size = json_int(data, "size")
         rows = data["entries"]
         entries = {}
         power = None

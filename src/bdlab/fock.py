@@ -277,12 +277,20 @@ def theta_block_map(algebra: CoefficientAlgebra, n: int, m: int, kind: str, elem
     return BlockMatrix(algebra, k, depth, entries, step=m)
 
 
+def compact_remainder(algebra: CoefficientAlgebra, a, c, ac, depth: int, step: int = 1) -> FockOperator:
+    """phi(a c*) - T(alpha^step(a)) T(alpha^step(c))* on the Fock space of alpha^step.
+
+    ``ac`` is the product a c*, which every caller uses again for the other side.
+    """
+    return FockOperator.phi(algebra, ac, depth, step=step) - FockOperator.creation(
+        algebra, algebra.alpha_power(a, step), depth, step=step
+    ).compose(FockOperator.creation(algebra, algebra.alpha_power(c, step), depth, step=step).star())
+
+
 def eq_id_sides(algebra: CoefficientAlgebra, a, c, depth: int) -> tuple[FockOperator, FockOperator]:
     """Both sides of phi(a c*) - T(alpha(a)) T(alpha(c))* = phi(a c*) P0."""
     ac = a * c.star()
-    lhs = FockOperator.phi(algebra, ac, depth) - FockOperator.creation(
-        algebra, algebra.alpha_power(a, 1), depth
-    ).compose(FockOperator.creation(algebra, algebra.alpha_power(c, 1), depth).star())
+    lhs = compact_remainder(algebra, a, c, ac, depth)
     rhs = FockOperator.phi(algebra, ac, depth).compose(FockOperator.projection0(algebra, depth))
     return lhs, rhs
 
@@ -347,16 +355,12 @@ def verify_weighted_blocks(algebra: CoefficientAlgebra, period: int, seed: int, 
 
 def compact_preservation_sides(algebra: CoefficientAlgebra, n: int, m: int, a, c, depth: int) -> tuple[BlockMatrix, BlockMatrix]:
     """theta of the compact remainder at period n versus the corner remainder at period m."""
-    k = m // n
     ac = a * c.star()
     lhs = theta_block_map(algebra, n, m, "phi", ac, depth) - (
         theta_block_map(algebra, n, m, "creation", algebra.alpha_power(a, n), depth)
         * theta_block_map(algebra, n, m, "creation", algebra.alpha_power(c, n), depth).star()
     )
-    corner = FockOperator.phi(algebra, ac, depth, step=m) - FockOperator.creation(
-        algebra, algebra.alpha_power(a, m), depth, step=m
-    ).compose(FockOperator.creation(algebra, algebra.alpha_power(c, m), depth, step=m).star())
-    rhs = BlockMatrix(algebra, k, depth, {(0, 0): corner}, step=m)
+    rhs = BlockMatrix(algebra, m // n, depth, {(0, 0): compact_remainder(algebra, a, c, ac, depth, m)}, step=m)
     return lhs, rhs
 
 

@@ -8,15 +8,15 @@ where that is written out.  None of ``add_entries``, ``mul_entries`` and
 ``convolve_entries`` prunes zeros: the constructor of the type that receives
 the dict does.
 
-The three algebras with Laurent coefficients multiply by one rule,
+The two algebras with Laurent coefficients multiply by one rule,
 
     (a u^l)(b u^r) = a * twist^l(b) * u^(l+r),
 
-with the twist the identity on C(T), alpha^n on the stage algebra
-A x_(alpha^n) Z and sigma on the odometer crossed product.
-``convolve_entries`` is that rule with the twisted product ``mul(l, a, b)``
-supplied by the caller.  Exponents above ``DEGREE_CAP`` in absolute value are
-rejected when a cap is given; the odometer product passes none.
+with the twist the identity on C(T) and alpha^n on the stage algebra
+A x_(alpha^n) Z.  ``convolve_entries`` is that rule with the twisted product
+``mul(l, a, b)`` supplied by the caller; exponents above ``DEGREE_CAP`` in
+absolute value are rejected.  The odometer crossed product keys its terms by
+(U-degree, cylinder) and multiplies them in ``cantor``, uncapped.
 
 Because the constructors drop exact-zero entries, two elements are equal
 exactly when their dicts have the same keys and equal entries under each key
@@ -24,6 +24,11 @@ exactly when their dicts have the same keys and equal entries under each key
 ``__eq__``, and the Fock layer's ``agrees`` on its trusted window, compare
 entries in place instead of building the difference.  ``shuffled_entries``
 is the canonical shuffle M_p(M_n) -> M_(pn) of matrices and block matrices.
+
+In element JSON an exponent dict is keyed ``<symbol>:<exponent>``.
+``exponent_from_key`` accepts a key only in exactly that spelling, so that
+two keys cannot name the same exponent, and ``json_int`` admits only a JSON
+integer where an element stores a size, a twist or a depth.
 """
 
 from __future__ import annotations
@@ -79,18 +84,37 @@ def mul_entries(a: dict, b: dict, mul: Callable) -> dict:
     return out
 
 
-def convolve_entries(a: dict, b: dict, mul: Callable, cap: int | None, symbol: str = "u") -> dict:
+def convolve_entries(a: dict, b: dict, mul: Callable, symbol: str = "u") -> dict:
     """Laurent product of two exponent dicts: mul(l, x, y) lands at l + r.
 
     Raises BudgetError, naming the ``symbol``-degree, as soon as some
-    |l + r| exceeds ``cap``; ``cap=None`` leaves the degree unbounded.
+    |l + r| exceeds ``DEGREE_CAP``.
     """
     out: dict = {}
     for l, x in a.items():
         for r, y in b.items():
             e = l + r
-            if cap is not None and abs(e) > cap:
-                raise BudgetError(f"{symbol}-degree {e} exceeds cap {cap}")
+            if abs(e) > DEGREE_CAP:
+                raise BudgetError(f"{symbol}-degree {e} exceeds cap {DEGREE_CAP}")
             prod = mul(l, x, y)
             out[e] = out[e] + prod if e in out else prod
     return out
+
+
+def exponent_from_key(key: str, symbol: str) -> int:
+    """The exponent of the JSON key ``<symbol>:<exponent>``, spelled as ``to_json`` spells it."""
+    try:
+        exponent = int(key.removeprefix(symbol + ":"))
+    except ValueError:
+        exponent = None
+    if key != f"{symbol}:{exponent}":
+        raise ValueError(f"bad {symbol}-exponent key {key!r}")
+    return exponent
+
+
+def json_int(data: dict, field: str) -> int:
+    """``data[field]``, which must be a JSON integer: not a float, a bool or a string."""
+    value = data[field]
+    if type(value) is not int:
+        raise ValueError(f"{field!r} must be an integer, got {type(value).__name__}")
+    return value

@@ -1,7 +1,8 @@
+import operator
+
 import pytest
 
 from bdlab.cantor import (
-    CylinderFunction,
     OdometerAlgebra,
     OdometerElement,
     StageSequence,
@@ -27,10 +28,6 @@ class DenseCylinder:
     def __init__(self, algebra, depth, values):
         self.algebra, self.depth, self.values = algebra, depth, tuple(values)
         assert len(self.values) == algebra.stages.size(depth)
-
-    @staticmethod
-    def of(f):
-        return DenseCylinder(f.algebra, f.depth, f.values)
 
     def _aligned(self, other):
         depth = max(self.depth, other.depth)
@@ -68,32 +65,62 @@ class DenseCylinder:
     def star(self):
         return DenseCylinder(self.algebra, self.depth, (v.star() for v in self.values))
 
-    def __eq__(self, other):
-        a, b = self._aligned(other)
-        return all(x == y for x, y in zip(a.values, b.values))
-
     def to_json(self):
         return {"depth": self.depth, "values": [v.to_json() for v in self.values]}
 
 
+def dense(x):
+    """x as U-degree -> DenseCylinder, read back from its JSON (one dense table per U-degree)."""
+    coeff = x.algebra.coeff
+    return {int(key[2:]): DenseCylinder(x.algebra, f["depth"], (coeff.element_from_json(v) for v in f["values"]))
+            for key, f in x.to_json()["coeffs"].items()}
+
+
+def dense_json(depth, coeffs):
+    """The element JSON of U-degree -> DenseCylinder, zero coefficients dropped."""
+    return {"depth": depth,
+            "coeffs": {f"U:{d}": coeffs[d].to_json() for d in sorted(coeffs) if not coeffs[d].is_zero()}}
+
+
 def dense_odometer_mul(x, y):
-    """sum_(d,e) f_d * sigma^d(g_e) U^(d+e), densely, as JSON with zero coefficients dropped."""
+    """sum_(d,e) f_d * sigma^d(g_e) U^(d+e), densely."""
     depth = max(x.depth, y.depth)
     out = {}
-    for d, f in x.coeffs.items():
-        for e, g in y.coeffs.items():
-            term = DenseCylinder.of(f).promote(depth) * DenseCylinder.of(g).promote(depth).shifted(d)
+    for d, f in dense(x).items():
+        for e, g in dense(y).items():
+            term = f.promote(depth) * g.promote(depth).shifted(d)
             out[d + e] = out[d + e] + term if d + e in out else term
-    return {"depth": depth,
-            "coeffs": {f"U:{k}": out[k].to_json() for k in sorted(out) if not out[k].is_zero()}}
+    return dense_json(depth, out)
 
 
-def assert_matches_dense(f, dense):
-    """Same depth, equal values, the same JSON, and a support of exactly the nonzero values."""
-    assert isinstance(f, CylinderFunction) and f.depth == dense.depth
-    assert all(x == y for x, y in zip(f.values, dense.values))
-    assert f.to_json() == dense.to_json()
-    assert f.support.keys() == {j for j, v in enumerate(dense.values) if not v.is_zero()}
+def dense_sum(x, y, op):
+    """op (add or sub) of x and y, U-degree by U-degree, densely."""
+    depth = max(x.depth, y.depth)
+    zero = DenseCylinder(x.algebra, depth, [x.algebra.coeff.zero()] * x.algebra.stages.size(depth))
+    X = {d: f.promote(depth) for d, f in dense(x).items()}
+    Y = {d: f.promote(depth) for d, f in dense(y).items()}
+    return dense_json(depth, {d: op(X.get(d, zero), Y.get(d, zero)) for d in X.keys() | Y.keys()})
+
+
+def assert_matches_dense(x, expected):
+    """x serializes as the dense oracle's result and stores no zero value."""
+    assert x.to_json() == expected
+    assert not any(a.is_zero() for a in x.terms.values())
+
+
+def with_degrees(odo, pairs):
+    """sum f U^d over (d, f) pairs of a U-degree and a cylinder function."""
+    x = OdometerElement(odo, {})
+    for d, f in pairs:
+        x = x + f * odo.u_power(d)
+    return x
+
+
+def table(f):
+    """The dense values of a cylinder function (an element with U-degree 0 only)."""
+    zero = f.algebra.coeff.zero()
+    assert all(d == 0 for d, _ in f.terms)
+    return [f.terms.get((0, j), zero) for j in range(f.size)]
 
 
 @pytest.fixture
@@ -156,17 +183,16 @@ class TestSigma:
 
 class TestOdometerElements:
     def test_disjoint_indicator_product(self, odometer):
-        x = odometer.element(odometer.indicator(0, 3), 1)
+        x = odometer.indicator(0, 3) * odometer.u_power(1)
         assert (x * x).is_zero()
 
     def test_exponent_zero_is_pointwise(self, odometer, rng):
         f, g = odometer.sample_function(rng, 3), odometer.sample_function(rng, 3)
-        assert odometer.element(f) * odometer.element(g) == odometer.element(f * g)
+        assert f * g == odometer.function((x * y for x, y in zip(table(f), table(g))), 3)
 
     def test_self_adjoint_products(self, odometer, rng):
         for _ in range(100):
-            coeffs = {rng.randint(-3, 3): odometer.sample_function(rng, 2) for _ in range(2)}
-            x = OdometerElement(odometer, coeffs)
+            x = with_degrees(odometer, [(rng.randint(-3, 3), odometer.sample_function(rng, 2)) for _ in range(2)])
             y = x * x.star()
             assert y.star() == y
 
@@ -174,17 +200,17 @@ class TestOdometerElements:
         # U f U* = sigma(f)
         f = odometer.sample_function(rng, 3)
         U = odometer.u_power(1, 3)
-        assert U * odometer.element(f) * U.star() == odometer.element(f.shifted(1))
+        assert U * f * U.star() == f.shifted(1)
 
-    @pytest.mark.parametrize("algebra_fixture", ["circle", "circle_q"])
-    def test_entrywise_eq_agrees_with_subtraction(self, stages, algebra_fixture, request, rng):
+    def test_entrywise_eq_agrees_with_subtraction(self, any_odometer, rng):
         # random pairs, pairs equal by construction, and pairs at different depths
-        odo = OdometerAlgebra(stages, request.getfixturevalue(algebra_fixture))
+        odo = any_odometer
         for _ in range(20):
-            x, y, z = (OdometerElement(odo, {rng.randint(-2, 2): odo.sample_function(rng, rng.randint(1, 3))
-                                             for _ in range(2)}) for _ in range(3))
+            x, y, z = (sample_element(odo, rng) for _ in range(3))
+            d = rng.randint(-7, 7)
             for a, b in ((x, y), (x, (x + y) - y), ((x * y) * z, x * (y * z)), (x, x.promote(3)),
-                         (x, x.star().star())):
+                         (x, x.star().star()), (x, x.shifted(d).shifted(-d)), (x, psi_map(psi_map(x))),
+                         (x, x.shifted(1))):
                 assert (a == b) == (a - b).is_zero()
                 assert (b == a) == (a == b)
             assert x == (x + y) - y and (x * y) * z == x * (y * z) and x == x.promote(3)
@@ -196,8 +222,7 @@ class TestOdometerElements:
         assert U40.star() * U40.star() == odometer.u_power(-80, 3)
 
     def test_json_round_trip(self, odometer, rng):
-        x = OdometerElement(odometer, {2: odometer.sample_function(rng, 3),
-                                       -1: odometer.sample_function(rng, 3)})
+        x = with_degrees(odometer, [(2, odometer.sample_function(rng, 3)), (-1, odometer.sample_function(rng, 3))])
         assert OdometerElement.from_json(x.to_json(), odometer) == x
 
 
@@ -206,12 +231,27 @@ class TestRho:
         # rho(e_{i,j}) = sigma^{-i}(delta_0) U^{j-i}
         for (i, j) in [(0, 1), (1, 0), (1, 1)]:
             E = MatrixElement.single(circle, 2, 2, i, j)
-            expected = odometer.element(odometer.indicator(0, 2).shifted(-i), j - i)
+            expected = odometer.indicator(0, 2).shifted(-i) * odometer.u_power(j - i)
             assert rho(odometer, 2, E) == expected
 
     def test_u_image(self, odometer, circle):
         X = MatrixElement.single(circle, 2, 2, 0, 0, CrossedElement.u_power(circle, 2))
-        assert rho(odometer, 2, X) == odometer.element(odometer.indicator(0, 2), 2)
+        assert rho(odometer, 2, X) == odometer.indicator(0, 2) * odometer.u_power(2)
+
+    def test_closed_form_matches_generator_products(self, any_odometer, rng):
+        # a u^l e_(i,j) -> U^(-i) (a delta_0) U^(j + n l) = sigma^(-i)(a delta_0) U^(j - i + n l)
+        odo = any_odometer
+        for stage in (2, 3):
+            n = odo.stages.size(stage)
+            for _ in range(5):
+                X = sample_matrix(odo.coeff, odo.alpha_sign * n, n, rng)
+                by_products = by_shifts = OdometerElement(odo, {}, stage)
+                for (i, j), x in X.entries.items():
+                    for l, a in x.coeffs.items():
+                        delta = odo.indicator(0, stage, a)
+                        by_products += odo.u_power(-i, stage) * delta * odo.u_power(j + n * l, stage)
+                        by_shifts += delta.shifted(-i) * odo.u_power(j - i + n * l, stage)
+                assert rho(odo, stage, X) == by_products == by_shifts
 
     def test_unital(self, odometer, circle):
         assert rho(odometer, 3, MatrixElement.identity(circle, 6, 6)) == odometer.unit(3)
@@ -226,7 +266,7 @@ class TestRho:
 
     def test_extraction_rejects_off_image(self, odometer):
         # a depth-3 function probed at stage 2 leaves support off cylinder 0
-        bad = odometer.element(odometer.indicator(1, 3))
+        bad = odometer.indicator(1, 3)
         assert rho_extract(odometer, 2, bad, 1, 1) is None
         # rho is onto the stage subalgebra, so U itself extracts fine: its
         # preimage has zero (0, 0) entry
@@ -262,7 +302,7 @@ class TestRg:
         from bdlab.limits import gamma
 
         rhs = rho(odometer, 3, gamma(2, 6, X))
-        assert lhs == rhs == odometer.element(odometer.indicator(0, 2, z)).promote(3)
+        assert lhs == rhs == odometer.indicator(0, 2, z).promote(3)
 
 
 class TestFlipAndPsi:
@@ -278,8 +318,7 @@ class TestFlipAndPsi:
     def test_psi_is_star_homomorphism(self, odometer, rng):
         dual = odometer.dual()
         for _ in range(20):
-            x = OdometerElement(odometer, {rng.randint(-2, 2): odometer.sample_function(rng, 3)})
-            y = OdometerElement(odometer, {rng.randint(-2, 2): odometer.sample_function(rng, 3)})
+            x, y = (odometer.sample_function(rng, 3) * odometer.u_power(rng.randint(-2, 2)) for _ in range(2))
             assert psi_map(x * y) == psi_map(x) * psi_map(y)
             assert psi_map(x.star()) == psi_map(x).star()
             assert psi_map(x).algebra == dual
@@ -287,7 +326,7 @@ class TestFlipAndPsi:
     def test_psi_inverts_itself(self, odometer, rng):
         # the analogous map from the dual tower undoes psi
         for _ in range(20):
-            x = OdometerElement(odometer, {rng.randint(-2, 2): odometer.sample_function(rng, 3)})
+            x = odometer.sample_function(rng, 3) * odometer.u_power(rng.randint(-2, 2))
             assert psi_map(psi_map(x)) == x
 
     def test_gk_generation(self, circle, cyclic3):
@@ -331,36 +370,39 @@ def _sample_cylinder(odo, rng):
     return odo.constant(odo.coeff.sample(rng), depth)
 
 
+def sample_element(odo, rng):
+    """A random cylinder function, or a sum of two times random U-powers, at mixed depths."""
+    if rng.random() < 0.3:
+        return _sample_cylinder(odo, rng)
+    return with_degrees(odo, [(rng.randint(-7, 7), _sample_cylinder(odo, rng)) for _ in range(2)])
+
+
 class TestSparseAgainstDenseOracle:
     def test_cylinder_operations(self, any_odometer, rng):
         odo = any_odometer
         for _ in range(40):
-            f, g = _sample_cylinder(odo, rng), _sample_cylinder(odo, rng)
-            F, G = DenseCylinder.of(f), DenseCylinder.of(g)
-            d = rng.randint(-7, 7)
-            assert_matches_dense(f.promote(3), F.promote(3))
-            assert_matches_dense(f.shifted(d), F.shifted(d))
-            assert_matches_dense(f.flip_compose(), F.flip_compose())
-            assert_matches_dense(f + g, F + G)
-            assert_matches_dense(f - g, F - G)
-            assert_matches_dense(f * g, F * G)
-            assert_matches_dense(f.star(), F.star())
-            assert_matches_dense(f.times_shifted(g, d), F * G.shifted(d))
-            assert_matches_dense(f.times_shifted(f, d), F * F.shifted(d))
-            for a, b, A, B in ((f, g, F, G), (f, f.promote(3), F, F.promote(3)), (f, (f + g) - g, F, (F + G) - G)):
-                assert (a == b) == (A == B) == (b == a)
-            assert f == f.promote(3) and f == (f + g) - g
+            x, y = sample_element(odo, rng), sample_element(odo, rng)
+            X, d = dense(x), rng.randint(-7, 7)
+            assert_matches_dense(x.promote(3), dense_json(3, {e: f.promote(3) for e, f in X.items()}))
+            assert_matches_dense(x.shifted(d), dense_json(x.depth, {e: f.shifted(d) for e, f in X.items()}))
+            assert_matches_dense(x.star(), dense_json(x.depth, {-e: f.star().shifted(-e) for e, f in X.items()}))
+            assert_matches_dense(psi_map(x), dense_json(x.depth, {-e: f.flip_compose() for e, f in X.items()}))
+            assert psi_map(x).algebra == odo.dual()
+            assert_matches_dense(x + y, dense_sum(x, y, operator.add))
+            assert_matches_dense(x - y, dense_sum(x, y, operator.sub))
+            for a, b in ((x, y), (x, x.promote(3)), (x, (x + y) - y)):
+                assert (a == b) == (b == a) == (not dense_sum(a, b, operator.sub)["coeffs"])
 
     def test_odometer_product(self, any_odometer, rng):
         odo = any_odometer
         for _ in range(20):
-            x, y = (OdometerElement(odo, {rng.randint(-7, 7): _sample_cylinder(odo, rng) for _ in range(2)})
-                    for _ in range(2))
-            assert (x * y).to_json() == dense_odometer_mul(x, y)
-            assert (y * x).to_json() == dense_odometer_mul(y, x)
+            x, y = sample_element(odo, rng), sample_element(odo, rng)
+            assert_matches_dense(x * y, dense_odometer_mul(x, y))
+            assert_matches_dense(y * x, dense_odometer_mul(y, x))
+            assert_matches_dense(x * x, dense_odometer_mul(x, x))
 
     def test_dense_constructor_drops_zeros(self, odometer, circle):
         z = CircleFunction.z()
-        f = CylinderFunction(odometer, 2, (circle.zero(), z))
-        assert f.support == {1: z} and f.values == (circle.zero(), z)
-        assert f.to_json() == {"depth": 2, "values": [{}, z.to_json()]}
+        f = odometer.function((circle.zero(), z), 2)
+        assert f.terms == {(0, 1): z} and table(f) == [circle.zero(), z]
+        assert f.to_json() == {"depth": 2, "coeffs": {"U:0": {"depth": 2, "values": [{}, z.to_json()]}}}

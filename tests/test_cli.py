@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import random
+import re
 import subprocess
 import sys
 from datetime import timedelta
@@ -283,6 +284,14 @@ class TestApplyCommand:
         assert code == 3 and out == "" and err.startswith("budget exceeded:") and err.count("\n") == 1
 
 
+ONE, TWO = [{"coeff": "1"}], [{"coeff": "2"}]
+
+
+def one_entry_matrix(coeffs, size=1, n=1, tag=GAMMA_INPUT["entries"][0][0]["algebra"]):
+    """Matrix JSON whose only entry is the crossed element with twist n, algebra tag and coeffs."""
+    return {"size": size, "entries": [[{"n": n, "algebra": tag, "coeffs": coeffs}]]}
+
+
 class TestMalformedElementJson:
     """Input of the wrong shape is a one-line usage error, never a traceback or an out-of-range element."""
 
@@ -326,6 +335,58 @@ class TestMalformedElementJson:
         code, out, err = run_cli(capsys, ["trace"])
         assert code == 2 and out == "" and "nested" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv,payload", [
+        # trace printed 2 and psi mapped one term: the second spelling of an exponent replaced the first
+        (["trace"], one_entry_matrix({"u:0": {"z:0": ONE, "z:+0": TWO}})),
+        (["trace"], one_entry_matrix({"u:0": {"z:0": ONE}, "u:-0": {"z:0": TWO}})),
+        (PSI, {"depth": 1, "coeffs": {"U:1": {"depth": 1, "values": [{"z:0": ONE}]},
+                                      "U:+1": {"depth": 1, "values": [{"z:0": TWO}]}}}),
+    ])
+    def test_duplicate_exponent_key_is_usage_error(self, capsys, monkeypatch, argv, payload):
+        feed_stdin(monkeypatch, payload)
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == "" and "exponent key" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("key", ["z:01", "z: 1", "z:1_0", "z:+1", "z:-0", "z:1.0", "Z:1", "z1"])
+    def test_exponent_key_in_another_spelling_is_usage_error(self, capsys, monkeypatch, key):
+        feed_stdin(monkeypatch, one_entry_matrix({"u:0": {key: ONE}}))
+        code, out, err = run_cli(capsys, ["trace"])
+        assert code == 2 and out == "" and "bad z-exponent key" in err and err.count("\n") == 1
+
+    NON_INTEGERS = [1.7, 1.0, True, "1", None]
+
+    def _assert_not_an_integer(self, capsys, monkeypatch, argv, payload, field):
+        feed_stdin(monkeypatch, payload)
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == "" and f"'{field}' must be an integer" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", NON_INTEGERS)
+    def test_size_must_be_an_integer(self, capsys, monkeypatch, value):
+        # "size": 1.7 traced as size 1
+        payload = one_entry_matrix({"u:0": {"z:0": ONE}}, size=value)
+        self._assert_not_an_integer(capsys, monkeypatch, ["trace"], payload, "size")
+
+    @pytest.mark.parametrize("value", NON_INTEGERS)
+    def test_n_must_be_an_integer(self, capsys, monkeypatch, value):
+        payload = one_entry_matrix({"u:0": {"z:0": ONE}}, n=value)
+        self._assert_not_an_integer(capsys, monkeypatch, ["trace"], payload, "n")
+
+    @pytest.mark.parametrize("value", NON_INTEGERS)
+    @pytest.mark.parametrize("where", ["tag", "function"])
+    def test_d_must_be_an_integer(self, capsys, monkeypatch, value, where):
+        tag = {"kind": "cyclic", "d": value if where == "tag" else 2}
+        function = {"d": value if where == "function" else 2, "values": [ONE, []]}
+        payload = one_entry_matrix({"u:0": function}, tag=tag)
+        self._assert_not_an_integer(capsys, monkeypatch, ["trace"], payload, "d")
+
+    @pytest.mark.parametrize("value", NON_INTEGERS + [1.5])
+    @pytest.mark.parametrize("where", ["element", "coefficient"])
+    def test_depth_must_be_an_integer(self, capsys, monkeypatch, value, where):
+        # odometer "depth": 1.5, true or "2" were accepted
+        coefficient = {"depth": value if where == "coefficient" else 1, "values": [{"z:0": ONE}]}
+        payload = {"depth": value if where == "element" else 1, "coeffs": {"U:1": coefficient}}
+        self._assert_not_an_integer(capsys, monkeypatch, self.PSI, payload, "depth")
+
 
 def _json_templates():
     from bdlab.cantor import OdometerAlgebra, StageSequence, rho
@@ -343,6 +404,8 @@ def _json_templates():
          rho(OdometerAlgebra(StageSequence((1, 2)), cyclic), 2, sample_matrix(cyclic, 2, 2, rng)).to_json()),
         (["trace"], sample_matrix(circle, 2, 2, rng).to_json()),
         (["trace"], sample_matrix(cyclic, 2, 2, rng).to_json()),
+        (["apply", "--map", "rho", "--stage", "2", "--sizes", "1,2,6"], sample_matrix(circle, 2, 2, rng).to_json()),
+        (["apply", "--map", "rho", "--stage", "2", "--sizes", "1,2"], sample_matrix(cyclic, 2, 2, rng).to_json()),
     ]
 
 
@@ -376,7 +439,7 @@ def _mutated_json(draw, node):
 @given(st.sampled_from(range(len(JSON_TEMPLATES))).flatmap(
     lambda i: st.tuples(st.just(JSON_TEMPLATES[i][0]), _mutated_json(JSON_TEMPLATES[i][1]) | _json_trees)))
 def test_malformed_element_json_fuzz(case):
-    """apply --map psi and trace on random and mutated JSON: exit 0, 2 or 3 and no traceback."""
+    """apply --map psi/rho and trace on random and mutated JSON: exit 0, 2 or 3 and no traceback."""
     argv, payload = case
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(payload))), \
@@ -387,6 +450,56 @@ def test_malformed_element_json_fuzz(case):
         json.loads(out.getvalue())
     else:
         assert out.getvalue() == "" and err.getvalue().count("\n") == 1
+
+
+INTEGER_FIELDS = ("size", "n", "d", "depth")
+
+
+def _parser_sites(node, path=()):
+    """Paths to the exponent keys and the integer fields of an element JSON."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, val in items:
+        if key in INTEGER_FIELDS or (isinstance(key, str) and re.fullmatch(r"[zuU]:(0|-?[1-9][0-9]*)", key)):
+            yield path + (key,)
+        yield from _parser_sites(val, path + (key,))
+
+
+@st.composite
+def _misspelled_json(draw, node):
+    """The node with 1-3 exponent keys respelled or duplicated, or integer fields made non-integers."""
+    node = json.loads(json.dumps(node))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_parser_sites(node))))
+        parent = node
+        for step in path[:-1]:
+            parent = parent[step]
+        key = path[-1]
+        if key in INTEGER_FIELDS:
+            parent[key] = draw(st.floats() | st.booleans() | st.none() | st.text(max_size=3)
+                               | st.integers(-3, 3).map(str))
+            continue
+        symbol, exponent = key.split(":")
+        spelled = f"{symbol}:{draw(st.sampled_from(['+', '0', ' ', '-' if exponent == '0' else '-0']))}{exponent}"
+        if draw(st.booleans()):
+            parent[spelled] = parent[key]
+        else:
+            parent[spelled] = parent.pop(key)
+    return node
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=5))
+@given(st.sampled_from(range(len(JSON_TEMPLATES))).flatmap(
+    lambda i: st.tuples(st.just(JSON_TEMPLATES[i][0]), _misspelled_json(JSON_TEMPLATES[i][1]))))
+def test_element_parser_fuzz(case):
+    """trace and apply --map psi/rho on misspelled keys and non-integer fields: exit 0 or 2, no traceback."""
+    argv, payload = case
+    with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(payload))):
+        code, out, err = _main_captured(argv)
+    assert code in (0, 2)
+    if code == 0:
+        json.loads(out)
+    else:
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
 
 class TestTraceCommand:

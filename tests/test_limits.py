@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from bdlab.coeff import Angle, CircleFunction
-from bdlab.crossed import DEGREE_CAP, CrossedElement, MatrixElement, sample_crossed, sample_matrix
+from bdlab.crossed import CrossedElement, MatrixElement, sample_crossed, sample_matrix
 from bdlab.errors import BudgetError, MismatchError
 from bdlab.limits import (
     LimitElement,
@@ -20,6 +20,7 @@ from bdlab.limits import (
 )
 from bdlab.report import Report, case_rng
 from bdlab.scalar import Scalar
+from bdlab.sparse import DEGREE_CAP
 
 SIZE_PAIRS = [(1, 2), (1, 3), (2, 4), (2, 6), (3, 6)]
 
