@@ -24,7 +24,7 @@ from .invariants import (
     decide_simplicity_finite_model,
     decide_trace_uniqueness_finite_model,
 )
-from .limits import LimitElement, amplification_shuffle, gamma, gamma_left_inverse
+from .limits import amplification_shuffle, gamma
 from .scalar import Scalar
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "FockOperator",
     "K0Class",
     "K1Class",
-    "LimitElement",
     "MatrixElement",
     "MismatchError",
     "OdometerAlgebra",
@@ -55,5 +54,4 @@ __all__ = [
     "decide_simplicity_finite_model",
     "decide_trace_uniqueness_finite_model",
     "gamma",
-    "gamma_left_inverse",
 ]

@@ -73,16 +73,6 @@ class StageSequence:
             index //= m
         return tuple(digits)
 
-    def digits_to_index(self, digits) -> int:
-        index = 0
-        weight = 1
-        for d, m in zip(digits, self.radii):
-            if not (0 <= d < m):
-                raise MismatchError(f"digit {d} outside radius {m}")
-            index += d * weight
-            weight *= m
-        return index
-
 
 def odometer_step(radii, digits, direction: int = 1) -> tuple[int, ...]:
     """Add-one-with-carry (direction=+1) or its inverse (-1) on mixed-radix digits.

@@ -58,6 +58,8 @@ def _run_suite(args) -> Report:
     for name, value in (("--p", args.p), ("--depth", args.depth)):
         if value is not None and value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
+    if args.count < 0:
+        raise ValueError(f"--count must be at least 0, got {args.count}")
     sizes = _parse_sizes(args.sizes)
     algebra = _algebra_from_args(args)
     seed, count = args.seed, args.count

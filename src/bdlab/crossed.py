@@ -235,22 +235,25 @@ class MatrixElement(Subtraction):
         return {"size": self.size, "entries": rows}
 
     @staticmethod
-    def from_json(data: dict, algebra: CoefficientAlgebra | None = None) -> MatrixElement:
+    def from_json(data: dict) -> MatrixElement:
+        """Every entry's tag must name one algebra; a tag spelled like the first is not reparsed."""
         size = json_int(data, "size")
+        if size < 1:
+            raise ValueError("empty matrix JSON")
         rows = data["entries"]
+        first = algebra = None
         entries = {}
-        power = None
         for i in range(size):
             for j in range(size):
-                x = CrossedElement.from_json(rows[i][j], algebra)
-                if algebra is None:
-                    algebra = x.algebra
-                if power is None:
-                    power = x.power
-                entries[(i, j)] = x
-        if power is None:
-            raise ValueError("empty matrix JSON")
-        return MatrixElement(algebra, power, size, entries)
+                tag = rows[i][j].get("algebra")
+                if tag is None:
+                    raise ValueError(f"matrix entry ({i},{j}) has no algebra tag")
+                if first is None:
+                    first, algebra = tag, CoefficientAlgebra.from_tag(tag)
+                elif tag != first and CoefficientAlgebra.from_tag(tag) != algebra:
+                    raise MismatchError(f"matrix entry ({i},{j}) is tagged with a different algebra")
+                entries[(i, j)] = CrossedElement.from_json(rows[i][j], algebra)
+        return MatrixElement(algebra, entries[(0, 0)].power, size, entries)
 
     def __repr__(self) -> str:
         body = ", ".join(f"({i},{j}): {x!r}" for (i, j), x in sorted(self.entries.items()))

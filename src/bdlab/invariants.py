@@ -125,13 +125,6 @@ class SupernaturalNumber:
             "finiteEvidence": self.finite_evidence,
         }
 
-    @staticmethod
-    def from_json(data: dict) -> SupernaturalNumber:
-        factors = {
-            int(p): (INF if e == "inf" else int(e)) for p, e in data.get("factors", {}).items()
-        }
-        return SupernaturalNumber(factors, bool(data.get("finiteEvidence", False)))
-
 
 def q_delta_member(r: Fraction, delta: SupernaturalNumber) -> bool:
     """Whether r lies in Q(delta): denominator prime powers bounded by delta."""

@@ -1,4 +1,4 @@
-"""Connecting maps between stages and the direct-limit bookkeeping.
+"""The connecting maps gamma_{n,m} between stages.
 
 For n | m (k = m/n) the unital injective *-homomorphism gamma_{n,m} from the
 size-n stage into the size-m stage is determined by its generator images
@@ -12,14 +12,14 @@ gamma is computed: with c' = (c + l) mod k,
 
     a u_n^l e_{i,j}  |->  sum_{c<k} alpha^(c n)(a) u_m^((c+l-c')/k) e_{i+cn, j+c'n}
 
-so no matrix product is formed.  The construction by products of generator
-images lives in the test suite as an independent oracle.
+so no matrix product is formed.  A p x p block matrix over the size-n stage
+is mapped block by block, which is gamma_{n,m} (x) id_p.  The construction by
+products of generator images lives in the test suite as an independent oracle.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeff import Angle, CircleRotation, CoefficientAlgebra
@@ -40,123 +40,33 @@ def check_divisibility_chain(sizes) -> tuple[int, ...]:
 
 
 def gamma(n: int, m: int, X: MatrixElement) -> MatrixElement:
-    """Apply gamma_{n,m} to a size-n stage element, monomial by monomial."""
-    if m % n != 0:
-        raise MismatchError(f"{n} does not divide {m}")
-    if X.size != n or X.power != n:
-        raise MismatchError(f"expected a size-{n} stage element")
+    """Apply gamma_{n,m} (x) id_p to a p x p block matrix over the size-n stage.
+
+    Entry (i, j) lies in block (i // n, j // n) at (i % n, j % n); its
+    monomials are placed by the closed form above, offset by the block's
+    corner (block row * m, block column * m).  At p = 1 this is gamma_{n,m}.
+    """
+    if n < 1 or m < n or m % n != 0:
+        raise MismatchError(f"gamma needs {n} to divide {m} with 1 <= {n} <= {m}")
+    if X.power != n or X.size % n != 0:
+        raise MismatchError(f"expected a block matrix over the size-{n} stage")
     if n == m:
         return X
     k, algebra = m // n, X.algebra
     # (position, u_m-exponent) determines (i, j, l, c), so no two images overlap
     acc: dict[tuple[int, int], dict] = {}
-    for (i, j), x in X.entries.items():
+    for (r, s), x in X.entries.items():
+        (B, i), (C, j) = divmod(r, n), divmod(s, n)
+        row, col = B * m + i, C * m + j
         for l, a in x.coeffs.items():
             for c in range(k):
                 cp = (c + l) % k
                 e = (c + l - cp) // k
                 if abs(e) > DEGREE_CAP:
                     raise BudgetError(f"u-degree {e} exceeds cap {DEGREE_CAP}")
-                acc.setdefault((i + c * n, j + cp * n), {})[e] = algebra.alpha_power(a, c * n)
+                acc.setdefault((row + c * n, col + cp * n), {})[e] = algebra.alpha_power(a, c * n)
     entries = {key: CrossedElement(algebra, m, coeffs) for key, coeffs in acc.items()}
-    return MatrixElement(algebra, m, m, entries)
-
-
-def gamma_left_inverse(n: int, m: int, Y: MatrixElement) -> MatrixElement | None:
-    """Recover X with gamma_{n,m}(X) == Y, or None if Y is not in the image.
-
-    The candidate is read off the first row-block: the image places the
-    coefficient of u_n^l in entry (i, j) at position (i, j + (l mod k) n)
-    with u_m-exponent floor(l / k).  The candidate is then pushed back
-    through gamma to certify membership.
-    """
-    if m % n != 0:
-        raise MismatchError(f"{n} does not divide {m}")
-    if Y.size != m or Y.power != m:
-        raise MismatchError(f"expected a size-{m} stage element")
-    k = m // n
-    entries = {}
-    for i in range(n):
-        for j in range(n):
-            coeffs = {}
-            for cp in range(k):
-                y = Y.entries.get((i, j + cp * n))
-                if y is None:
-                    continue
-                for e, b in y.coeffs.items():
-                    coeffs[e * k + cp] = b
-            if coeffs:
-                entries[(i, j)] = CrossedElement(Y.algebra, n, coeffs)
-    X = MatrixElement(Y.algebra, n, n, entries)
-    return X if gamma(n, m, X) == Y else None
-
-
-def gamma_chain(sizes, from_stage: int, to_stage: int, X: MatrixElement) -> MatrixElement:
-    """Compose consecutive gammas along the configured sequence (1-based stages)."""
-    sizes = check_divisibility_chain(sizes)
-    if not (1 <= from_stage <= to_stage <= len(sizes)):
-        raise MismatchError("stage outside the configured sequence")
-    for stage in range(from_stage, to_stage):
-        X = gamma(sizes[stage - 1], sizes[stage], X)
-    return X
-
-
-@dataclass(frozen=True)
-class LimitElement:
-    """A stage-tagged element of the direct limit; promotion is the identity."""
-
-    sequence: tuple[int, ...]
-    stage: int
-    value: MatrixElement
-
-    def __post_init__(self):
-        sizes = check_divisibility_chain(self.sequence)
-        object.__setattr__(self, "sequence", sizes)
-        if not (1 <= self.stage <= len(sizes)):
-            raise MismatchError("stage outside the configured sequence")
-        if self.value.size != sizes[self.stage - 1]:
-            raise MismatchError("value size does not match its stage")
-
-    def promote(self, target_stage: int) -> LimitElement:
-        if target_stage < self.stage:
-            raise MismatchError("promotion must not decrease the stage")
-        value = gamma_chain(self.sequence, self.stage, target_stage, self.value)
-        return LimitElement(self.sequence, target_stage, value)
-
-    def _align(self, other: LimitElement) -> tuple[MatrixElement, MatrixElement, int]:
-        if self.sequence != other.sequence:
-            raise MismatchError("limit elements over different stage sequences")
-        stage = max(self.stage, other.stage)
-        return self.promote(stage).value, other.promote(stage).value, stage
-
-    def __add__(self, other: LimitElement) -> LimitElement:
-        a, b, stage = self._align(other)
-        return LimitElement(self.sequence, stage, a + b)
-
-    def __mul__(self, other: LimitElement) -> LimitElement:
-        a, b, stage = self._align(other)
-        return LimitElement(self.sequence, stage, a * b)
-
-    def star(self) -> LimitElement:
-        return LimitElement(self.sequence, self.stage, self.value.star())
-
-    def trace(self):
-        return self.value.trace()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LimitElement):
-            return NotImplemented
-        a, b, _ = self._align(other)
-        return a == b
-
-    def to_json(self) -> dict:
-        return {"sequence": list(self.sequence), "stage": self.stage, "value": self.value.to_json()}
-
-    @staticmethod
-    def from_json(data: dict, algebra: CoefficientAlgebra | None = None) -> LimitElement:
-        return LimitElement(
-            tuple(data["sequence"]), int(data["stage"]), MatrixElement.from_json(data["value"], algebra)
-        )
+    return MatrixElement(algebra, m, X.size // n * m, entries)
 
 
 def amplification_shuffle(p: int, X: MatrixElement) -> MatrixElement:
@@ -168,22 +78,6 @@ def amplification_shuffle(p: int, X: MatrixElement) -> MatrixElement:
     if p < 1 or X.size % p != 0:
         raise MismatchError(f"size {X.size} is not a multiple of p={p}")
     return MatrixElement(X.algebra, X.power, X.size, shuffled_entries(X.entries, p, X.size))
-
-
-def blockwise_gamma(p: int, n: int, m: int, X: MatrixElement) -> MatrixElement:
-    """Apply gamma_{n,m} to each n x n block of a p x p block matrix."""
-    if X.size != p * n or X.power != n:
-        raise MismatchError("expected a p x p block matrix of size-n stage elements")
-    algebra = X.algebra
-    blocks: dict[tuple[int, int], dict] = {}
-    for (r, c), x in X.entries.items():
-        blocks.setdefault((r // n, c // n), {})[(r % n, c % n)] = x
-    out: dict[tuple[int, int], CrossedElement] = {}
-    for (B, C), block in blocks.items():
-        image = gamma(n, m, MatrixElement(algebra, n, n, block))
-        for (i, j), v in image.entries.items():
-            out[(B * m + i, C * m + j)] = v
-    return MatrixElement(algebra, m, p * m, out)
 
 
 def _stage_generators(algebra: CoefficientAlgebra, power: int, size: int,
@@ -262,14 +156,12 @@ def verify_trace_compatibility(
 def verify_amplification_intertwining(
     angle: Angle, p: int, n: int, m: int, seed: int, count: int,
 ) -> Report:
-    """psi circle (gamma_{n,m} blockwise) == gamma_{pn,pm} circle psi.
+    """psi circle (gamma_{n,m} (x) id_p) == gamma_{pn,pm} circle psi.
 
     The left side works at angle theta with stage sizes n, m; the right side
     at theta/p with sizes pn, pm.  The stage algebras coincide because
     (theta/p)(pn) = theta n, so the shuffle output re-tags between them.
     """
-    if m % n != 0:
-        raise MismatchError(f"{n} does not divide {m}")
     base = CircleRotation(angle)
     target = CircleRotation(angle.scaled(Fraction(1, p)))
     report = Report(
@@ -278,7 +170,7 @@ def verify_amplification_intertwining(
     )
 
     def both_sides(X: MatrixElement) -> tuple[MatrixElement, MatrixElement]:
-        lhs = amplification_shuffle(p, blockwise_gamma(p, n, m, X)).with_twist(target, p * m)
+        lhs = amplification_shuffle(p, gamma(n, m, X)).with_twist(target, p * m)
         rhs = gamma(p * n, p * m, amplification_shuffle(p, X).with_twist(target, p * n))
         return lhs, rhs
 

@@ -1,5 +1,7 @@
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -10,6 +12,15 @@ settings.register_profile("bdlab", deadline=None, max_examples=60)
 settings.load_profile("bdlab")
 
 THETA = Angle(Fraction(0), Fraction(1))
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.fixture
+def src_env():
+    """Environment for a child Python that imports bdlab from this checkout's src."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture

@@ -172,14 +172,14 @@ def test_criterion_10_finite_model_deciders():
     announce(10, "simplicity/trace-uniqueness match gcd characterization, d <= 12, witnesses verified", ok)
 
 
-def test_criterion_11_determinism():
+def test_criterion_11_determinism(src_env):
     report_a = verify_gamma_homomorphism(CIRCLE, 2, 4, seed=SEED, count=25)
     report_b = verify_gamma_homomorphism(CIRCLE, 2, 4, seed=SEED, count=25)
     ok = canonical_json(report_a.to_json()) == canonical_json(report_b.to_json())
     argv = [sys.executable, "-m", "bdlab.cli", "verify", "trace-compat",
             "--sizes", "1,2,6", "--count", "20", "--seed", str(SEED)]
-    first = subprocess.run(argv, capture_output=True, check=True)
-    second = subprocess.run(argv, capture_output=True, check=True)
+    first = subprocess.run(argv, capture_output=True, check=True, env=src_env)
+    second = subprocess.run(argv, capture_output=True, check=True, env=src_env)
     ok = ok and first.stdout == second.stdout
     announce(11, "byte-identical reports for identical (config, seed), library and CLI", ok)
 

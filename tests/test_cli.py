@@ -122,6 +122,8 @@ class TestVerifyCommand:
         (["gamma-hom", "--angle", "theta++1/2", "--sizes", "1,2", "--count", "1"], "angle"),
         (["gamma-hom", "--angle", "theta+", "--sizes", "1,2", "--count", "1"], "angle"),
         (["gamma-hom", "--angle", "1e5*theta", "--sizes", "1,2", "--count", "1"], "exponent"),
+        (["gamma-hom", "--sizes", "1,2", "--count", "-3"], "--count"),
+        (["rho-hom", "--sizes", "1,2", "--count", "-3"], "--count"),
     ])
     def test_degenerate_option_is_usage_error(self, capsys, argv, needle):
         # each ran a vacuous suite (exit 0 with no or empty cases), ended in a
@@ -147,7 +149,7 @@ def _verify_argv(suite, algebra, sizes, depth, p, count, modulus, periods):
 @settings(max_examples=150, deadline=timedelta(seconds=5))
 @given(
     st.sampled_from(cli.SUITES), st.sampled_from(["circle", "cyclic"]), _size_chains(),
-    st.integers(-2, 6), st.integers(-1, 3), st.integers(0, 2), st.integers(-1, 6),
+    st.integers(-2, 6), st.integers(-1, 3), st.integers(-2, 2), st.integers(-1, 6),
     st.lists(st.integers(0, 3), min_size=1, max_size=2).map(lambda ps: ",".join(map(str, ps))),
 )
 @example("amplification", "circle", "1,2", 4, 0, 1, 3, "1")
@@ -161,7 +163,7 @@ def test_verify_integer_options_fuzz(suite, algebra, sizes, depth, p, count, mod
     assert "Traceback" not in err
     if code == 0:
         assert json.loads(out)["cases"] > 0
-        assert depth >= 1 and p >= 1
+        assert depth >= 1 and p >= 1 and count >= 0
         if suite == "fock-blocks":
             assert depth >= 2 * max(int(k) for k in periods.split(","))
 
@@ -255,6 +257,13 @@ class TestApplyCommand:
         code, _, err = run_cli(capsys, ["apply", "--map", "gamma", "--from", "2", "--to", "4"])
         assert code == 2 and "size" in err
 
+    @pytest.mark.parametrize("dst", ["0", "-2"])
+    def test_smaller_target_is_usage_error(self, capsys, monkeypatch, dst):
+        # printed a matrix of size 0 or -2 and exited 0
+        feed_stdin(monkeypatch, GAMMA_INPUT)
+        code, out, err = run_cli(capsys, ["apply", "--map", "gamma", "--from", "1", f"--to={dst}"])
+        assert code == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1
+
     def test_bad_json_is_usage_error(self, capsys, monkeypatch):
         import io
 
@@ -292,6 +301,14 @@ def one_entry_matrix(coeffs, size=1, n=1, tag=GAMMA_INPUT["entries"][0][0]["alge
     return {"size": size, "entries": [[{"n": n, "algebra": tag, "coeffs": coeffs}]]}
 
 
+def two_by_two_identity():
+    """The 2 x 2 identity over the rotation by theta at power 1, every entry tagged."""
+    tag = GAMMA_INPUT["entries"][0][0]["algebra"]
+    unit = {"u:0": {"z:0": [{"coeff": "1", "root": "0", "theta": "0"}]}}
+    return {"size": 2, "entries": [[{"n": 1, "algebra": dict(tag), "coeffs": unit if i == j else {}}
+                                    for j in range(2)] for i in range(2)]}
+
+
 class TestMalformedElementJson:
     """Input of the wrong shape is a one-line usage error, never a traceback or an out-of-range element."""
 
@@ -320,6 +337,31 @@ class TestMalformedElementJson:
         feed_stdin(monkeypatch, {"size": 2, "entries": []})
         code, out, err = run_cli(capsys, ["trace"])
         assert code == 2 and out == "" and err.startswith("error: malformed element JSON") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("tags,needle", [
+        ({(0, 1): {"kind": "cyclic", "d": 3}, (1, 0): {"kind": "nonsense"}}, "different algebra"),
+        ({(1, 1): {"kind": "nonsense"}}, "unknown algebra tag"),
+        ({(1, 0): None}, "no algebra tag"),
+    ], ids=["mixed", "unknown", "missing"])
+    def test_entry_tags_name_one_algebra(self, capsys, monkeypatch, tags, needle):
+        # only the tag of entry (0,0) was read: each of these printed the trace and exited 0
+        payload = two_by_two_identity()
+        for (i, j), tag in tags.items():
+            if tag is None:
+                del payload["entries"][i][j]["algebra"]
+            else:
+                payload["entries"][i][j]["algebra"] = tag
+        feed_stdin(monkeypatch, payload)
+        code, out, err = run_cli(capsys, ["trace"])
+        assert code == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1
+        assert needle in err
+
+    def test_equal_tag_spelled_differently_is_accepted(self, capsys, monkeypatch):
+        payload = two_by_two_identity()
+        payload["entries"][1][1]["algebra"] = {"kind": "circle", "angle": {"q": "0.0", "r": "1"}}
+        feed_stdin(monkeypatch, payload)
+        code, out, _ = run_cli(capsys, ["trace"])
+        assert code == 0 and json.loads(out) == [{"coeff": "1", "root": "0", "theta": "0"}]
 
     def test_cyclic_modulus_mismatch_is_usage_error(self, capsys, monkeypatch):
         # a function on Z/2 inside the algebra on Z/3 was traced as if on Z/3
@@ -636,8 +678,9 @@ class TestFactorGuard:
         ["ktheory", "--sizes", "1,2", "--tail", f"{BIG_PRIME}^inf"],
         ["ktheory", "--sizes", f"1,{BIG_PRIME}"],
     ])
-    def test_large_prime_factor_is_budget_exit(self, argv):
-        done = subprocess.run([sys.executable, "-m", "bdlab.cli", *argv], capture_output=True, timeout=10)
+    def test_large_prime_factor_is_budget_exit(self, argv, src_env):
+        done = subprocess.run([sys.executable, "-m", "bdlab.cli", *argv], capture_output=True, timeout=10,
+                              env=src_env)
         err = done.stderr.decode()
         assert done.returncode == 3 and done.stdout == b""
         assert err.startswith("budget exceeded:") and err.count("\n") == 1
@@ -677,10 +720,10 @@ class TestDeterminism:
         _, out2, _ = run_cli(capsys, argv)
         assert out1 == out2
 
-    def test_console_entry_byte_identical(self):
+    def test_console_entry_byte_identical(self, src_env):
         argv = [sys.executable, "-m", "bdlab.cli", "verify", "rg", "--sizes", "1,2,6",
                 "--count", "5", "--seed", "4"]
-        first = subprocess.run(argv, capture_output=True, check=True)
-        second = subprocess.run(argv, capture_output=True, check=True)
+        first = subprocess.run(argv, capture_output=True, check=True, env=src_env)
+        second = subprocess.run(argv, capture_output=True, check=True, env=src_env)
         assert first.stdout == second.stdout
         assert first.stdout.endswith(b"\n")

@@ -7,12 +7,8 @@ from bdlab.coeff import Angle, CircleFunction
 from bdlab.crossed import CrossedElement, MatrixElement, sample_crossed, sample_matrix
 from bdlab.errors import BudgetError, MismatchError
 from bdlab.limits import (
-    LimitElement,
     amplification_shuffle,
-    blockwise_gamma,
     gamma,
-    gamma_chain,
-    gamma_left_inverse,
     verify_amplification_intertwining,
     verify_gamma_composition,
     verify_gamma_homomorphism,
@@ -23,6 +19,31 @@ from bdlab.scalar import Scalar
 from bdlab.sparse import DEGREE_CAP
 
 SIZE_PAIRS = [(1, 2), (1, 3), (2, 4), (2, 6), (3, 6)]
+
+
+def gamma_left_inverse(n: int, m: int, Y: MatrixElement) -> MatrixElement | None:
+    """Recover X with gamma_{n,m}(X) == Y, or None if Y is not in the image.
+
+    The candidate is read off the first row-block: the image places the
+    coefficient of u_n^l in entry (i, j) at position (i, j + (l mod k) n)
+    with u_m-exponent floor(l / k).  The candidate is then pushed back
+    through gamma to certify membership.
+    """
+    k = m // n
+    entries = {}
+    for i in range(n):
+        for j in range(n):
+            coeffs = {}
+            for cp in range(k):
+                y = Y.entries.get((i, j + cp * n))
+                if y is None:
+                    continue
+                for e, b in y.coeffs.items():
+                    coeffs[e * k + cp] = b
+            if coeffs:
+                entries[(i, j)] = CrossedElement(Y.algebra, n, coeffs)
+    X = MatrixElement(Y.algebra, n, n, entries)
+    return X if gamma(n, m, X) == Y else None
 
 
 def verify_gamma_injectivity(algebra, n, m, seed, count, u_degree=2, coeff_degree=2):
@@ -106,6 +127,40 @@ class TestGammaGenerators:
         with pytest.raises(MismatchError):
             gamma(2, 3, X)
 
+    @pytest.mark.parametrize("m", [0, -2])
+    def test_rejects_smaller_target(self, circle, m):
+        # m % n == 0 holds for m <= 0, which used to give a matrix of size m
+        with pytest.raises(MismatchError):
+            gamma(1, m, MatrixElement.identity(circle, 1, 1))
+
+    def test_rejects_partial_block(self, circle):
+        with pytest.raises(MismatchError):
+            gamma(2, 4, MatrixElement.identity(circle, 2, 3))
+
+
+def gamma_per_block(p: int, n: int, m: int, X: MatrixElement) -> MatrixElement:
+    """Oracle for gamma_{n,m} (x) id_p: cut X into n x n blocks and map each one alone."""
+    blocks: dict[tuple[int, int], dict] = {}
+    for (r, c), x in X.entries.items():
+        blocks.setdefault((r // n, c // n), {})[(r % n, c % n)] = x
+    out = {}
+    for (B, C), block in blocks.items():
+        image = gamma(n, m, MatrixElement(X.algebra, n, n, block))
+        for (i, j), v in image.entries.items():
+            out[(B * m + i, C * m + j)] = v
+    return MatrixElement(X.algebra, m, p * m, out)
+
+
+@pytest.mark.parametrize("p,n,m", [(2, 1, 2), (2, 2, 6), (3, 1, 3)])
+def test_gamma_on_blocks_matches_per_block_oracle(p, n, m, circle, cyclic3):
+    rng = random.Random(f"perblock{p}{n}{m}")
+    for algebra in (circle, cyclic3):
+        for _ in range(10):
+            X = sample_matrix(algebra, n, p * n, rng)
+            got, expected = gamma(n, m, X), gamma_per_block(p, n, m, X)
+            assert (got.size, got.power) == (p * m, m)
+            assert got == expected and got.to_json() == expected.to_json()
+
 
 @pytest.mark.parametrize("n,m", SIZE_PAIRS)
 def test_gamma_matches_closed_form_oracle(n, m, circle, circle_q, cyclic3):
@@ -185,40 +240,6 @@ class TestLeftInverse:
         assert gamma_left_inverse(1, 3, gamma(1, 3, X)) == X
 
 
-class TestLimitElement:
-    def test_promotion_example(self, circle):
-        U = MatrixElement.single(circle, 1, 1, 0, 0, CrossedElement.u_power(circle, 1))
-        e = LimitElement((1, 2), 1, U)
-        promoted = e.promote(2)
-        assert promoted.value == gamma(1, 2, U)
-        assert e.promote(1) == e
-
-    def test_promotion_composes(self, circle, rng):
-        sizes = (1, 2, 6)
-        X = sample_matrix(circle, 1, 1, rng)
-        e = LimitElement(sizes, 1, X)
-        assert e.promote(2).promote(3).value == e.promote(3).value
-
-    def test_arithmetic_well_defined_across_stages(self, circle, rng):
-        sizes = (1, 2, 4)
-        for _ in range(15):
-            X = sample_matrix(circle, 2, 2, rng)
-            Y = sample_matrix(circle, 2, 2, rng)
-            low = LimitElement(sizes, 2, X) * LimitElement(sizes, 2, Y)
-            high = LimitElement(sizes, 2, X).promote(3) * LimitElement(sizes, 2, Y).promote(3)
-            assert low == high
-            assert LimitElement(sizes, 2, X + Y) == LimitElement(sizes, 2, X).promote(3) + LimitElement(sizes, 2, Y)
-
-    def test_promotion_beyond_prefix_errors(self, circle):
-        e = LimitElement((1, 2), 1, MatrixElement.identity(circle, 1, 1))
-        with pytest.raises(MismatchError):
-            e.promote(3)
-
-    def test_json_round_trip(self, circle, rng):
-        e = LimitElement((1, 2, 4), 2, sample_matrix(circle, 2, 2, rng))
-        assert LimitElement.from_json(e.to_json()) == e
-
-
 class TestAmplificationShuffle:
     def test_p1_and_inner1_are_identity(self, circle, rng):
         X = sample_matrix(circle, 1, 2, rng)
@@ -259,13 +280,3 @@ class TestAmplificationIntertwining:
         # t-powers flow through the re-tag
         report = verify_amplification_intertwining(Angle(Fraction(1, 4), Fraction(1)), 2, 1, 2, seed=7, count=10)
         assert report.ok, report.failures[:1]
-
-    def test_blockwise_gamma_shape(self, circle, rng):
-        X = sample_matrix(circle, 1, 2, rng)
-        out = blockwise_gamma(2, 1, 2, X)
-        assert out.size == 4 and out.power == 2
-
-
-def test_gamma_chain_matches_direct(circle, rng):
-    X = sample_matrix(circle, 1, 1, rng)
-    assert gamma_chain((1, 2, 6), 1, 3, X) == gamma(2, 6, gamma(1, 2, X))
