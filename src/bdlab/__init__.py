@@ -13,7 +13,7 @@ from .cantor import OdometerAlgebra, OdometerElement, StageSequence
 from .coeff import Angle, CircleFunction, CircleRotation, CoefficientAlgebra, FiniteCyclicFunction, FiniteCyclicShift
 from .crossed import CrossedElement, MatrixElement
 from .errors import BudgetError, MismatchError
-from .fock import FockOperator, WeightSequence
+from .fock import FockOperator
 from .invariants import (
     K0Class,
     K1Class,
@@ -47,7 +47,6 @@ __all__ = [
     "StageSequence",
     "SupernaturalNumber",
     "ThetaEnclosure",
-    "WeightSequence",
     "amplification_shuffle",
     "decide_amplification",
     "decide_isomorphism",

@@ -35,7 +35,7 @@ from fractions import Fraction
 from .coeff import CoefficientAlgebra
 from .crossed import CrossedElement, MatrixElement, sample_matrix
 from .errors import MismatchError
-from .limits import _stage_generators, check_divisibility_chain, gamma
+from .limits import _stage_cases, check_divisibility_chain, gamma
 from .report import Report, case_rng
 from .scalar import Scalar
 from .sparse import Subtraction, add_entries, equal_entries, exponent_from_key, json_int
@@ -310,8 +310,8 @@ def verify_rho_homomorphism(algebra: OdometerAlgebra, stage: int, seed: int, cou
     power = algebra.alpha_sign * n
     report = Report("rho-hom", config={"sizes": list(algebra.stages.sizes), "stage": stage,
                                        "algebra": algebra.coeff.tag(), "seed": seed, "count": count})
-    unit = MatrixElement.identity(algebra.coeff, power, n)
-    report.record("unital", rho(algebra, stage, unit) == algebra.unit(stage))
+    report.compare([("unital", MatrixElement.identity(algebra.coeff, power, n))],
+                   lambda one: (rho(algebra, stage, one), algebra.unit(stage)))
     for idx in range(count):
         rng = case_rng(seed, idx)
         X = sample_matrix(algebra.coeff, power, n, rng)
@@ -344,15 +344,8 @@ def verify_rg(algebra: OdometerAlgebra, stage: int, seed: int, count: int) -> Re
     n, m = sizes[stage - 1], sizes[stage]
     report = Report("rg", config={"sizes": list(sizes), "stage": stage,
                                   "algebra": algebra.coeff.tag(), "seed": seed, "count": count})
-    power = algebra.alpha_sign * n
-    generators = _stage_generators(algebra.coeff, power, n, case_rng(seed, "gen"))
-    cases = [(f"gen{i}", X) for i, X in enumerate(generators)]
-    for idx in range(count):
-        cases.append((idx, sample_matrix(algebra.coeff, power, n, case_rng(seed, idx))))
-    for label, X in cases:
-        lhs = rho(algebra, stage, X).promote(stage + 1)
-        rhs = rho(algebra, stage + 1, gamma(n, m, X))
-        report.record(label, lhs == rhs, lhs=lhs, rhs=rhs)
+    report.compare(_stage_cases(algebra.coeff, algebra.alpha_sign * n, n, seed, count),
+                   lambda X: (rho(algebra, stage, X).promote(stage + 1), rho(algebra, stage + 1, gamma(n, m, X))))
     return report
 
 
@@ -360,14 +353,15 @@ def verify_flip_conjugacy(stages: StageSequence) -> Report:
     """g circle odometer == odometer^(-1) circle g, exhaustively at every depth."""
     report = Report("flip", config={"sizes": list(stages.sizes)})
     radii = stages.radii
-    for stage in range(1, stages.depth + 1):
-        n = stages.size(stage)
-        prefix = radii[: stage - 1]
-        for index in range(n):
-            digits = stages.index_to_digits(index, stage)
-            lhs = flip_digits(prefix, odometer_step(prefix, digits, 1))
-            rhs = odometer_step(prefix, flip_digits(prefix, digits), -1)
-            report.record(f"{stage}:{index}", lhs == rhs, lhs=list(lhs), rhs=list(rhs))
+    cases = ((f"{stage}:{index}", (radii[: stage - 1], stages.index_to_digits(index, stage)))
+             for stage in range(1, stages.depth + 1) for index in range(stages.size(stage)))
+
+    def both_sides(case: tuple) -> tuple[list[int], list[int]]:
+        prefix, digits = case
+        return (list(flip_digits(prefix, odometer_step(prefix, digits, 1))),
+                list(odometer_step(prefix, flip_digits(prefix, digits), -1)))
+
+    report.compare(cases, both_sides)
     return report
 
 
@@ -382,14 +376,9 @@ def verify_psi_flip(algebra: OdometerAlgebra, stage: int, seed: int, count: int)
         rhs = psi_map(f.shifted(1))
         return lhs, rhs
 
-    lhs, rhs = both_sides(algebra.constant(algebra.coeff.one(), stage))
-    report.record("unit", lhs == rhs, lhs=lhs, rhs=rhs)
-    lhs, rhs = both_sides(algebra.indicator(0, stage))
-    report.record("indicator", lhs == rhs, lhs=lhs, rhs=rhs)
-    for idx in range(count):
-        f = algebra.sample_function(case_rng(seed, idx), stage)
-        lhs, rhs = both_sides(f)
-        report.record(idx, lhs == rhs, lhs=lhs, rhs=rhs)
+    cases = [("unit", algebra.constant(algebra.coeff.one(), stage)), ("indicator", algebra.indicator(0, stage))]
+    cases.extend((idx, algebra.sample_function(case_rng(seed, idx), stage)) for idx in range(count))
+    report.compare(cases, both_sides)
     return report
 
 
@@ -397,7 +386,8 @@ def verify_gk_generation(algebra: OdometerAlgebra) -> Report:
     """Reconstruct U from the stage generators at every configured depth."""
     report = Report("gk-generation", config={"sizes": list(algebra.stages.sizes),
                                              "algebra": algebra.coeff.tag()})
-    for stage in range(1, algebra.stages.depth + 1):
+
+    def both_sides(stage: int) -> tuple[OdometerElement, OdometerElement]:
         n = algebra.stages.size(stage)
         delta0 = algebra.indicator(0, stage)
         U = algebra.u_power(1, stage)
@@ -405,6 +395,7 @@ def verify_gk_generation(algebra: OdometerAlgebra) -> Report:
         for j in range(n - 1):
             total = total + algebra.u_power(j + 1, stage) * delta0 * algebra.u_power(j, stage).star()
         corner = (delta0 * algebra.u_power(n, stage) * delta0) * (delta0 * algebra.u_power(n - 1, stage).star())
-        total = total + corner
-        report.record(stage, total == U, lhs=total, rhs=U)
+        return total + corner, U
+
+    report.compare(((stage, stage) for stage in range(1, algebra.stages.depth + 1)), both_sides)
     return report

@@ -25,6 +25,7 @@ from .crossed import MatrixElement
 from .errors import BudgetError, MismatchError
 from .report import Report, canonical_json
 from .scalar import parse_fraction
+from .sparse import DEGREE_CAP
 
 SUITES = (
     "gamma-hom", "gamma-comp", "trace-compat", "fock-id", "fock-blocks",
@@ -60,6 +61,9 @@ def _run_suite(args) -> Report:
             raise ValueError(f"{name} must be at least 1, got {value}")
     if args.count < 0:
         raise ValueError(f"--count must be at least 0, got {args.count}")
+    # a Fock level l is where T^l lands, so the truncation depth is capped like a u-degree
+    if args.depth is not None and args.depth > DEGREE_CAP:
+        raise BudgetError(f"Fock depth {args.depth} exceeds cap {DEGREE_CAP}")
     sizes = _parse_sizes(args.sizes)
     algebra = _algebra_from_args(args)
     seed, count = args.seed, args.count
@@ -84,10 +88,14 @@ def _run_suite(args) -> Report:
         _merge(report, fock.verify_fock_identity(algebra, seed, count, args.depth or 8), "id")
     elif args.suite == "fock-blocks":
         periods = [int(p) for p in args.periods.split(",")]
+        if min(periods) < 1:
+            raise ValueError(f"--periods must be at least 1, got {min(periods)}")
         # below twice the period the creation block's trust window holds no entry
         if args.depth is not None and args.depth < 2 * max(periods):
             raise ValueError(f"--depth must be at least twice the largest period, {2 * max(periods)}, "
                              f"got {args.depth}")
+        if args.depth is None and 4 * max(periods) > DEGREE_CAP:
+            raise BudgetError(f"Fock depth {4 * max(periods)} (4 x the largest period) exceeds cap {DEGREE_CAP}")
         for period in periods:
             depth = args.depth or 4 * period
             _merge(report, fock.verify_weighted_blocks(algebra, period, seed, count, depth), f"k={period}")

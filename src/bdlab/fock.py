@@ -26,32 +26,11 @@ product go through ``sparse.py``.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 from .coeff import CoefficientAlgebra
 from .errors import MismatchError
 from .report import Report, case_rng
 from .sparse import Subtraction, add_entries, equal_entries, mul_entries, shuffled_entries
-
-
-@dataclass(frozen=True)
-class WeightSequence:
-    """Periodic weight sequence lam_1, lam_2, ... of coefficient elements."""
-
-    weights: tuple
-
-    def __post_init__(self):
-        if not self.weights:
-            raise MismatchError("weight sequence needs at least one weight")
-        object.__setattr__(self, "weights", tuple(self.weights))
-
-    @property
-    def period(self) -> int:
-        return len(self.weights)
-
-    def weight(self, index: int):
-        """lam_index with 1-based index, extended periodically."""
-        return self.weights[(index - 1) % self.period]
 
 
 class FockOperator(Subtraction):
@@ -89,11 +68,13 @@ class FockOperator(Subtraction):
         return FockOperator.phi(algebra, algebra.one(), depth, step=step)
 
     @staticmethod
-    def weighted(algebra: CoefficientAlgebra, lam: WeightSequence, a, depth: int, *, step: int = 1) -> FockOperator:
-        """Weighted creation operator T_lam(a)."""
-        products = [w * a for w in lam.weights]
+    def weighted(algebra: CoefficientAlgebra, weights: tuple, a, depth: int, *, step: int = 1) -> FockOperator:
+        """Weighted creation operator T_lam(a), lam_1, lam_2, ... the weights repeated periodically."""
+        if not weights:
+            raise MismatchError("weight sequence needs at least one weight")
+        products = [w * a for w in weights]
         entries = {
-            (q + 1, q): algebra.alpha_power(products[q % lam.period], step * q)
+            (q + 1, q): algebra.alpha_power(products[q % len(products)], step * q)
             for q in range(depth - 1)
         }
         return FockOperator(algebra, depth, entries, step=step)
@@ -101,7 +82,7 @@ class FockOperator(Subtraction):
     @staticmethod
     def creation(algebra: CoefficientAlgebra, a, depth: int, *, step: int = 1) -> FockOperator:
         """Unweighted creation operator T(a)."""
-        return FockOperator.weighted(algebra, WeightSequence((algebra.one(),)), a, depth, step=step)
+        return FockOperator.weighted(algebra, (algebra.one(),), a, depth, step=step)
 
     @staticmethod
     def shift(algebra: CoefficientAlgebra, depth: int, *, step: int = 1) -> FockOperator:
@@ -295,46 +276,45 @@ def eq_id_sides(algebra: CoefficientAlgebra, a, c, depth: int) -> tuple[FockOper
     return lhs, rhs
 
 
+def _pair_cases(algebra: CoefficientAlgebra, seed: int, count: int) -> list[tuple[int | str, tuple]]:
+    """Case "unit" is the pair (1, 1); case idx draws a, then c, from its own generator."""
+    one = algebra.one()
+    cases: list[tuple[int | str, tuple]] = [("unit", (one, one))]
+    for idx in range(count):
+        rng = case_rng(seed, idx)
+        cases.append((idx, (algebra.sample(rng), algebra.sample(rng))))
+    return cases
+
+
 def verify_fock_identity(algebra: CoefficientAlgebra, seed: int, count: int, depth: int = 8) -> Report:
     """One-step compact remainder identity on `count` random coefficient pairs."""
     report = Report("fock-id", config={"algebra": algebra.tag(), "seed": seed, "count": count, "depth": depth})
-    one = algebra.one()
-    lhs, rhs = eq_id_sides(algebra, one, one, depth)
-    report.record("unit", lhs.agrees(rhs), lhs=lhs, rhs=rhs)
-    for idx in range(count):
-        rng = case_rng(seed, idx)
-        a, c = algebra.sample(rng), algebra.sample(rng)
-        lhs, rhs = eq_id_sides(algebra, a, c, depth)
-        report.record(idx, lhs.agrees(rhs), lhs=lhs, rhs=rhs)
+    report.compare(_pair_cases(algebra, seed, count), lambda ac: eq_id_sides(algebra, *ac, depth),
+                   FockOperator.agrees)
     return report
 
 
-def weighted_blocks_check(algebra: CoefficientAlgebra, lam: WeightSequence, b, depth: int) -> list[tuple[str, bool]]:
-    """Compare the period-k block decomposition of T_lam(b) with its expected form.
+def weighted_blocks_check(algebra: CoefficientAlgebra, weights: tuple, b, depth: int) -> list[tuple[str, tuple]]:
+    """(label, (actual, expected)) for each block of the period-k decomposition of T_lam(b).
 
     Subdiagonal block (l+1, l) must be the block-space left action of
     alpha^l(lam_(l+1) b); corner block (0, k-1) the block-space creation
     operator of alpha^(k-1)(lam_k b); everything else zero.
     """
-    k = lam.period
-    X = FockOperator.weighted(algebra, lam, b, depth)
-    blocks = block_decompose(X, k)
+    k = len(weights)
+    blocks = block_decompose(FockOperator.weighted(algebra, weights, b, depth), k)
     block_depth = (depth + k - 1) // k
     results = []
     for lp in range(k):
         for l in range(k):
-            actual = blocks[(lp, l)]
             if k == 1 or (lp == 0 and l == k - 1):
-                expected = FockOperator.creation(
-                    algebra, algebra.alpha_power(lam.weight(k) * b, k - 1), block_depth, step=k
-                )
+                expected = FockOperator.creation(algebra, algebra.alpha_power(weights[-1] * b, k - 1),
+                                                 block_depth, step=k)
             elif lp == l + 1:
-                expected = FockOperator.phi(
-                    algebra, algebra.alpha_power(lam.weight(l + 1) * b, l), block_depth, step=k
-                )
+                expected = FockOperator.phi(algebra, algebra.alpha_power(weights[l] * b, l), block_depth, step=k)
             else:
                 expected = FockOperator.zero(algebra, block_depth, step=k)
-            results.append((f"block({lp},{l})", actual.agrees(expected)))
+            results.append((f"block({lp},{l})", (blocks[(lp, l)], expected)))
     return results
 
 
@@ -344,12 +324,15 @@ def verify_weighted_blocks(algebra: CoefficientAlgebra, period: int, seed: int, 
         depth = 4 * period
     report = Report("fock-blocks", config={"algebra": algebra.tag(), "period": period,
                                            "seed": seed, "count": count, "depth": depth})
-    for idx in range(count):
-        rng = case_rng(seed, idx)
-        lam = WeightSequence(tuple(algebra.sample(rng) for _ in range(period)))
-        b = algebra.sample(rng)
-        for label, ok in weighted_blocks_check(algebra, lam, b, depth):
-            report.record(f"{idx}:{label}", ok)
+
+    def cases():
+        for idx in range(count):
+            rng = case_rng(seed, idx)
+            weights = tuple(algebra.sample(rng) for _ in range(period))
+            for label, pair in weighted_blocks_check(algebra, weights, algebra.sample(rng), depth):
+                yield f"{idx}:{label}", pair
+
+    report.compare(cases(), lambda pair: pair, FockOperator.agrees)
     return report
 
 
@@ -368,14 +351,8 @@ def verify_compact_preservation(algebra: CoefficientAlgebra, n: int, m: int, see
                                 depth: int = 8) -> Report:
     report = Report("compact-preserve", config={"algebra": algebra.tag(), "n": n, "m": m,
                                                 "seed": seed, "count": count, "depth": depth})
-    one = algebra.one()
-    lhs, rhs = compact_preservation_sides(algebra, n, m, one, one, depth)
-    report.record("unit", lhs.agrees(rhs), lhs=lhs, rhs=rhs)
-    for idx in range(count):
-        rng = case_rng(seed, idx)
-        a, c = algebra.sample(rng), algebra.sample(rng)
-        lhs, rhs = compact_preservation_sides(algebra, n, m, a, c, depth)
-        report.record(idx, lhs.agrees(rhs), lhs=lhs, rhs=rhs)
+    report.compare(_pair_cases(algebra, seed, count),
+                   lambda ac: compact_preservation_sides(algebra, n, m, *ac, depth), BlockMatrix.agrees)
     return report
 
 
@@ -414,26 +391,27 @@ def verify_shuffle(algebra: CoefficientAlgebra, n: int, m: int, seed: int, depth
     report = Report("shuffle", config={"algebra": algebra.tag(), "n": n, "m": m, "seed": seed, "depth": depth})
     k = m // n
     rng = case_rng(seed, "gen")
-    cases: list[tuple[str, str, object, tuple[int, int]]] = [
-        ("phi-one", "phi", algebra.one(), (0, 0)),
-        ("phi", "phi", algebra.sample(rng), (0, 0)),
-        ("creation", "creation", algebra.sample(rng), (0, 0)),
+    cases: list[tuple[str, tuple[str, object]]] = [
+        ("phi-one", ("phi", algebra.one())),
+        ("phi", ("phi", algebra.sample(rng))),
+        ("creation", ("creation", algebra.sample(rng))),
     ]
-    cases.extend((f"unit({i},{j})", "unit", (i, j), (i, j)) for i in range(n) for j in range(n))
-    for label, kind, element, (gi, gj) in cases:
-        # entrywise theta of the generator sitting at entry (gi, gj) of M_n
+    cases.extend((f"unit({i},{j})", ("unit", (i, j))) for i in range(n) for j in range(n))
+
+    def both_sides(case: tuple[str, object]) -> tuple[BlockMatrix, BlockMatrix]:
+        kind, element = case
+        # entrywise theta of the generator at entry (gi, gj) of M_n: (i, j) for a unit e_{i,j}, else (0, 0)
         if kind == "unit":
-            theta_img = BlockMatrix(
+            (gi, gj), theta_img = element, BlockMatrix(
                 algebra, k, depth,
                 {(c, c): FockOperator.identity(algebra, depth, step=m) for c in range(k)}, step=m,
             )
         else:
-            theta_img = theta_block_map(algebra, n, m, kind, element, depth)
-        assembled: dict[tuple[int, int], FockOperator] = {}
-        for (c, cp), op in theta_img.entries.items():
-            assembled[(gi * k + c, gj * k + cp)] = op
+            (gi, gj), theta_img = (0, 0), theta_block_map(algebra, n, m, kind, element, depth)
+        assembled = {(gi * k + c, gj * k + cp): op for (c, cp), op in theta_img.entries.items()}
         lhs = shuffle_conjugate(BlockMatrix(algebra, m, depth, assembled, step=m), n)
-        rhs = _beta_image(algebra, n, m, kind, element if kind != "unit" else (gi, gj), depth)
-        report.record(label, lhs.agrees(rhs), lhs=lhs, rhs=rhs)
+        return lhs, _beta_image(algebra, n, m, kind, element, depth)
+
+    report.compare(cases, both_sides, BlockMatrix.agrees)
     return report
 

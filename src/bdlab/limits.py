@@ -19,7 +19,6 @@ products of generator images lives in the test suite as an independent oracle.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 from .coeff import Angle, CircleRotation, CoefficientAlgebra
@@ -80,9 +79,11 @@ def amplification_shuffle(p: int, X: MatrixElement) -> MatrixElement:
     return MatrixElement(X.algebra, X.power, X.size, shuffled_entries(X.entries, p, X.size))
 
 
-def _stage_generators(algebra: CoefficientAlgebra, power: int, size: int,
-                      rng: random.Random) -> list[MatrixElement]:
-    """1 e_00, a e_00 with a drawn from rng, u e_00, then every matrix unit e_{i,j}."""
+def _stage_cases(algebra: CoefficientAlgebra, power: int, size: int, seed: int,
+                 count: int) -> list[tuple[int | str, MatrixElement]]:
+    """Cases gen0, gen1, ...: 1 e_00, a e_00 with a drawn from the "gen" generator,
+    u e_00 and every matrix unit e_{i,j}; then cases 0..count-1, one sample each."""
+    rng = case_rng(seed, "gen")
     corner = [
         CrossedElement.from_coefficient(algebra, power, algebra.one()),
         CrossedElement.from_coefficient(algebra, power, algebra.sample(rng)),
@@ -90,7 +91,9 @@ def _stage_generators(algebra: CoefficientAlgebra, power: int, size: int,
     ]
     gens = [MatrixElement.single(algebra, power, size, 0, 0, x) for x in corner]
     gens.extend(MatrixElement.single(algebra, power, size, i, j) for i in range(size) for j in range(size))
-    return gens
+    cases: list[tuple[int | str, MatrixElement]] = [(f"gen{i}", X) for i, X in enumerate(gens)]
+    cases.extend((idx, sample_matrix(algebra, power, size, case_rng(seed, idx))) for idx in range(count))
+    return cases
 
 
 def verify_gamma_homomorphism(
@@ -128,13 +131,8 @@ def verify_gamma_composition(
         "gamma-comp",
         config={"n": n, "k": k, "l": l, "algebra": algebra.tag(), "seed": seed, "count": count},
     )
-    cases = [(f"gen{i}", X) for i, X in enumerate(_stage_generators(algebra, n, n, case_rng(seed, "gen")))]
-    for idx in range(count):
-        cases.append((idx, sample_matrix(algebra, n, n, case_rng(seed, idx))))
-    for label, X in cases:
-        lhs = gamma(nk, nkl, gamma(n, nk, X))
-        rhs = gamma(n, nkl, X)
-        report.record(label, lhs == rhs, lhs=lhs, rhs=rhs)
+    report.compare(_stage_cases(algebra, n, n, seed, count),
+                   lambda X: (gamma(nk, nkl, gamma(n, nk, X)), gamma(n, nkl, X)))
     return report
 
 
@@ -145,11 +143,8 @@ def verify_trace_compatibility(
         "trace-compat",
         config={"n": n, "m": m, "algebra": algebra.tag(), "seed": seed, "count": count},
     )
-    for idx in range(count):
-        X = sample_matrix(algebra, n, n, case_rng(seed, idx))
-        lhs = gamma(n, m, X).trace()
-        rhs = X.trace()
-        report.record(idx, lhs == rhs, lhs=lhs, rhs=rhs)
+    cases = ((idx, sample_matrix(algebra, n, n, case_rng(seed, idx))) for idx in range(count))
+    report.compare(cases, lambda X: (gamma(n, m, X).trace(), X.trace()))
     return report
 
 
@@ -174,11 +169,5 @@ def verify_amplification_intertwining(
         rhs = gamma(p * n, p * m, amplification_shuffle(p, X).with_twist(target, p * n))
         return lhs, rhs
 
-    for i, X in enumerate(_stage_generators(base, n, p * n, case_rng(seed, "gen"))):
-        lhs, rhs = both_sides(X)
-        report.record(f"gen{i}", lhs == rhs, lhs=lhs, rhs=rhs)
-    for idx in range(count):
-        X = sample_matrix(base, n, p * n, case_rng(seed, idx))
-        lhs, rhs = both_sides(X)
-        report.record(idx, lhs == rhs, lhs=lhs, rhs=rhs)
+    report.compare(_stage_cases(base, n, p * n, seed, count), both_sides)
     return report

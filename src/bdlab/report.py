@@ -2,17 +2,19 @@
 
 Every verify_* suite returns a Report: the suite name, an echo of the
 configuration, the number of cases run and the list of failures with both
-sides serialized.  Reports are deterministic functions of (config, seed):
-randomness is split per case index from a single seed, and serialization
-sorts keys, so two runs with the same inputs are byte-identical.
+sides serialized.  A suite hands its labelled cases and a map from a case to
+its two sides to ``Report.compare``.  Reports are deterministic functions of
+(config, seed): randomness is split per case index from a single seed, and
+serialization sorts keys, so two runs with the same inputs are byte-identical.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import random
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable, Iterable
 
 
 def case_rng(seed: int, case: int | str) -> random.Random:
@@ -49,6 +51,13 @@ class Report:
         self.cases += 1
         if not ok:
             self.failures.append(Failure(case, _jsonable(lhs), _jsonable(rhs)))
+
+    def compare(self, cases: Iterable[tuple[int | str, Any]], sides: Callable[[Any], tuple[Any, Any]],
+                same: Callable[[Any, Any], bool] = operator.eq) -> None:
+        """Record each (label, x) of ``cases`` as same(lhs, rhs), with (lhs, rhs) = sides(x)."""
+        for label, x in cases:
+            lhs, rhs = sides(x)
+            self.record(label, same(lhs, rhs), lhs, rhs)
 
     def to_json(self) -> dict:
         return {

@@ -124,6 +124,8 @@ class TestVerifyCommand:
         (["gamma-hom", "--angle", "1e5*theta", "--sizes", "1,2", "--count", "1"], "exponent"),
         (["gamma-hom", "--sizes", "1,2", "--count", "-3"], "--count"),
         (["rho-hom", "--sizes", "1,2", "--count", "-3"], "--count"),
+        (["fock-blocks", "--periods", "0", "--count", "1"], "--periods"),
+        (["fock-blocks", "--periods", "-1", "--count", "1"], "--periods"),
     ])
     def test_degenerate_option_is_usage_error(self, capsys, argv, needle):
         # each ran a vacuous suite (exit 0 with no or empty cases), ended in a
@@ -688,6 +690,32 @@ class TestFactorGuard:
     def test_prime_below_guard_squared_still_factors(self, capsys):
         code, out, _ = run_cli(capsys, [*CLASSIFY, "--delta1", "1000000000039", "--delta2", "2^inf"])
         assert code == 0 and json.loads(out)["left"]["delta"]["factors"] == {"1000000000039": 1}
+
+
+class TestFockDepthGuard:
+    # A Fock level is capped like a u-degree; each case runs in a subprocess
+    # with a timeout, so a missing guard fails the test instead of hanging it.
+    @pytest.mark.parametrize("argv", [
+        ["fock-id", "--count", "1", "--depth", "100000"],
+        ["compact-preserve", "--sizes", "1,2", "--count", "1", "--depth", "65"],
+        ["shuffle", "--sizes", "1,2", "--depth", "65"],
+        ["fock-blocks", "--periods", "2", "--count", "1", "--depth", "65"],
+        ["fock-blocks", "--periods", "1,17", "--count", "1"],
+    ])
+    def test_depth_above_cap_is_budget_exit(self, argv, src_env):
+        done = subprocess.run([sys.executable, "-m", "bdlab.cli", "verify", *argv], capture_output=True,
+                              timeout=10, env=src_env)
+        err = done.stderr.decode()
+        assert done.returncode == 3 and done.stdout == b""
+        assert err.startswith("budget exceeded:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["fock-id", "--count", "1", "--depth", "64"],
+        ["fock-blocks", "--periods", "16", "--count", "1"],
+    ])
+    def test_depth_at_cap_still_runs(self, capsys, argv):
+        code, out, _ = run_cli(capsys, ["verify", *argv])
+        assert code == 0 and json.loads(out)["cases"] > 0
 
 
 class TestDeterminism:

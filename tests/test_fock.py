@@ -5,7 +5,6 @@ from bdlab.errors import MismatchError
 from bdlab.fock import (
     BlockMatrix,
     FockOperator,
-    WeightSequence,
     block_decompose,
     compact_preservation_sides,
     eq_id_sides,
@@ -56,8 +55,7 @@ class TestGenerators:
         assert FockOperator.phi(circle, circle.zero(), 4).entries == {}
 
     def test_weighted_periodic_extension(self, circle):
-        lam = WeightSequence((circle.zero(), circle.one()))
-        op = FockOperator.weighted(circle, lam, circle.one(), 4)
+        op = FockOperator.weighted(circle, (circle.zero(), circle.one()), circle.one(), 4)
         assert set(op.entries) == {(2, 1)}
         assert op.entries[(2, 1)] == circle.one()
 
@@ -68,16 +66,19 @@ class TestGenerators:
         # oracle: level q+1 <- q carries alpha^(step*q)(lam_(q+1) * a), built level by level
         algebra = request.getfixturevalue(algebra_fixture)
         for depth in (1, 2, 3 * period + 2):
-            lam = WeightSequence(tuple(algebra.sample(rng) for _ in range(period)))
+            weights = tuple(algebra.sample(rng) for _ in range(period))
             a = algebra.sample(rng)
             want = FockOperator(algebra, depth, {
-                (q + 1, q): algebra.alpha_power(lam.weight(q + 1) * a, step * q) for q in range(depth - 1)
+                (q + 1, q): algebra.alpha_power(weights[q % period] * a, step * q) for q in range(depth - 1)
             }, step=step)
-            assert FockOperator.weighted(algebra, lam, a, depth, step=step).to_json() == want.to_json()
+            assert FockOperator.weighted(algebra, weights, a, depth, step=step).to_json() == want.to_json()
 
     def test_weighted_zero_argument(self, circle):
-        lam = WeightSequence((circle.one(),))
-        assert FockOperator.weighted(circle, lam, circle.zero(), 4).entries == {}
+        assert FockOperator.weighted(circle, (circle.one(),), circle.zero(), 4).entries == {}
+
+    def test_weighted_needs_a_weight(self, circle):
+        with pytest.raises(MismatchError):
+            FockOperator.weighted(circle, (), circle.one(), 4)
 
     def test_shift_isometry_relations(self, circle):
         K = 6
@@ -199,10 +200,10 @@ class TestEqId:
     def test_right_module_linearity(self, circle, rng):
         # T_lam(a c) = T_lam(a) phi(c), exactly on the whole window
         for _ in range(20):
-            lam = WeightSequence(tuple(circle.sample(rng) for _ in range(rng.randint(1, 3))))
+            weights = tuple(circle.sample(rng) for _ in range(rng.randint(1, 3)))
             a, c = circle.sample(rng), circle.sample(rng)
-            lhs = FockOperator.weighted(circle, lam, a * c, 8)
-            rhs = FockOperator.weighted(circle, lam, a, 8).compose(FockOperator.phi(circle, c, 8))
+            lhs = FockOperator.weighted(circle, weights, a * c, 8)
+            rhs = FockOperator.weighted(circle, weights, a, 8).compose(FockOperator.phi(circle, c, 8))
             assert rhs.trust == 8
             assert lhs.agrees(rhs)
 
@@ -234,9 +235,9 @@ class TestBlocks:
             assert Y.entries == X.entries and Y.trust == X.trust
 
     def test_period_one_block_is_creation(self, circle):
-        lam = WeightSequence((circle.one(),))
-        results = weighted_blocks_check(circle, lam, circle.one(), 4)
-        assert all(ok for _, ok in results)
+        results = weighted_blocks_check(circle, (circle.one(),), circle.one(), 4)
+        assert [label for label, _ in results] == ["block(0,0)"]
+        assert all(actual.agrees(expected) for _, (actual, expected) in results)
 
     @pytest.mark.parametrize("period", [1, 2, 3])
     def test_block_equations_random(self, period, circle, cyclic3):
@@ -251,7 +252,7 @@ class TestBlocks:
         b = circle.sample(rng)
         for j in range(k):
             weights = [circle.one() if i == j else circle.zero() for i in range(k)]
-            blocks = block_decompose(FockOperator.weighted(circle, WeightSequence(weights), b, K), k)
+            blocks = block_decompose(FockOperator.weighted(circle, tuple(weights), b, K), k)
             nonzero = {key for key, op in blocks.items() if op.entries}
             if j < k - 1:
                 assert nonzero == {(j + 1, j)}

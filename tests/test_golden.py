@@ -1,6 +1,6 @@
 """Golden serialized outputs.
 
-A fixed corpus of CLI calls, run in-process, and three failure reports from
+A fixed corpus of CLI calls, run in-process, and four failure reports from
 library suites.  Each output (exit code and stdout) is compared by SHA-256
 with a value pinned here, so any change to a serialized element form shows.
 The inputs are written out by hand, not sampled, so the pins depend only on
@@ -17,7 +17,7 @@ import sys
 from contextlib import redirect_stdout
 from unittest import mock
 
-from bdlab import cantor, cli, limits
+from bdlab import cantor, cli, fock, limits
 from bdlab.coeff import Angle, CircleRotation, FiniteCyclicShift
 from bdlab.report import canonical_json
 
@@ -133,6 +133,20 @@ def _rho_failure_report():
     return canonical_json(report.to_json())
 
 
+def _fock_failure_report():
+    """compact-preserve with the corner remainder doubled: the failures serialize Fock block matrices."""
+    real_remainder = fock.compact_remainder
+
+    def doubled(*args):
+        remainder = real_remainder(*args)
+        return remainder + remainder
+
+    with mock.patch.object(fock, "compact_remainder", doubled):
+        report = fock.verify_compact_preservation(CircleRotation(Angle.parse("theta+1/4")), 1, 2, 5, 1, 4)
+    assert report.failures and report.failures[0].lhs != report.failures[0].rhs
+    return canonical_json(report.to_json())
+
+
 def _digest(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -143,6 +157,7 @@ def current_digests():
     # over cyclic(3) alpha makes no phases, so scalar products take the rational path
     out["report:gamma-hom-failure:cyclic"] = _digest(_failure_report(FiniteCyclicShift(3)))
     out["report:rho-hom-failure"] = _digest(_rho_failure_report())
+    out["report:compact-preserve-failure"] = _digest(_fock_failure_report())
     return out
 
 
@@ -176,6 +191,7 @@ PINS = {
     'report:gamma-hom-failure': 'ac28dd81ba3ea77d165e03a8ba46675c2f2a5bcec7955134dcd2ec472e3291fa',
     'report:gamma-hom-failure:cyclic': '67b0f1d2355f621bd4e3d6bbf6be14761e699e48fcd64567bad2d52f6c503d3d',
     'report:rho-hom-failure': 'ea3b25ff83b8d3dbcf9d592c0f0d280855106720eae5a194fc2c6c6834b36f1a',
+    'report:compact-preserve-failure': '130ed38052a7d5a9b2fe15d18789ac1c581b82f364b9a77f910d665a5c321bd3',
 }
 
 

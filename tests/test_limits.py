@@ -49,10 +49,9 @@ def gamma_left_inverse(n: int, m: int, Y: MatrixElement) -> MatrixElement | None
 def verify_gamma_injectivity(algebra, n, m, seed, count, u_degree=2, coeff_degree=2):
     """gamma_left_inverse recovers X from gamma_{n,m}(X) for random stage elements."""
     report = Report("gamma-inverse", config={"n": n, "m": m, "algebra": algebra.tag(), "seed": seed, "count": count})
-    for idx in range(count):
-        X = sample_matrix(algebra, n, n, case_rng(seed, idx), u_degree, coeff_degree)
-        back = gamma_left_inverse(n, m, gamma(n, m, X))
-        report.record(idx, back is not None and back == X, lhs=back, rhs=X)
+    cases = ((idx, sample_matrix(algebra, n, n, case_rng(seed, idx), u_degree, coeff_degree)) for idx in range(count))
+    report.compare(cases, lambda X: (gamma_left_inverse(n, m, gamma(n, m, X)), X),
+                   lambda back, X: back is not None and back == X)
     return report
 
 
