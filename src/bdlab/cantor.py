@@ -310,29 +310,15 @@ def verify_rho_homomorphism(algebra: OdometerAlgebra, stage: int, seed: int, cou
     power = algebra.alpha_sign * n
     report = Report("rho-hom", config={"sizes": list(algebra.stages.sizes), "stage": stage,
                                        "algebra": algebra.coeff.tag(), "seed": seed, "count": count})
-    report.compare([("unital", MatrixElement.identity(algebra.coeff, power, n))],
-                   lambda one: (rho(algebra, stage, one), algebra.unit(stage)))
-    for idx in range(count):
-        rng = case_rng(seed, idx)
-        X = sample_matrix(algebra.coeff, power, n, rng)
-        Y = sample_matrix(algebra.coeff, power, n, rng)
-        lhs, rhs = rho(algebra, stage, X * Y), rho(algebra, stage, X) * rho(algebra, stage, Y)
-        report.record(f"{idx}:mul", lhs == rhs, lhs=lhs, rhs=rhs)
-        lhs_s, rhs_s = rho(algebra, stage, X.star()), rho(algebra, stage, X).star()
-        report.record(f"{idx}:star", lhs_s == rhs_s, lhs=lhs_s, rhs=rhs_s)
-    if extraction_count is None:
-        extraction_count = count // 2
-    for idx in range(extraction_count):
-        rng = case_rng(seed, f"extract{idx}")
-        X = sample_matrix(algebra.coeff, power, n, rng)
-        Y = rho(algebra, stage, X)
-        ok = True
-        for p in range(n):
-            for q in range(n):
-                got = rho_extract(algebra, stage, Y, p, q)
-                if got is None or not (got == X.entry(p, q)):
-                    ok = False
-        report.record(f"extract{idx}", ok, lhs=Y, rhs=X)
+    report.compare_homomorphism(lambda X: rho(algebra, stage, X), MatrixElement.identity(algebra.coeff, power, n),
+                                algebra.unit(stage), lambda rng: sample_matrix(algebra.coeff, power, n, rng),
+                                seed, count)
+    extractions = count // 2 if extraction_count is None else extraction_count
+    cases = ((f"extract{idx}", sample_matrix(algebra.coeff, power, n, case_rng(seed, f"extract{idx}")))
+             for idx in range(extractions))
+    report.compare(cases, lambda X: (rho(algebra, stage, X), X),
+                   lambda Y, X: all(rho_extract(algebra, stage, Y, p, q) == X.entry(p, q)
+                                    for p in range(n) for q in range(n)))
     return report
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 import time
@@ -23,112 +24,153 @@ from . import cantor, fock, invariants, limits
 from .coeff import Angle, CircleRotation, CoefficientAlgebra, FiniteCyclicShift
 from .crossed import MatrixElement
 from .errors import BudgetError, MismatchError
-from .report import Report, canonical_json
+from .report import Failure, Report, canonical_json
 from .scalar import parse_fraction
 from .sparse import DEGREE_CAP
 
-SUITES = (
-    "gamma-hom", "gamma-comp", "trace-compat", "fock-id", "fock-blocks",
-    "compact-preserve", "shuffle", "rho-hom", "rg", "flip", "psi-flip",
-    "gk-generation", "amplification",
-)
+#: verify and apply option defaults; an option a suite or map reads that has none here must be given
+DEFAULTS = {"sizes": "1,2,4", "algebra": "circle", "angle": "theta", "modulus": 3, "out": None, "infile": None,
+            "depth": None, "seed": 0, "count": 100, "p": 2, "periods": "1,2,3"}
+FLAGS = {"src": "--from", "dst": "--to", "infile": "--in"}
+#: namespace entries that are not options a suite or map reads: every command writes --out, every map reads --in
+_UNCHECKED = ("command", "func", "suite", "map", "out", "infile")
 
 
 def _parse_sizes(text: str) -> tuple[int, ...]:
     return limits.check_divisibility_chain(int(s) for s in text.split(","))
 
 
+def _odometer(sizes: str, algebra: CoefficientAlgebra) -> cantor.OdometerAlgebra:
+    return cantor.OdometerAlgebra(cantor.StageSequence(_parse_sizes(sizes)), algebra)
+
+
 def _algebra_from_args(args) -> CoefficientAlgebra:
     if args.algebra == "circle":
         return CircleRotation(Angle.parse(args.angle))
-    if args.algebra == "cyclic":
-        if args.modulus < 1:
-            raise ValueError(f"--modulus must be at least 1, got {args.modulus}")
-        return FiniteCyclicShift(args.modulus)
-    raise MismatchError(f"unknown algebra {args.algebra!r}")
+    if args.modulus < 1:
+        raise ValueError(f"--modulus must be at least 1, got {args.modulus}")
+    return FiniteCyclicShift(args.modulus)
 
 
-def _merge(master: Report, sub: Report, prefix: str) -> None:
-    master.cases += sub.cases
-    for f in sub.failures:
-        f.case = f"{prefix}:{f.case}"
-        master.failures.append(f)
+def _options(args, reads: tuple[str, ...], command: str) -> argparse.Namespace:
+    """``args`` over DEFAULTS, once each option given is in ``reads`` and each one there without a
+    default is given; "algebra" also reads --angle for the circle and --modulus for the cyclic shift."""
+    o = argparse.Namespace(**{**DEFAULTS, **vars(args)})
+    if "algebra" in reads:
+        reads += ("angle",) if o.algebra == "circle" else ("modulus",)
+    for dest in vars(args):
+        if dest not in (*reads, *_UNCHECKED):
+            where = f" with --algebra {o.algebra}" if dest in ("angle", "modulus") and "algebra" in reads else ""
+            raise ValueError(f"{command} does not take {FLAGS.get(dest, '--' + dest)}{where}")
+    for dest in reads:
+        if dest not in vars(o):
+            raise ValueError(f"{command} needs {FLAGS.get(dest, '--' + dest)}")
+    return o
+
+
+def _periods(o) -> list[int]:
+    """The --periods list, checked against --depth or the default depth of 4 x each period."""
+    try:
+        periods = [int(k) for k in o.periods.split(",")]
+    except ValueError:
+        raise ValueError(f"--periods must be comma-separated integers, got {o.periods!r}") from None
+    if min(periods) < 1:
+        raise ValueError(f"--periods must be at least 1, got {min(periods)}")
+    # below twice the period the creation block's trust window holds no entry
+    if o.depth is not None and o.depth < 2 * max(periods):
+        raise ValueError(f"--depth must be at least twice the largest period, {2 * max(periods)}, got {o.depth}")
+    if o.depth is None and 4 * max(periods) > DEGREE_CAP:
+        raise BudgetError(f"Fock depth {4 * max(periods)} (4 x the largest period) exceeds cap {DEGREE_CAP}")
+    return periods
+
+
+def _circle_angle(algebra: CoefficientAlgebra) -> Angle:
+    if not isinstance(algebra, CircleRotation):
+        raise MismatchError("amplification suite needs the circle algebra")
+    return algebra.angle
+
+
+_STAGE_SUITE = ("sizes", "algebra", "seed", "count")
+
+#: suite -> (the options it reads, its runs as (case prefix, arguments) from the parsed options,
+#: the library call); the options carry the built ``algebra``, its ``odo`` and the stage ``pairs``
+SUITES = {
+    "gamma-hom": (_STAGE_SUITE, lambda o: [(f"{n}->{m}", (o.algebra, n, m, o.seed, o.count)) for n, m in o.pairs],
+                  limits.verify_gamma_homomorphism),
+    "gamma-comp": (_STAGE_SUITE,
+                   lambda o: [(f"({n},{m // n},{l // m})", (o.algebra, n, m // n, l // m, o.seed, o.count))
+                              for (n, m), (_, l) in itertools.pairwise(o.pairs)],
+                   limits.verify_gamma_composition),
+    "trace-compat": (_STAGE_SUITE, lambda o: [(f"{n}->{m}", (o.algebra, n, m, o.seed, o.count)) for n, m in o.pairs],
+                     limits.verify_trace_compatibility),
+    "fock-id": (("algebra", "seed", "count", "depth"), lambda o: [("id", (o.algebra, o.seed, o.count, o.depth or 8))],
+                fock.verify_fock_identity),
+    "fock-blocks": (("algebra", "seed", "count", "depth", "periods"),
+                    lambda o: [(f"k={k}", (o.algebra, k, o.seed, o.count, o.depth or 4 * k)) for k in _periods(o)],
+                    fock.verify_weighted_blocks),
+    "compact-preserve": (("sizes", "algebra", "seed", "count", "depth"),
+                         lambda o: [(f"{n}->{m}", (o.algebra, n, m, o.seed, o.count, o.depth or 8))
+                                    for n, m in o.pairs],
+                         fock.verify_compact_preservation),
+    "shuffle": (("sizes", "algebra", "seed", "depth"),
+                lambda o: [(f"{n}->{m}", (o.algebra, n, m, o.seed, o.depth or 8)) for n, m in o.pairs],
+                fock.verify_shuffle),
+    "rho-hom": (_STAGE_SUITE,
+                lambda o: [(f"stage{k}", (o.odo, k, o.seed, o.count)) for k in range(1, o.odo.stages.depth + 1)],
+                cantor.verify_rho_homomorphism),
+    "rg": (_STAGE_SUITE, lambda o: [(f"stage{k}", (o.odo, k, o.seed, o.count)) for k in range(1, o.odo.stages.depth)],
+           cantor.verify_rg),
+    "flip": (("sizes",), lambda o: [("flip", (o.odo.stages,))], cantor.verify_flip_conjugacy),
+    "psi-flip": (_STAGE_SUITE, lambda o: [("psi", (o.odo, o.odo.stages.depth, o.seed, o.count))],
+                 cantor.verify_psi_flip),
+    "gk-generation": (("sizes", "algebra"), lambda o: [("gk", (o.odo,))], cantor.verify_gk_generation),
+    "amplification": ((*_STAGE_SUITE, "p"),
+                      lambda o: [(f"{n}->{m}", (_circle_angle(o.algebra), o.p, n, m, o.seed, o.count))
+                                 for n, m in o.pairs],
+                      limits.verify_amplification_intertwining),
+}
 
 
 def _run_suite(args) -> Report:
-    for name, value in (("--p", args.p), ("--depth", args.depth)):
-        if value is not None and value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
-    if args.count < 0:
-        raise ValueError(f"--count must be at least 0, got {args.count}")
+    reads, runs, call = SUITES[args.suite]
+    o = _options(args, reads, f"verify {args.suite}")
+    for name, value, low in (("--p", o.p, 1), ("--depth", o.depth, 1), ("--count", o.count, 0)):
+        if value is not None and value < low:
+            raise ValueError(f"{name} must be at least {low}, got {value}")
     # a Fock level l is where T^l lands, so the truncation depth is capped like a u-degree
-    if args.depth is not None and args.depth > DEGREE_CAP:
-        raise BudgetError(f"Fock depth {args.depth} exceeds cap {DEGREE_CAP}")
-    sizes = _parse_sizes(args.sizes)
-    algebra = _algebra_from_args(args)
-    seed, count = args.seed, args.count
-    pairs = list(zip(sizes, sizes[1:]))
-    report = Report(args.suite, config={
-        "sizes": list(sizes), "algebra": algebra.tag(), "seed": seed, "count": count,
-        "depth": args.depth, "p": args.p, "periods": args.periods,
-    })
-
-    if args.suite == "gamma-hom":
-        for n, m in pairs:
-            _merge(report, limits.verify_gamma_homomorphism(algebra, n, m, seed, count), f"{n}->{m}")
-    elif args.suite == "gamma-comp":
-        for i in range(len(sizes) - 2):
-            n = sizes[i]
-            k, l = sizes[i + 1] // n, sizes[i + 2] // sizes[i + 1]
-            _merge(report, limits.verify_gamma_composition(algebra, n, k, l, seed, count), f"({n},{k},{l})")
-    elif args.suite == "trace-compat":
-        for n, m in pairs:
-            _merge(report, limits.verify_trace_compatibility(algebra, n, m, seed, count), f"{n}->{m}")
-    elif args.suite == "fock-id":
-        _merge(report, fock.verify_fock_identity(algebra, seed, count, args.depth or 8), "id")
-    elif args.suite == "fock-blocks":
-        periods = [int(p) for p in args.periods.split(",")]
-        if min(periods) < 1:
-            raise ValueError(f"--periods must be at least 1, got {min(periods)}")
-        # below twice the period the creation block's trust window holds no entry
-        if args.depth is not None and args.depth < 2 * max(periods):
-            raise ValueError(f"--depth must be at least twice the largest period, {2 * max(periods)}, "
-                             f"got {args.depth}")
-        if args.depth is None and 4 * max(periods) > DEGREE_CAP:
-            raise BudgetError(f"Fock depth {4 * max(periods)} (4 x the largest period) exceeds cap {DEGREE_CAP}")
-        for period in periods:
-            depth = args.depth or 4 * period
-            _merge(report, fock.verify_weighted_blocks(algebra, period, seed, count, depth), f"k={period}")
-    elif args.suite == "compact-preserve":
-        for n, m in pairs:
-            _merge(report, fock.verify_compact_preservation(algebra, n, m, seed, count, args.depth or 8), f"{n}->{m}")
-    elif args.suite == "shuffle":
-        for n, m in pairs:
-            _merge(report, fock.verify_shuffle(algebra, n, m, seed, args.depth or 8), f"{n}->{m}")
-    elif args.suite == "amplification":
-        if args.algebra != "circle":
-            raise MismatchError("amplification suite needs the circle algebra")
-        angle = Angle.parse(args.angle)
-        for n, m in pairs:
-            _merge(report, limits.verify_amplification_intertwining(angle, args.p, n, m, seed, count), f"{n}->{m}")
-    else:
-        stages = cantor.StageSequence(sizes)
-        odo = cantor.OdometerAlgebra(stages, algebra)
-        if args.suite == "rho-hom":
-            for stage in range(1, stages.depth + 1):
-                _merge(report, cantor.verify_rho_homomorphism(odo, stage, seed, count), f"stage{stage}")
-        elif args.suite == "rg":
-            for stage in range(1, stages.depth):
-                _merge(report, cantor.verify_rg(odo, stage, seed, count), f"stage{stage}")
-        elif args.suite == "flip":
-            _merge(report, cantor.verify_flip_conjugacy(stages), "flip")
-        elif args.suite == "psi-flip":
-            _merge(report, cantor.verify_psi_flip(odo, stages.depth, seed, count), "psi")
-        elif args.suite == "gk-generation":
-            _merge(report, cantor.verify_gk_generation(odo), "gk")
+    if o.depth is not None and o.depth > DEGREE_CAP:
+        raise BudgetError(f"Fock depth {o.depth} exceeds cap {DEGREE_CAP}")
+    o.algebra = _algebra_from_args(o)
+    o.odo = _odometer(o.sizes, o.algebra)
+    o.pairs = list(itertools.pairwise(o.odo.stages.sizes))
+    report = Report(args.suite, config={"sizes": list(o.odo.stages.sizes), "algebra": o.algebra.tag(), "seed": o.seed,
+                                        "count": o.count, "depth": o.depth, "p": o.p, "periods": o.periods})
+    for prefix, arguments in runs(o):
+        sub = call(*arguments)
+        report.cases += sub.cases
+        report.failures += [Failure(f"{prefix}:{f.case}", f.lhs, f.rhs) for f in sub.failures]
     if not report.cases:
-        raise ValueError(f"{args.suite} has no case to check with --sizes {args.sizes} --count {count}")
+        raise ValueError(f"{args.suite} has no case to check with --sizes {o.sizes}"
+                         + (f" --count {o.count}" if "count" in reads else ""))
     return report
+
+
+def _matrix(data: dict, size: int | None = None) -> MatrixElement:
+    X = _parse(MatrixElement.from_json, data)
+    if size not in (None, X.size):
+        raise MismatchError(f"input has size {X.size}, expected --from {size}")
+    return X
+
+
+#: map -> (the options it reads, the call from the parsed options and the element JSON to the image)
+MAPS = {
+    "gamma": (("src", "dst"), lambda o, data: limits.gamma(o.src, o.dst, _matrix(data, o.src))),
+    "rho": (("stage", "sizes"),
+            lambda o, data: cantor.rho(_odometer(o.sizes, (X := _matrix(data)).algebra), o.stage, X)),
+    "shuffle": (("p",), lambda o, data: limits.amplification_shuffle(o.p, _matrix(data))),
+    "psi": (("sizes", "algebra"), lambda o, data: cantor.psi_map(
+        _parse(cantor.OdometerElement.from_json, data, _odometer(o.sizes, _algebra_from_args(o))))),
+}
 
 
 def _read_element(args) -> dict:
@@ -151,6 +193,8 @@ def _parse(from_json, data: dict, *extra):
         return from_json(data, *extra)
     except (TypeError, AttributeError, IndexError, OverflowError) as exc:
         raise ValueError(f"malformed element JSON: {exc}") from None
+    except KeyError as exc:
+        raise ValueError(f"malformed element JSON: missing field {exc}") from None
 
 
 def _emit(args, text: str) -> None:
@@ -170,27 +214,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_apply(args) -> int:
-    data = _read_element(args)
-    if args.map == "gamma":
-        X = _parse(MatrixElement.from_json, data)
-        if X.size != args.src:
-            raise MismatchError(f"input has size {X.size}, expected --from {args.src}")
-        _emit(args, canonical_json(limits.gamma(args.src, args.dst, X).to_json()))
-    elif args.map == "shuffle":
-        X = _parse(MatrixElement.from_json, data)
-        _emit(args, canonical_json(limits.amplification_shuffle(args.p, X).to_json()))
-    elif args.map == "rho":
-        X = _parse(MatrixElement.from_json, data)
-        stages = cantor.StageSequence(_parse_sizes(args.sizes))
-        odo = cantor.OdometerAlgebra(stages, X.algebra)
-        _emit(args, canonical_json(cantor.rho(odo, args.stage, X).to_json()))
-    elif args.map == "psi":
-        stages = cantor.StageSequence(_parse_sizes(args.sizes))
-        odo = cantor.OdometerAlgebra(stages, _algebra_from_args(args))
-        x = _parse(cantor.OdometerElement.from_json, data, odo)
-        _emit(args, canonical_json(cantor.psi_map(x).to_json()))
-    else:
-        raise MismatchError(f"unknown map {args.map!r}")
+    reads, call = MAPS[args.map]
+    o = _options(args, reads, f"apply --map {args.map}")
+    _emit(o, canonical_json(call(o, _read_element(o)).to_json()))
     return 0
 
 
@@ -215,8 +241,6 @@ def cmd_classify(args) -> int:
 
 def _theta_stream(text: str):
     """Continued-fraction coefficients '0,2,2' or '0,2,...' (repeat last forever)."""
-    import itertools
-
     parts = [p.strip() for p in text.split(",")]
     repeat = parts[-1] == "..."
     coeffs = [int(p) for p in (parts[:-1] if repeat else parts)]
@@ -260,29 +284,29 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--sizes", default="1,2,4", help="comma-separated divisibility chain, n1=1")
-        p.add_argument("--algebra", choices=("circle", "cyclic"), default="circle")
-        p.add_argument("--angle", default="theta", help="rotation angle q+r*theta (circle algebra)")
-        p.add_argument("--modulus", type=int, default=3, help="d for the cyclic algebra")
-        p.add_argument("--out", default=None, help="also write the JSON output to this file")
+        p.add_argument("--sizes", help="comma-separated divisibility chain, n1=1")
+        p.add_argument("--algebra", choices=("circle", "cyclic"))
+        p.add_argument("--angle", help="rotation angle q+r*theta (circle algebra)")
+        p.add_argument("--modulus", type=int, help="d for the cyclic algebra")
+        p.add_argument("--out", help="also write the JSON output to this file")
 
-    pv = sub.add_parser("verify", help="run a verification suite")
-    pv.add_argument("suite", choices=SUITES)
+    pv = sub.add_parser("verify", help="run a verification suite", argument_default=argparse.SUPPRESS)
+    pv.add_argument("suite", choices=tuple(SUITES))
     common(pv)
-    pv.add_argument("--depth", type=int, default=None, help="Fock truncation depth")
-    pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--count", type=int, default=100)
-    pv.add_argument("--p", type=int, default=2, help="amplification order")
-    pv.add_argument("--periods", default="1,2,3", help="periods for fock-blocks")
+    pv.add_argument("--depth", type=int, help="Fock truncation depth")
+    pv.add_argument("--seed", type=int)
+    pv.add_argument("--count", type=int)
+    pv.add_argument("--p", type=int, help="amplification order")
+    pv.add_argument("--periods", help="periods for fock-blocks")
     pv.set_defaults(func=cmd_verify)
 
-    pa = sub.add_parser("apply", help="apply a structural map to an element JSON")
-    pa.add_argument("--map", choices=("gamma", "rho", "shuffle", "psi"), required=True)
-    pa.add_argument("--from", dest="src", type=int, default=None, help="source stage size for gamma")
-    pa.add_argument("--to", dest="dst", type=int, default=None, help="target stage size for gamma")
-    pa.add_argument("--stage", type=int, default=None, help="stage index for rho")
-    pa.add_argument("--p", type=int, default=2, help="block order for shuffle")
-    pa.add_argument("--in", dest="infile", default=None, help="element JSON file (default stdin)")
+    pa = sub.add_parser("apply", help="apply a structural map to an element JSON", argument_default=argparse.SUPPRESS)
+    pa.add_argument("--map", choices=tuple(MAPS), required=True)
+    pa.add_argument("--from", dest="src", type=int, help="source stage size for gamma")
+    pa.add_argument("--to", dest="dst", type=int, help="target stage size for gamma")
+    pa.add_argument("--stage", type=int, help="stage index for rho")
+    pa.add_argument("--p", type=int, help="block order for shuffle")
+    pa.add_argument("--in", dest="infile", help="element JSON file (default stdin)")
     common(pa)
     pa.set_defaults(func=cmd_apply)
 
@@ -321,14 +345,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        if args.command == "apply" and args.map == "gamma":
-            if args.src is None or args.dst is None:
-                parser.error("apply --map gamma needs --from and --to")
-        if args.command == "apply" and args.map == "rho" and args.stage is None:
-            parser.error("apply --map rho needs --stage")
         return args.func(args)
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

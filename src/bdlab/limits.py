@@ -96,30 +96,12 @@ def _stage_cases(algebra: CoefficientAlgebra, power: int, size: int, seed: int,
     return cases
 
 
-def verify_gamma_homomorphism(
-    algebra: CoefficientAlgebra,
-    n: int,
-    m: int,
-    seed: int,
-    count: int,
-) -> Report:
-    report = Report(
-        "gamma-hom",
-        config={"n": n, "m": m, "algebra": algebra.tag(), "seed": seed, "count": count,
-                "uDegree": 2, "coeffDegree": 2},
-    )
-    one_n = MatrixElement.identity(algebra, n, n)
-    one_m = MatrixElement.identity(algebra, m, m)
-    report.record("unital", gamma(n, m, one_n) == one_m, lhs=gamma(n, m, one_n), rhs=one_m)
-    for idx in range(count):
-        rng = case_rng(seed, idx)
-        X = sample_matrix(algebra, n, n, rng)
-        Y = sample_matrix(algebra, n, n, rng)
-        gX, gY = gamma(n, m, X), gamma(n, m, Y)
-        lhs, rhs = gamma(n, m, X * Y), gX * gY
-        report.record(f"{idx}:mul", lhs == rhs, lhs=lhs, rhs=rhs)
-        lhs_s, rhs_s = gamma(n, m, X.star()), gX.star()
-        report.record(f"{idx}:star", lhs_s == rhs_s, lhs=lhs_s, rhs=rhs_s)
+def verify_gamma_homomorphism(algebra: CoefficientAlgebra, n: int, m: int, seed: int, count: int) -> Report:
+    report = Report("gamma-hom", config={"n": n, "m": m, "algebra": algebra.tag(), "seed": seed, "count": count,
+                                         "uDegree": 2, "coeffDegree": 2})
+    report.compare_homomorphism(lambda X: gamma(n, m, X), MatrixElement.identity(algebra, n, n),
+                                MatrixElement.identity(algebra, m, m), lambda rng: sample_matrix(algebra, n, n, rng),
+                                seed, count)
     return report
 
 
@@ -136,14 +118,11 @@ def verify_gamma_composition(
     return report
 
 
-def verify_trace_compatibility(
-    algebra: CoefficientAlgebra, n: int, m: int, seed: int, count: int,
-) -> Report:
-    report = Report(
-        "trace-compat",
-        config={"n": n, "m": m, "algebra": algebra.tag(), "seed": seed, "count": count},
-    )
-    cases = ((idx, sample_matrix(algebra, n, n, case_rng(seed, idx))) for idx in range(count))
+def verify_trace_compatibility(algebra: CoefficientAlgebra, n: int, m: int, seed: int, count: int) -> Report:
+    report = Report("trace-compat", config={"n": n, "m": m, "algebra": algebra.tag(), "seed": seed, "count": count})
+    # each case is X + 1, since a sampled X almost always has trace 0 on both sides
+    one = MatrixElement.identity(algebra, n, n)
+    cases = ((idx, sample_matrix(algebra, n, n, case_rng(seed, idx)) + one) for idx in range(count))
     report.compare(cases, lambda X: (gamma(n, m, X).trace(), X.trace()))
     return report
 

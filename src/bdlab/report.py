@@ -47,17 +47,28 @@ class Report:
     def ok(self) -> bool:
         return not self.failures
 
-    def record(self, case: int | str, ok: bool, lhs: Any = None, rhs: Any = None) -> None:
-        self.cases += 1
-        if not ok:
-            self.failures.append(Failure(case, _jsonable(lhs), _jsonable(rhs)))
-
     def compare(self, cases: Iterable[tuple[int | str, Any]], sides: Callable[[Any], tuple[Any, Any]],
                 same: Callable[[Any, Any], bool] = operator.eq) -> None:
         """Record each (label, x) of ``cases`` as same(lhs, rhs), with (lhs, rhs) = sides(x)."""
         for label, x in cases:
             lhs, rhs = sides(x)
-            self.record(label, same(lhs, rhs), lhs, rhs)
+            self.cases += 1
+            if not same(lhs, rhs):
+                self.failures.append(Failure(label, _jsonable(lhs), _jsonable(rhs)))
+
+    def compare_homomorphism(self, f: Callable[[Any], Any], one: Any, unit: Any,
+                             sample: Callable[[random.Random], Any], seed: int, count: int) -> None:
+        """Case "unital" is (f(one), unit); case idx draws X, then Y, with sample(case_rng(seed, idx)),
+        and compares f(XY) with f(X)f(Y) as idx:mul and f(X*) with f(X)* as idx:star."""
+        def cases():
+            yield "unital", lambda: (f(one), unit)
+            for idx in range(count):
+                rng = case_rng(seed, idx)
+                X, Y = sample(rng), sample(rng)
+                yield f"{idx}:mul", lambda X=X, Y=Y: (f(X * Y), f(X) * f(Y))
+                yield f"{idx}:star", lambda X=X: (f(X.star()), f(X).star())
+
+        self.compare(cases(), lambda sides: sides())
 
     def to_json(self) -> dict:
         return {

@@ -73,7 +73,7 @@ class TestVerifyCommand:
 
     def test_failures_exit_one(self, capsys, monkeypatch):
         broken = Report("fake")
-        broken.record(0, False, lhs=1, rhs=2)
+        broken.compare([(0, (1, 2))], lambda sides: sides)
         monkeypatch.setattr(cli, "_run_suite", lambda args: broken)
         code, out, _ = run_cli(capsys, ["verify", "gamma-hom"])
         assert code == 1
@@ -126,6 +126,9 @@ class TestVerifyCommand:
         (["rho-hom", "--sizes", "1,2", "--count", "-3"], "--count"),
         (["fock-blocks", "--periods", "0", "--count", "1"], "--periods"),
         (["fock-blocks", "--periods", "-1", "--count", "1"], "--periods"),
+        (["fock-blocks", "--periods=", "--count", "1"], "--periods"),
+        (["fock-blocks", "--periods", "1,,2", "--count", "1"], "--periods"),
+        (["fock-blocks", "--periods", "a", "--count", "1"], "--periods"),
     ])
     def test_degenerate_option_is_usage_error(self, capsys, argv, needle):
         # each ran a vacuous suite (exit 0 with no or empty cases), ended in a
@@ -133,6 +136,66 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, ["verify", *argv])
         assert code == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1
         assert needle in err
+
+
+#: a value for each verify and apply option, by its namespace name
+OPTION_VALUES = {"sizes": "1,2", "algebra": "circle", "angle": "theta", "modulus": "3", "depth": "8", "seed": "1",
+                 "count": "1", "p": "1", "periods": "1", "src": "1", "dst": "2", "stage": "1"}
+VERIFY_OPTIONS = ("sizes", "algebra", "angle", "modulus", "depth", "seed", "count", "p", "periods")
+APPLY_OPTIONS = ("src", "dst", "stage", "p", "sizes", "algebra", "angle", "modulus")
+#: an element JSON each map accepts
+MAP_INPUTS = {"gamma": GAMMA_INPUT, "rho": GAMMA_INPUT, "shuffle": GAMMA_INPUT, "psi": {"depth": 1, "coeffs": {}}}
+
+
+def _flag(name):
+    return cli.FLAGS.get(name, "--" + name)
+
+
+def _with(argv, *names):
+    return [*argv, *(arg for name in names for arg in (_flag(name), OPTION_VALUES[name]))]
+
+
+def _unread_option_cases():
+    """(argv, stdin, flag): a valid argv plus one option its suite or map does not read, named by flag.
+
+    Per suite or map: every option it never reads, then --modulus with the
+    circle algebra and --angle with the cyclic one when it reads an algebra.
+    """
+    commands = [(["verify", suite], reads, VERIFY_OPTIONS, None) for suite, (reads, _, _) in cli.SUITES.items()]
+    commands += [(["apply", "--map", name], reads, APPLY_OPTIONS, MAP_INPUTS[name])
+                 for name, (reads, _) in cli.MAPS.items()]
+    cases = []
+    for command, reads, options, stdin in commands:
+        # declared options that keep the run small, and the ones a map needs
+        base = _with(command, *(name for name in ("count", "p", "src", "dst", "stage") if name in reads))
+        for name in options:
+            if name not in reads and not (name in ("angle", "modulus") and "algebra" in reads):
+                cases.append(pytest.param(_with(base, name), stdin, _flag(name), id=f"{command[-1]} {_flag(name)}"))
+        if "algebra" in reads:
+            cases.append(pytest.param(_with(base, "modulus"), stdin, "--modulus", id=f"{command[-1]} circle --modulus"))
+            cases.append(pytest.param([*base, "--algebra", "cyclic", "--angle", "theta"], stdin, "--angle",
+                                      id=f"{command[-1]} cyclic --angle"))
+    return cases
+
+
+@pytest.mark.parametrize("argv,stdin,flag", _unread_option_cases())
+def test_option_the_suite_or_map_does_not_read_is_usage_error(capsys, monkeypatch, argv, stdin, flag):
+    # each was accepted and ignored, so the command exited 0 as if the option had been read
+    feed_stdin(monkeypatch, stdin)
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: {' '.join(argv[:2 if argv[0] == 'verify' else 3])} does not take {flag}")
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (["apply", "--map", "gamma", "--from", "1"], "apply --map gamma needs --to"),
+    (["apply", "--map", "gamma", "--to", "2"], "apply --map gamma needs --from"),
+    (["apply", "--map", "rho", "--sizes", "1,2"], "apply --map rho needs --stage"),
+])
+def test_missing_required_option_is_one_line_usage_error(capsys, monkeypatch, argv, needle):
+    feed_stdin(monkeypatch, GAMMA_INPUT)
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == "" and err == f"error: {needle}\n"
 
 
 @st.composite
@@ -143,29 +206,44 @@ def _size_chains(draw):
     return ",".join(map(str, sizes))
 
 
-def _verify_argv(suite, algebra, sizes, depth, p, count, modulus, periods):
-    return ["verify", suite, "--algebra", algebra, "--sizes", sizes, "--depth", str(depth), "--p", str(p),
-            "--count", str(count), "--modulus", str(modulus), "--periods", periods]
+def _reads(suite, algebra):
+    """The options a suite reads over the given algebra."""
+    reads = cli.SUITES[suite][0]
+    return (*reads, "angle" if algebra == "circle" else "modulus") if "algebra" in reads else reads
 
 
 @settings(max_examples=150, deadline=timedelta(seconds=5))
 @given(
-    st.sampled_from(cli.SUITES), st.sampled_from(["circle", "cyclic"]), _size_chains(),
+    st.sampled_from(tuple(cli.SUITES)), st.sampled_from(["circle", "cyclic"]), _size_chains(),
     st.integers(-2, 6), st.integers(-1, 3), st.integers(-2, 2), st.integers(-1, 6),
     st.lists(st.integers(0, 3), min_size=1, max_size=2).map(lambda ps: ",".join(map(str, ps))),
+    st.none() | st.sampled_from(VERIFY_OPTIONS),
 )
-@example("amplification", "circle", "1,2", 4, 0, 1, 3, "1")
-@example("shuffle", "circle", "1,2", -3, 2, 1, 3, "1")
-@example("shuffle", "cyclic", "1,2", 0, 2, 1, 3, "1")
-@example("fock-blocks", "circle", "1,2", 1, 2, 1, 3, "3")
-def test_verify_integer_options_fuzz(suite, algebra, sizes, depth, p, count, modulus, periods):
-    """Every small input exits 0-3 without a traceback, and exit 0 checked something."""
-    code, out, err = _main_captured(_verify_argv(suite, algebra, sizes, depth, p, count, modulus, periods))
+@example("amplification", "circle", "1,2", 4, 0, 1, 3, "1", None)
+@example("shuffle", "circle", "1,2", -3, 2, 1, 3, "1", None)
+@example("shuffle", "cyclic", "1,2", 0, 2, 1, 3, "1", None)
+@example("fock-blocks", "circle", "1,2", 1, 2, 1, 3, "3", None)
+@example("flip", "circle", "1,2", 1, 2, 1, 3, "1", "count")
+@example("gamma-hom", "cyclic", "1,2", 1, 2, 1, 3, "1", "angle")
+def test_verify_integer_options_fuzz(suite, algebra, sizes, depth, p, count, modulus, periods, unread):
+    """Every small input of the options a suite reads exits 0-3 without a traceback, and exit 0
+    checked something; one more option the suite does not read makes it exit 2."""
+    reads = _reads(suite, algebra)
+    drawn = {"algebra": algebra, "sizes": sizes, "depth": depth, "p": p, "count": count, "modulus": modulus,
+             "periods": periods}
+    argv = ["verify", suite]
+    argv += [arg for name, value in drawn.items() if name in reads for arg in (f"--{name}", str(value))]
+    if unread in reads:
+        unread = None
+    code, out, err = _main_captured(_with(argv, unread) if unread else argv)
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err
+    if unread:
+        assert code == 2 and out == "" and f"does not take --{unread}" in err
     if code == 0:
         assert json.loads(out)["cases"] > 0
-        assert depth >= 1 and p >= 1 and count >= 0
+        assert all(value >= low for name, value, low in (("depth", depth, 1), ("p", p, 1), ("count", count, 0))
+                   if name in reads)
         if suite == "fock-blocks":
             assert depth >= 2 * max(int(k) for k in periods.split(","))
 
@@ -326,6 +404,16 @@ class TestMalformedElementJson:
         feed_stdin(monkeypatch, payload)
         code, out, err = run_cli(capsys, self.PSI)
         assert code == 2 and out == "" and err.startswith("error: malformed element JSON") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,payload,field", [
+        (["trace"], {}, "size"),
+        (PSI, GAMMA_INPUT, "depth"),  # a matrix where psi reads an odometer element
+    ])
+    def test_missing_field_is_named(self, capsys, monkeypatch, argv, payload, field):
+        # printed "error: 'size'", naming neither the input nor what was wrong with it
+        feed_stdin(monkeypatch, payload)
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == "" and err == f"error: malformed element JSON: missing field '{field}'\n"
 
     @pytest.mark.parametrize("depth", [9, 0, -4])
     def test_psi_depth_outside_stages_is_usage_error(self, capsys, monkeypatch, depth):

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from bdlab.coeff import Angle, CircleFunction
+from bdlab import limits
+from bdlab.coeff import Angle, CircleFunction, CircleRotation, FiniteCyclicShift
 from bdlab.crossed import CrossedElement, MatrixElement, sample_crossed, sample_matrix
 from bdlab.errors import BudgetError, MismatchError
 from bdlab.limits import (
@@ -222,6 +223,18 @@ def test_trace_compatibility_base_cases(circle):
     assert gamma(1, 2, u_e00).trace() == Scalar.zero() == u_e00.trace()
     report = verify_trace_compatibility(circle, 2, 6, seed=3, count=25)
     assert report.ok
+
+
+@pytest.mark.parametrize("algebra", [CircleRotation(Angle.parse("theta")), CircleRotation(Angle.parse("theta+1/4")),
+                                     FiniteCyclicShift(3)], ids=["theta", "theta+1/4", "cyclic3"])
+@pytest.mark.parametrize("n,m", [(1, 2), (2, 6)])
+def test_trace_compatibility_catches_doubled_gamma(algebra, n, m, monkeypatch):
+    # a sampled X almost always has trace 0, so that both sides read 0 whatever gamma does;
+    # the suite checks X + 1 instead, and every case sees the doubling
+    real = limits.gamma
+    monkeypatch.setattr(limits, "gamma", lambda n, m, X: real(n, m, X) + real(n, m, X))
+    report = verify_trace_compatibility(algebra, n, m, seed=0, count=20)
+    assert report.cases == 20 and len(report.failures) == 20
 
 
 class TestLeftInverse:

@@ -10,7 +10,7 @@ import pytest
 
 from bdlab import cantor, fock, limits
 from bdlab.coeff import Angle, CircleRotation, FiniteCyclicShift
-from bdlab.crossed import MatrixElement
+from bdlab.crossed import MatrixElement, sample_matrix
 from bdlab.report import Report
 
 
@@ -25,6 +25,24 @@ class TestCompare:
         report = Report("parity")
         report.compare(((i, i) for i in range(4)), lambda x: (x, x + 2), lambda a, b: a % 2 == b % 2)
         assert report.ok and report.cases == 4
+
+
+class TestCompareHomomorphism:
+    def _run(self, f, count=3):
+        algebra = FiniteCyclicShift(3)
+        report = Report("hom")
+        report.compare_homomorphism(f, MatrixElement.identity(algebra, 1, 2), MatrixElement.identity(algebra, 1, 2),
+                                    lambda rng: sample_matrix(algebra, 1, 2, rng), 5, count)
+        return report
+
+    def test_identity_passes_every_case(self):
+        report = self._run(lambda X: X)
+        assert report.ok and report.cases == 1 + 2 * 3
+
+    def test_adjoint_fails_only_products(self):
+        # X -> X* reverses products and commutes with the adjoint
+        report = self._run(MatrixElement.star)
+        assert report.failures and all(f.case.endswith(":mul") for f in report.failures)
 
 
 def _doubled(module, name):
