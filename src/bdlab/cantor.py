@@ -20,10 +20,10 @@ depth first (cylinder j splits into j + t n_k below n_(k')), and on terms
     (a delta_j U^d)(b delta_i U^e) = a alpha^(sign d)(b) delta_j U^(d+e)
 
 when i = j - d mod n_k, and 0 otherwise, so alpha is applied only to the
-values that meet.  Star, sigma^d, psi and rho are key maps with alpha on
-the moved values.  The dense table of each U-degree, zeros filled by
-``coeff.zero()``, is rebuilt only for JSON, so serialized forms are those
-of a list of cylinder functions.
+values that meet.  Star, sigma^d, psi and rho are key maps with alpha on the
+moved values, and rho_extract is a key selection.  The dense table of each
+U-degree, zeros filled by ``coeff.zero()``, is rebuilt only for JSON, so
+serialized forms are those of a list of cylinder functions.
 """
 
 from __future__ import annotations
@@ -280,21 +280,21 @@ def rho(algebra: OdometerAlgebra, stage: int, X: MatrixElement) -> OdometerEleme
 
 
 def rho_extract(algebra: OdometerAlgebra, stage: int, Y: OdometerElement, p: int, q: int) -> CrossedElement | None:
-    """Recover the (p, q) crossed-product coefficient of a stage image.
+    """Recover the (p, q) crossed-product coefficient of a stage image by selecting keys of Y.
 
-    Computes U^p delta_(n-p) Y delta_(n-q) U^(-q); on the image of rho this
-    is  sum_l a_l delta_0 U^(n l)  with a_l the u^l coefficient at (p, q).
-    Returns None if the result is not of that shape.
+    U^p delta_(n-p) Y delta_(n-q) U^(-q) keeps each term a delta_j U^d with j = -p and j - d = -q mod n, as
+    sigma^p(a) delta_(j+p) U^(d+p-q).  On the image of rho this is  sum_l a_l delta_0 U^(n l)  with a_l the u^l
+    coefficient at (p, q) on every cylinder 0, n, ..., N - n of each U-degree; otherwise the result is None.
     """
     n = algebra.stages.size(stage)
-    left = algebra.u_power(p, stage) * algebra.indicator(n - p, stage)
-    right = algebra.indicator(n - q, stage) * algebra.u_power(-q, stage)
-    Z = left * Y * right
-    # the shape: every U-degree a multiple of n, each value a_l on the stage cylinder 0 promoted
-    head = {(d, 0): a for (d, j), a in Z.terms.items() if j == 0}
-    if any(d % n for d, _ in head) or not OdometerElement(algebra, head, stage).promote(Z.depth) == Z:
+    _, Y, _ = OdometerElement(algebra, {}, stage)._align(Y)
+    rows: dict = {}
+    for (d, j), a in Y.terms.items():
+        if (j + p) % n == 0 and (j - d + q) % n == 0:
+            rows.setdefault(d + p - q, {})[(j + p) % Y.size] = algebra.twist(a, p)
+    if any(len(row) != Y.size // n or not all(row[0] == a for a in row.values()) for row in rows.values()):
         return None
-    return CrossedElement(algebra.coeff, algebra.alpha_sign * n, {d // n: a for (d, _), a in head.items()})
+    return CrossedElement(algebra.coeff, algebra.alpha_sign * n, {d // n: row[0] for d, row in rows.items()})
 
 
 def psi_map(x: OdometerElement) -> OdometerElement:

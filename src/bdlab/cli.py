@@ -6,8 +6,8 @@ classify (the isomorphism decider), ktheory (K-group presentations).
 
 All output is canonical JSON on stdout; diagnostics, including wall time, go
 to stderr so that reports are byte-identical given (config, seed).  Exit
-codes: 0 success, 1 verification failure, 2 usage or parse error, 3 resource
-budget exceeded; ktheory --tau gives up with 3 after
+codes: 0 success, 1 verification failure, 2 usage, parse or file error, 3
+resource budget exceeded; ktheory --tau gives up with 3 after
 invariants.REFINEMENT_BUDGET enclosure refinements.
 """
 
@@ -36,8 +36,15 @@ FLAGS = {"src": "--from", "dst": "--to", "infile": "--in"}
 _UNCHECKED = ("command", "func", "suite", "map", "out", "infile")
 
 
+def _integers(text: str, flag: str) -> list[int]:
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} must be comma-separated integers, got {text!r}") from None
+
+
 def _parse_sizes(text: str) -> tuple[int, ...]:
-    return limits.check_divisibility_chain(int(s) for s in text.split(","))
+    return limits.check_divisibility_chain(_integers(text, "--sizes"))
 
 
 def _odometer(sizes: str, algebra: CoefficientAlgebra) -> cantor.OdometerAlgebra:
@@ -70,10 +77,7 @@ def _options(args, reads: tuple[str, ...], command: str) -> argparse.Namespace:
 
 def _periods(o) -> list[int]:
     """The --periods list, checked against --depth or the default depth of 4 x each period."""
-    try:
-        periods = [int(k) for k in o.periods.split(",")]
-    except ValueError:
-        raise ValueError(f"--periods must be comma-separated integers, got {o.periods!r}") from None
+    periods = _integers(o.periods, "--periods")
     if min(periods) < 1:
         raise ValueError(f"--periods must be at least 1, got {min(periods)}")
     # below twice the period the creation block's trust window holds no entry
@@ -198,10 +202,11 @@ def _parse(from_json, data: dict, *extra):
 
 
 def _emit(args, text: str) -> None:
-    sys.stdout.write(text)
+    """Write ``text`` to --out, if given, and then to stdout, so an unwritable --out prints nothing."""
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    sys.stdout.write(text)
 
 
 def cmd_verify(args) -> int:
@@ -271,8 +276,8 @@ def cmd_ktheory(args) -> int:
         cls0 = invariants.K0Class(parse_fraction(q_text), int(m_text))
         enclosure = invariants.ThetaEnclosure.from_continued_fraction(_theta_stream(args.theta_cf))
         lo, hi = invariants.k0_tau_value(cls0, enclosure, precision)
-        positive = invariants.k0_positive(
-            cls0, invariants.ThetaEnclosure.from_continued_fraction(_theta_stream(args.theta_cf)))
+        # k0_positive goes on from the interval k0_tau_value narrowed; nested intervals give the same sign
+        positive = invariants.k0_positive(cls0, enclosure)
         payload["tau"] = {"class": cls0.to_json(), "interval": [str(lo), str(hi)], "positive": positive}
     _emit(args, canonical_json(payload))
     return 0
@@ -351,7 +356,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except (MismatchError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -158,12 +158,6 @@ class K1Class:
     a: Fraction
     b: int
 
-    def __add__(self, other: K1Class) -> K1Class:
-        return K1Class(self.a + other.a, self.b + other.b)
-
-    def __neg__(self) -> K1Class:
-        return K1Class(-self.a, -self.b)
-
     def to_json(self) -> dict:
         return {"a": format_fraction(self.a), "b": self.b}
 

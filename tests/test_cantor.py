@@ -2,6 +2,7 @@ import operator
 
 import pytest
 
+from bdlab import cantor
 from bdlab.cantor import (
     OdometerAlgebra,
     OdometerElement,
@@ -17,7 +18,7 @@ from bdlab.cantor import (
     verify_rg,
     verify_rho_homomorphism,
 )
-from bdlab.coeff import CircleFunction
+from bdlab.coeff import CircleFunction, FiniteCyclicShift
 from bdlab.crossed import CrossedElement, MatrixElement, sample_matrix
 from bdlab.errors import MismatchError
 
@@ -283,6 +284,82 @@ class TestRho:
         for _ in range(30):
             X = sample_matrix(circle, 6, 6, rng)
             assert rho(odometer, 3, X).state() == X.trace()
+
+
+def rho_extract_by_products(algebra, stage, Y, p, q):
+    """Oracle: U^p delta_(n-p) Y delta_(n-q) U^(-q) by four odometer products, then the shape test.
+
+    The shape: every U-degree a multiple of n, each value a_l on the stage cylinder 0 promoted.
+    """
+    n = algebra.stages.size(stage)
+    left = algebra.u_power(p, stage) * algebra.indicator(n - p, stage)
+    right = algebra.indicator(n - q, stage) * algebra.u_power(-q, stage)
+    Z = left * Y * right
+    head = {(d, 0): a for (d, j), a in Z.terms.items() if j == 0}
+    if any(d % n for d, _ in head) or not OdometerElement(algebra, head, stage).promote(Z.depth) == Z:
+        return None
+    return CrossedElement(algebra.coeff, algebra.alpha_sign * n, {d // n: a for (d, _), a in head.items()})
+
+
+def _stage_image(odo, stage, rng):
+    n = odo.stages.size(stage)
+    return rho(odo, stage, sample_matrix(odo.coeff, odo.alpha_sign * n, n, rng))
+
+
+def _extraction_inputs(odo, stage, rng):
+    """A rho image at ``stage``, it promoted to the deepest stage, it plus a sampled deepest-stage cylinder
+    function times U^e (off the image below the deepest stage), and an image at the stage before."""
+    Y, depth = _stage_image(odo, stage, rng), odo.stages.depth
+    noise = odo.sample_function(rng, depth) * odo.u_power(rng.randint(-6, 6))
+    return [Y, Y.promote(depth), Y + noise] + ([_stage_image(odo, stage - 1, rng)] if stage > 1 else [])
+
+
+class TestExtractionClosedForm:
+    @pytest.mark.parametrize("sizes", [(1, 2, 6), (1, 3, 6), (1, 2, 4, 8)])
+    @pytest.mark.parametrize("coeff", ["circle_q", "cyclic3"])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_matches_product_oracle(self, request, rng, sizes, coeff, sign):
+        odo = OdometerAlgebra(StageSequence(sizes), request.getfixturevalue(coeff), sign)
+        results = []
+        for stage in range(1, odo.stages.depth + 1):
+            n = odo.stages.size(stage)
+            for Y in _extraction_inputs(odo, stage, rng):
+                for p in range(n):
+                    for q in range(n):
+                        got = rho_extract(odo, stage, Y, p, q)
+                        assert got == rho_extract_by_products(odo, stage, Y, p, q), (stage, Y, p, q)
+                        results.append(got)
+        assert any(x is None for x in results) and any(x is not None and not x.is_zero() for x in results)
+
+    @pytest.mark.parametrize("other", [lambda odo: odo.dual(),
+                                       lambda odo: OdometerAlgebra(odo.stages, FiniteCyclicShift(3), odo.alpha_sign)])
+    def test_element_of_another_algebra(self, odometer, rng, other):
+        Y = _stage_image(other(odometer), 2, rng)
+        for extract in (rho_extract, rho_extract_by_products):
+            with pytest.raises(MismatchError):
+                extract(odometer, 2, Y, 1, 0)
+
+
+def _transposed(algebra, stage, Y, p, q):
+    """Mutant: reads the (q, p) corner."""
+    return rho_extract(algebra, stage, Y, q, p)
+
+
+def _untwisted(algebra, stage, Y, p, q):
+    """Mutant: leaves out the sigma^p twist of the values."""
+    x = rho_extract(algebra, stage, Y, p, q)
+    if x is None:
+        return None
+    return CrossedElement(x.algebra, x.power, {l: algebra.twist(a, -p) for l, a in x.coeffs.items()})
+
+
+@pytest.mark.parametrize("mutant", [_transposed, _untwisted])
+def test_extraction_cases_catch_mutants(monkeypatch, circle, mutant):
+    odo = OdometerAlgebra(StageSequence((1, 2, 6)), circle)
+    assert verify_rho_homomorphism(odo, 2, seed=5, count=4).ok
+    monkeypatch.setattr(cantor, "rho_extract", mutant)
+    failures = verify_rho_homomorphism(odo, 2, seed=5, count=4).failures
+    assert failures and all(str(f.case).startswith("extract") for f in failures)
 
 
 class TestRg:

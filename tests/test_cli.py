@@ -129,6 +129,9 @@ class TestVerifyCommand:
         (["fock-blocks", "--periods=", "--count", "1"], "--periods"),
         (["fock-blocks", "--periods", "1,,2", "--count", "1"], "--periods"),
         (["fock-blocks", "--periods", "a", "--count", "1"], "--periods"),
+        (["rho-hom", "--sizes=", "--count", "1"], "--sizes"),
+        (["gamma-hom", "--sizes", "1,,2", "--count", "1"], "--sizes"),
+        (["flip", "--sizes", "a"], "--sizes"),
     ])
     def test_degenerate_option_is_usage_error(self, capsys, argv, needle):
         # each ran a vacuous suite (exit 0 with no or empty cases), ended in a
@@ -632,6 +635,26 @@ def test_element_parser_fuzz(case):
         json.loads(out)
     else:
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["apply", "--map", "rho", "--stage", "1", "--sizes", "1,,2"],
+                                  ["ktheory", "--sizes", "a"]], ids=("apply", "ktheory"))
+def test_non_integer_sizes_is_usage_error(capsys, monkeypatch, argv):
+    # used to exit 2 with int()'s message, which names no option
+    feed_stdin(monkeypatch, GAMMA_INPUT)
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == "" and err == f"error: --sizes must be comma-separated integers, got {argv[-1]!r}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    lambda tmp: ["trace", "--in", str(tmp / "missing" / "x.json")],
+    lambda tmp: ["trace", "--in", str(tmp)],
+    lambda tmp: ["verify", "flip", "--sizes", "1,2", "--out", str(tmp / "missing" / "r.json")],
+], ids=("missing --in", "directory --in", "unwritable --out"))
+def test_file_error_is_usage_error(capsys, tmp_path, argv):
+    # each ended in a traceback and exit 1; the unwritable --out printed the report first
+    code, out, err = run_cli(capsys, argv(tmp_path))
+    assert code == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1
 
 
 class TestTraceCommand:

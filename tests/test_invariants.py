@@ -151,6 +151,15 @@ class TestK0:
             expected = q + m * theta_hp > 0
             assert k0_positive(K0Class(q, m), sqrt2_minus_one_stream()) == expected
 
+    def test_sign_on_enclosure_narrowed_by_tau_value(self):
+        # ktheory --tau reads the sign off the enclosure that k0_tau_value has already narrowed
+        rng = random.Random(29)
+        for _ in range(60):
+            c = K0Class(Fraction(rng.randint(-20, 20), rng.randint(1, 20)), rng.randint(-15, 15))
+            narrowed = sqrt2_minus_one_stream()
+            k0_tau_value(c, narrowed, Fraction(1, rng.choice((2, 1000, 10**9))))
+            assert k0_positive(c, narrowed) == k0_positive(c, sqrt2_minus_one_stream())
+
     def test_budget_error(self):
         # theta in [0, 1] forever: 1/2 - theta stays in [-1/2, 1/2], never signed or narrowed
         for decide in (lambda c, theta: k0_tau_value(c, theta, Fraction(1, 10)), k0_positive):
