@@ -336,16 +336,20 @@ def verify_rg(algebra: OdometerAlgebra, stage: int, seed: int, count: int) -> Re
 
 
 def verify_flip_conjugacy(stages: StageSequence) -> Report:
-    """g circle odometer == odometer^(-1) circle g, exhaustively at every depth."""
+    """g circle odometer == odometer^(-1) circle g, which the identity satisfies too, and odometer^(+-1) ==
+    index +-1, the model every other odometer map uses; exhaustively at every depth."""
     report = Report("flip", config={"sizes": list(stages.sizes)})
     radii = stages.radii
-    cases = ((f"{stage}:{index}", (radii[: stage - 1], stages.index_to_digits(index, stage)))
+    cases = ((f"{stage}:{index}", (stage, index))
              for stage in range(1, stages.depth + 1) for index in range(stages.size(stage)))
 
-    def both_sides(case: tuple) -> tuple[list[int], list[int]]:
-        prefix, digits = case
-        return (list(flip_digits(prefix, odometer_step(prefix, digits, 1))),
-                list(odometer_step(prefix, flip_digits(prefix, digits), -1)))
+    def both_sides(case: tuple) -> tuple[list, list]:
+        stage, index = case
+        prefix, x = radii[: stage - 1], stages.index_to_digits(index, stage)
+        forward, back = odometer_step(prefix, x, 1), odometer_step(prefix, x, -1)
+        return ([flip_digits(prefix, forward), forward, back],
+                [odometer_step(prefix, flip_digits(prefix, x), -1),
+                 stages.index_to_digits(index + 1, stage), stages.index_to_digits(index - 1, stage)])
 
     report.compare(cases, both_sides)
     return report

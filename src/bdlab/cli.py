@@ -248,7 +248,10 @@ def _theta_stream(text: str):
     """Continued-fraction coefficients '0,2,2' or '0,2,...' (repeat last forever)."""
     parts = [p.strip() for p in text.split(",")]
     repeat = parts[-1] == "..."
-    coeffs = [int(p) for p in (parts[:-1] if repeat else parts)]
+    try:
+        coeffs = [int(p) for p in (parts[:-1] if repeat else parts)]
+    except ValueError:
+        raise ValueError(f"--theta-cf must be comma-separated integers, optionally ending in '...', got {text!r}") from None
     if not coeffs:
         raise ValueError("--theta-cf needs a coefficient before '...'")
     # [a0; a1, a2, ...] needs a_i >= 1 for i >= 1; a repeated last one recurs at i >= 1.
@@ -265,15 +268,21 @@ def cmd_ktheory(args) -> int:
         raise ValueError(f"--precision must be positive, got {precision}")
     payload = invariants.ktheory_presentation(sizes, tail)
     if args.normalize:
-        stage_text, pair_text = args.normalize.split(":", 1)
-        a, b = (int(v) for v in pair_text.split(","))
-        cls = invariants.k1_limit_normalize(int(stage_text), (a, b), sizes)
-        payload["normalized"] = {"stage": int(stage_text), "pair": [a, b], "class": cls.to_json()}
+        try:
+            stage_text, pair_text = args.normalize.split(":")
+            stage, (a, b) = int(stage_text), [int(v) for v in pair_text.split(",")]
+        except ValueError:
+            raise ValueError(f"--normalize must be stage:a,b with integers, got {args.normalize!r}") from None
+        cls = invariants.k1_limit_normalize(stage, (a, b), sizes)
+        payload["normalized"] = {"stage": stage, "pair": [a, b], "class": cls.to_json()}
     if args.tau:
         if not args.theta_cf:
             raise MismatchError("--tau needs --theta-cf enclosures")
-        q_text, m_text = args.tau.split(",")
-        cls0 = invariants.K0Class(parse_fraction(q_text), int(m_text))
+        try:
+            q_text, m_text = args.tau.split(",")
+            cls0 = invariants.K0Class(parse_fraction(q_text), int(m_text))
+        except ValueError:
+            raise ValueError(f"--tau must be q,m with a fraction q and an integer m, got {args.tau!r}") from None
         enclosure = invariants.ThetaEnclosure.from_continued_fraction(_theta_stream(args.theta_cf))
         lo, hi = invariants.k0_tau_value(cls0, enclosure, precision)
         # k0_positive goes on from the interval k0_tau_value narrowed; nested intervals give the same sign

@@ -18,8 +18,6 @@ before the amplification shuffle re-tags them.
 
 Zero coefficients are pruned eagerly so structural emptiness means zero, and
 u-degrees are capped (``sparse.DEGREE_CAP``) to reject runaway products.
-Sums of both types, the twisted convolution and the matrix product go through
-``sparse.py``.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from fractions import Fraction
 from .coeff import CoefficientAlgebra
 from .errors import MismatchError
 from .scalar import Scalar
-from .sparse import Subtraction, add_entries, convolve_entries, equal_entries, exponent_from_key, json_int, mul_entries
+from .sparse import SquareMatrix, Subtraction, add_entries, convolve_entries, equal_entries, exponent_from_key, json_int
 
 
 class CrossedElement(Subtraction):
@@ -139,28 +137,22 @@ def sample_crossed(
     return CrossedElement(algebra, power, coeffs)
 
 
-class MatrixElement(Subtraction):
+class MatrixElement(SquareMatrix):
     """A size x size matrix over one crossed-product algebra."""
 
     __slots__ = ("algebra", "power", "size", "entries")
+    _space = operator.attrgetter("algebra", "power", "size")
 
     def __init__(self, algebra: CoefficientAlgebra, power: int, size: int, entries: dict | None = None):
         self.algebra = algebra
         self.power = power
         self.size = size
-        clean = {}
-        for (i, j), x in (entries or {}).items():
-            if not (0 <= i < size and 0 <= j < size):
-                raise MismatchError(f"entry ({i},{j}) outside {size}x{size} matrix")
-            if (x.algebra is not algebra and x.algebra != algebra) or x.power != power:
-                raise MismatchError("matrix entry from a different stage algebra")
-            if not x.is_zero():
-                clean[(i, j)] = x
-        self.entries = clean
+        self.entries = self._admit(entries, size)
 
-    @staticmethod
-    def zero(algebra: CoefficientAlgebra, power: int, size: int) -> MatrixElement:
-        return MatrixElement(algebra, power, size)
+    def _admits(self, x: CrossedElement) -> bool:
+        if (x.algebra is not self.algebra and x.algebra != self.algebra) or x.power != self.power:
+            raise MismatchError("matrix entry from a different stage algebra")
+        return bool(x.coeffs)  # x.is_zero(), without the call
 
     @staticmethod
     def identity(algebra: CoefficientAlgebra, power: int, size: int) -> MatrixElement:
@@ -180,27 +172,8 @@ class MatrixElement(Subtraction):
     def entry(self, i: int, j: int) -> CrossedElement:
         return self.entries.get((i, j), CrossedElement.zero(self.algebra, self.power))
 
-    def _check(self, other: MatrixElement) -> None:
-        same_algebra = self.algebra is other.algebra or self.algebra == other.algebra
-        if not same_algebra or self.power != other.power or self.size != other.size:
-            raise MismatchError("matrix elements from different stage algebras")
-
-    def __add__(self, other: MatrixElement) -> MatrixElement:
-        self._check(other)
-        return MatrixElement(self.algebra, self.power, self.size, add_entries(self.entries, other.entries))
-
-    def __neg__(self) -> MatrixElement:
-        return MatrixElement(self.algebra, self.power, self.size, {k: -x for k, x in self.entries.items()})
-
     def __mul__(self, other: MatrixElement) -> MatrixElement:
-        self._check(other)
-        out = mul_entries(self.entries, other.entries, operator.mul)
-        return MatrixElement(self.algebra, self.power, self.size, out)
-
-    def star(self) -> MatrixElement:
-        return MatrixElement(
-            self.algebra, self.power, self.size, {(j, i): x.star() for (i, j), x in self.entries.items()}
-        )
+        return self._product(other)
 
     def trace(self) -> Scalar:
         """Normalized matrix trace (1/size) * sum of diagonal stage traces."""

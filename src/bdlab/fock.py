@@ -18,9 +18,6 @@ max(i, j) < trust provably agree with the untruncated operator.  Composition
 erodes trust by the maximal level-raise of the right factor, so boundary
 artifacts can never masquerade as identities failing: ``agrees`` compares
 only inside the joint trusted window.
-
-Sums of operators and of block matrices, composition and the block-matrix
-product go through ``sparse.py``.
 """
 
 from __future__ import annotations
@@ -30,13 +27,14 @@ import operator
 from .coeff import CoefficientAlgebra
 from .errors import MismatchError
 from .report import Report, case_rng
-from .sparse import Subtraction, add_entries, equal_entries, mul_entries, shuffled_entries
+from .sparse import SquareMatrix, equal_entries, shuffled_entries
 
 
-class FockOperator(Subtraction):
+class FockOperator(SquareMatrix):
     """Band matrix over A on levels 0..depth-1, with a trusted window."""
 
     __slots__ = ("algebra", "depth", "step", "trust", "entries")
+    _space = operator.attrgetter("algebra", "depth", "step")
 
     def __init__(self, algebra: CoefficientAlgebra, depth: int, entries: dict | None = None,
                  *, step: int = 1, trust: int | None = None):
@@ -44,17 +42,7 @@ class FockOperator(Subtraction):
         self.depth = depth
         self.step = step
         self.trust = depth if trust is None else max(0, min(trust, depth))
-        clean = {}
-        for (i, j), a in (entries or {}).items():
-            if not (0 <= i < depth and 0 <= j < depth):
-                raise MismatchError(f"level ({i},{j}) outside depth {depth}")
-            if not a.is_zero():
-                clean[(i, j)] = a
-        self.entries = clean
-
-    @staticmethod
-    def zero(algebra: CoefficientAlgebra, depth: int, *, step: int = 1) -> FockOperator:
-        return FockOperator(algebra, depth, step=step)
+        self.entries = self._admit(entries, depth)
 
     @staticmethod
     def phi(algebra: CoefficientAlgebra, a, depth: int, *, step: int = 1) -> FockOperator:
@@ -92,33 +80,23 @@ class FockOperator(Subtraction):
     def projection0(algebra: CoefficientAlgebra, depth: int, *, step: int = 1) -> FockOperator:
         return FockOperator(algebra, depth, {(0, 0): algebra.one()}, step=step)
 
-    def _check(self, other: FockOperator) -> None:
-        same_algebra = self.algebra is other.algebra or self.algebra == other.algebra
-        if not same_algebra or self.depth != other.depth or self.step != other.step:
-            raise MismatchError("fock operators on different truncated spaces")
+    def is_zero(self) -> bool:
+        """No entries and full trust: only such an operator agrees with 0 on every level."""
+        return not self.entries and self.trust == self.depth
 
     def __add__(self, other: FockOperator) -> FockOperator:
-        self._check(other)
-        return FockOperator(self.algebra, self.depth, add_entries(self.entries, other.entries),
-                            step=self.step, trust=min(self.trust, other.trust))
-
-    def __neg__(self) -> FockOperator:
-        return FockOperator(self.algebra, self.depth, {k: -a for k, a in self.entries.items()},
-                            step=self.step, trust=self.trust)
+        out = super().__add__(other)
+        out.trust = min(self.trust, other.trust)
+        return out
 
     def compose(self, other: FockOperator) -> FockOperator:
         """Matrix composition; trust shrinks by the right factor's level-raise max(i - j), if positive."""
-        self._check(other)
-        out = mul_entries(self.entries, other.entries, operator.mul)
+        out = self._product(other)
         raise_degree = max((i - j for (i, j) in other.entries), default=0)
-        trust = min(self.trust, other.trust) - max(0, raise_degree)
-        return FockOperator(self.algebra, self.depth, out, step=self.step, trust=trust)
+        out.trust = max(0, min(self.trust, other.trust) - max(0, raise_degree))
+        return out
 
     __matmul__ = compose
-
-    def star(self) -> FockOperator:
-        return FockOperator(self.algebra, self.depth, {(j, i): a.star() for (i, j), a in self.entries.items()},
-                            step=self.step, trust=self.trust)
 
     def agrees(self, other: FockOperator) -> bool:
         """Equality on the joint trusted window max(i, j) < min(trusts)."""
@@ -174,10 +152,11 @@ def block_decompose(X: FockOperator, k: int) -> dict[tuple[int, int], FockOperat
     return blocks
 
 
-class BlockMatrix(Subtraction):
+class BlockMatrix(SquareMatrix):
     """A square matrix of FockOperators sharing depth and step (absent = zero)."""
 
     __slots__ = ("algebra", "size", "depth", "step", "entries")
+    _space = operator.attrgetter("algebra", "size", "depth", "step")
 
     def __init__(self, algebra: CoefficientAlgebra, size: int, depth: int, entries: dict | None = None,
                  *, step: int = 1):
@@ -185,43 +164,18 @@ class BlockMatrix(Subtraction):
         self.size = size
         self.depth = depth
         self.step = step
-        self.entries = {}
-        for (i, j), op in (entries or {}).items():
-            if not (0 <= i < size and 0 <= j < size):
-                raise MismatchError(f"block ({i},{j}) outside {size}x{size}")
-            if op.depth != depth or op.step != step or (op.algebra is not algebra and op.algebra != algebra):
-                raise MismatchError("block on a different truncated space")
-            if op.entries or op.trust < depth:
-                self.entries[(i, j)] = op
+        self.entries = self._admit(entries, size)
 
-    def _zero(self) -> FockOperator:
-        return FockOperator.zero(self.algebra, self.depth, step=self.step)
+    def _admits(self, op: FockOperator) -> bool:
+        op._check(self)  # a block shares this matrix's algebra, depth and step
+        return not op.is_zero()
 
     def block(self, i: int, j: int) -> FockOperator:
-        return self.entries.get((i, j), self._zero())
-
-    def _check(self, other: BlockMatrix) -> None:
-        if (self.algebra, self.size, self.depth, self.step) != (other.algebra, other.size, other.depth, other.step):
-            raise MismatchError("incompatible block matrices")
-
-    def __add__(self, other: BlockMatrix) -> BlockMatrix:
-        self._check(other)
-        return BlockMatrix(self.algebra, self.size, self.depth, add_entries(self.entries, other.entries),
-                           step=self.step)
-
-    def __neg__(self) -> BlockMatrix:
-        return BlockMatrix(self.algebra, self.size, self.depth,
-                           {k: -op for k, op in self.entries.items()}, step=self.step)
+        return self.entries.get((i, j), FockOperator(self.algebra, self.depth, step=self.step))
 
     def __mul__(self, other: BlockMatrix) -> BlockMatrix:
-        self._check(other)
         # operator.matmul finds FockOperator.__matmul__ (compose) per call, as a.compose(b) did
-        out = mul_entries(self.entries, other.entries, operator.matmul)
-        return BlockMatrix(self.algebra, self.size, self.depth, out, step=self.step)
-
-    def star(self) -> BlockMatrix:
-        return BlockMatrix(self.algebra, self.size, self.depth,
-                           {(j, i): op.star() for (i, j), op in self.entries.items()}, step=self.step)
+        return self._product(other, operator.matmul)
 
     def agrees(self, other: BlockMatrix) -> bool:
         self._check(other)
@@ -313,7 +267,7 @@ def weighted_blocks_check(algebra: CoefficientAlgebra, weights: tuple, b, depth:
             elif lp == l + 1:
                 expected = FockOperator.phi(algebra, algebra.alpha_power(weights[l] * b, l), block_depth, step=k)
             else:
-                expected = FockOperator.zero(algebra, block_depth, step=k)
+                expected = FockOperator(algebra, block_depth, step=k)
             results.append((f"block({lp},{l})", (blocks[(lp, l)], expected)))
     return results
 

@@ -5,8 +5,9 @@ dict: Laurent coefficients by exponent, matrix entries by (row, column).  Two
 such dicts add key by key, two (row, column) dicts multiply as matrices, and
 two exponent dicts multiply as twisted Laurent sums; these are the only places
 where that is written out.  None of ``add_entries``, ``mul_entries`` and
-``convolve_entries`` prunes zeros: the constructor of the type that receives
-the dict does.
+``convolve_entries`` prunes zeros: the type that receives the dict does.
+``SquareMatrix`` is the one place where the matrix operations are written, for
+stage matrices, Fock operators and Fock block matrices alike.
 
 The two algebras with Laurent coefficients multiply by one rule,
 
@@ -33,9 +34,10 @@ integer where an element stores a size, a twist or a depth.
 
 from __future__ import annotations
 
+import operator
 from typing import Callable
 
-from .errors import BudgetError
+from .errors import BudgetError, MismatchError
 
 #: u- and z-degree above which Laurent products are rejected.
 DEGREE_CAP = 64
@@ -48,6 +50,59 @@ class Subtraction:
 
     def __sub__(self, other):
         return self + (-other)
+
+
+class SquareMatrix(Subtraction):
+    """A square matrix ``{(row, column): entry}`` that stores no zero entry.
+
+    The one place where the library's matrix operations are written.  A
+    subclass lists its fields in ``__slots__``, reads those two operands must
+    share with ``_space``, and refuses an entry of another space in
+    ``_admits``.  A result carries the fields of its left operand.
+    """
+
+    __slots__ = ()
+
+    def _admit(self, entries: dict | None, size: int) -> dict:
+        """The entries that ``_admits``, each checked to lie in the size x size square."""
+        admits, clean = self._admits, {}
+        for key, x in (entries or {}).items():
+            i, j = key
+            if not (0 <= i < size and 0 <= j < size):
+                raise MismatchError(f"entry ({i},{j}) outside {size}x{size} matrix")
+            if admits(x):
+                clean[key] = x
+        return clean
+
+    def _admits(self, x) -> bool:
+        """Whether to store the entry x; raises MismatchError if x is of another space."""
+        return not x.is_zero()
+
+    def _like(self, entries: dict):
+        """This matrix's fields with the nonzero ``entries``, which need no other check."""
+        new = object.__new__(type(self))
+        for field in self.__slots__:
+            setattr(new, field, getattr(self, field))
+        new.entries = {key: x for key, x in entries.items() if not x.is_zero()}
+        return new
+
+    def _check(self, other: SquareMatrix) -> None:
+        if self._space(self) != self._space(other):
+            raise MismatchError(f"{type(self).__name__} operands on different spaces")
+
+    def __add__(self, other):
+        self._check(other)
+        return self._like(add_entries(self.entries, other.entries))
+
+    def __neg__(self):
+        return self._like({key: -x for key, x in self.entries.items()})
+
+    def star(self):
+        return self._like({(j, i): x.star() for (i, j), x in self.entries.items()})
+
+    def _product(self, other, mul: Callable = operator.mul):
+        self._check(other)
+        return self._like(mul_entries(self.entries, other.entries, mul))
 
 
 def add_entries(a: dict, b: dict) -> dict:

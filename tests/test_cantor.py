@@ -1,3 +1,4 @@
+import ast
 import operator
 
 import pytest
@@ -387,6 +388,23 @@ class TestFlipAndPsi:
         for sizes in [(1, 2, 6), (1, 3, 6), (1, 2, 4, 8, 16, 32, 64)]:
             report = verify_flip_conjugacy(StageSequence(sizes))
             assert report.ok
+
+    @pytest.mark.parametrize("step", ["real", "carry-less", "identity"])
+    def test_flip_suite_fails_under_a_broken_step(self, monkeypatch, step):
+        # g∘T = T⁻¹∘g holds for both broken steps: only the comparison with index ± 1 can fail
+        if step == "carry-less":
+            monkeypatch.setattr(cantor, "odometer_step", lambda radii, digits, direction=1: (
+                ((digits[0] + direction) % radii[0], *digits[1:]) if digits else tuple(digits)))
+        elif step == "identity":
+            monkeypatch.setattr(cantor, "odometer_step", lambda radii, digits, direction=1: tuple(digits))
+        report = verify_flip_conjugacy(StageSequence((1, 2, 6, 12)))
+        assert report.cases == 1 + 2 + 6 + 12
+        if step == "real":
+            assert report.ok
+        else:
+            # a failure's sides are the reprs of (g T x, T x, T⁻¹ x) and (T⁻¹ g x, x + 1, x - 1)
+            sides = [(ast.literal_eval(f.lhs), ast.literal_eval(f.rhs)) for f in report.failures]
+            assert sides and all(lhs[0] == rhs[0] and lhs[1:] != rhs[1:] for lhs, rhs in sides)
 
     def test_psi_on_unit_and_indicator(self, odometer):
         report = verify_psi_flip(odometer, 3, seed=13, count=10)

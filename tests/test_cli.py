@@ -769,6 +769,19 @@ class TestKTheoryCommand:
         code, out, err = run_cli(capsys, ["ktheory", "--sizes", "1,2", *argv])
         assert code == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv,option", [
+        (["--normalize", "x"], "--normalize"),
+        (["--normalize", "3:1"], "--normalize"),
+        (["--normalize", "1:a,b"], "--normalize"),
+        (["--tau", "1", "--theta-cf", "0,2,..."], "--tau"),
+        (["--tau", "1,x", "--theta-cf", "0,2,..."], "--tau"),
+        (["--tau", "1/2,-1", "--theta-cf", "0,a"], "--theta-cf"),
+    ])
+    def test_malformed_option_is_named(self, capsys, argv, option):
+        # each used to print an unpacking or int() message that names no option
+        code, out, err = run_cli(capsys, ["ktheory", "--sizes", "1,2", *argv])
+        assert code == 2 and out == "" and err.startswith(f"error: {option} must be") and err.count("\n") == 1
+
     def test_exhausted_theta_stream_is_budget_exit(self, capsys):
         # [0; 2, 2] gives two enclosures of width 1/2 and 1/10, then runs out
         code, out, err = run_cli(capsys, ["ktheory", "--sizes", "1,2", "--tau", "1/2,-1",

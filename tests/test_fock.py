@@ -94,7 +94,7 @@ class TestGenerators:
 
     def test_compose_with_zero(self, circle, rng):
         X = sample_fock(circle, 6, rng)
-        assert X.compose(FockOperator.zero(circle, 6)).entries == {}
+        assert X.compose(FockOperator(circle, 6)).entries == {}
 
 
 class TestTrustRule:
@@ -224,7 +224,7 @@ class TestBlocks:
         assert blocks[(0, 0)].entries == {} and blocks[(1, 1)].entries == {}
 
     def test_zero_blocks(self, circle):
-        blocks = block_decompose(FockOperator.zero(circle, 6), 3)
+        blocks = block_decompose(FockOperator(circle, 6), 3)
         assert all(b.entries == {} for b in blocks.values())
 
     def test_reassembly_inverse(self, circle, rng):

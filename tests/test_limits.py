@@ -79,7 +79,7 @@ def gamma_generator_product(n: int, m: int, X: MatrixElement) -> MatrixElement:
                 powers[e] = powers[e - step] * factor
         return powers[l]
 
-    acc = MatrixElement.zero(algebra, m, m)
+    acc = MatrixElement(algebra, m, m)
     for (i, j), x in X.entries.items():
         for l, a in x.coeffs.items():
             coeff_image = MatrixElement(algebra, m, m, {

@@ -1,14 +1,17 @@
 """Report.compare, and the sides every suite's failures carry.
 
 Each suite is run once with one of its maps broken, so that cases fail; every
-failure must then carry both sides, not only its label.
+failure must then carry both sides, not only its label.  The suites are also
+run with the square-matrix core of ``sparse`` broken, which some of them must
+notice.
 """
 
+import operator
 from unittest import mock
 
 import pytest
 
-from bdlab import cantor, fock, limits
+from bdlab import cantor, fock, limits, sparse
 from bdlab.coeff import Angle, CircleRotation, FiniteCyclicShift
 from bdlab.crossed import MatrixElement, sample_matrix
 from bdlab.report import Report
@@ -110,3 +113,33 @@ def test_every_failure_carries_both_sides(suite):
         report = run()
     assert report.suite == suite and report.failures
     assert all(f.lhs is not None and f.rhs is not None for f in report.failures)
+
+
+_real_product = sparse.SquareMatrix._product
+
+# mutant of the square-matrix core -> (the method it replaces, the replacement, suites that must fail)
+CORE_MUTANTS = {
+    "star without the transpose": (
+        "star", lambda self: self._like({key: x.star() for key, x in self.entries.items()}),
+        {"gamma-hom", "rho-hom", "fock-id", "compact-preserve"}),
+    "negation as the identity": ("__neg__", lambda self: self, {"fock-id", "compact-preserve"}),
+    "sum as its left operand": ("__add__", lambda self, other: self, {"fock-id", "compact-preserve"}),
+    "product with swapped operands": (
+        "_product", lambda self, other, mul=operator.mul: _real_product(other, self, mul),
+        {"rho-hom", "fock-id", "compact-preserve"}),
+}
+
+
+def _failing_suites() -> set:
+    return {suite for suite, (_, run) in BROKEN.items() if not run().ok}
+
+
+@pytest.mark.parametrize("mutant", sorted(CORE_MUTANTS))
+def test_suites_notice_a_broken_matrix_core(mutant):
+    name, broken, catching = CORE_MUTANTS[mutant]
+    with mock.patch.object(sparse.SquareMatrix, name, broken):
+        assert catching <= _failing_suites()
+
+
+def test_no_suite_fails_under_the_real_matrix_core():
+    assert _failing_suites() == set()
