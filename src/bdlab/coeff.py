@@ -14,6 +14,11 @@ in this library is a polynomial identity, so exactness costs nothing.
 Elements are immutable and operations are pure.  trace0 is the canonical
 invariant state: the z^0 coefficient, resp. the uniform average.
 
+Both element types are ``sparse.SparseSum``s and take their sums and
+equality from it.  A circle function is a Laurent sum with the identity
+twist; a cyclic function stores its nonzero values by point and keeps its own
+pointwise product, star and shift.
+
 Positivity of elements is deliberately not modelled: the identities verified
 downstream are linear in any weights involved, so arbitrary elements may
 stand in where the operator picture would ask for positive ones.
@@ -21,6 +26,7 @@ stand in where the operator picture would ask for positive ones.
 
 from __future__ import annotations
 
+import operator
 import random
 import re
 from abc import ABC, abstractmethod
@@ -29,7 +35,7 @@ from fractions import Fraction
 
 from .errors import MismatchError
 from .scalar import Scalar, format_fraction, parse_fraction
-from .sparse import Subtraction, add_entries, convolve_entries, equal_entries, exponent_from_key, json_int
+from .sparse import SparseSum, exponent_from_key, json_int
 
 #: Distinct alpha-phase exponents memoized per CircleRotation.
 PHASE_CACHE_SIZE = 1024
@@ -89,17 +95,11 @@ class Angle:
         return Angle(parse_fraction(data["q"]), parse_fraction(data["r"]))
 
 
-class CircleFunction(Subtraction):
+class CircleFunction(SparseSum):
     """Trigonometric polynomial sum c_m z^m with Scalar coefficients."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: dict[int, Scalar] | None = None):
-        self.coeffs = {m: c for m, c in (coeffs or {}).items() if not c.is_zero()}
-
-    @staticmethod
-    def zero() -> CircleFunction:
-        return CircleFunction()
+    __slots__ = ()
+    _symbol = "z"
 
     @staticmethod
     def one() -> CircleFunction:
@@ -109,84 +109,52 @@ class CircleFunction(Subtraction):
     def z(power: int = 1, coeff: Scalar | None = None) -> CircleFunction:
         return CircleFunction({power: coeff if coeff is not None else Scalar.one()})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: CircleFunction) -> CircleFunction:
-        return CircleFunction(add_entries(self.coeffs, other.coeffs))
-
-    def __neg__(self) -> CircleFunction:
-        return CircleFunction({m: -c for m, c in self.coeffs.items()})
-
     def __mul__(self, other: CircleFunction) -> CircleFunction:
-        return CircleFunction(convolve_entries(self.coeffs, other.coeffs, lambda _, a, b: a * b, "z"))
-
-    def star(self) -> CircleFunction:
-        return CircleFunction({-m: c.star() for m, c in self.coeffs.items()})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CircleFunction):
-            return NotImplemented
-        return equal_entries(self.coeffs, other.coeffs)
-
-    def to_json(self) -> dict:
-        return {f"z:{m}": self.coeffs[m].to_json() for m in sorted(self.coeffs)}
+        return self._product(other)
 
     @staticmethod
     def from_json(data: dict) -> CircleFunction:
         return CircleFunction({exponent_from_key(key, "z"): Scalar.from_json(val) for key, val in data.items()})
 
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        return " + ".join(f"({self.coeffs[m]!r})*z^{m}" if m else f"({self.coeffs[m]!r})" for m in sorted(self.coeffs))
 
+class FiniteCyclicFunction(SparseSum):
+    """A Scalar-valued function on Z/d, stored as ``{point: value}`` without zero values.
 
-class FiniteCyclicFunction(Subtraction):
-    """A Scalar-valued function on Z/d."""
+    Sums iterate ``values``, in point order, because the stored form of a
+    Scalar sum depends on the order of its terms.
+    """
 
-    __slots__ = ("modulus", "values")
+    __slots__ = ("modulus",)
+    _space = operator.attrgetter("modulus")
 
     def __init__(self, modulus: int, values):
         values = tuple(values)
         if len(values) != modulus:
             raise MismatchError(f"expected {modulus} values, got {len(values)}")
         self.modulus = modulus
-        self.values = values
+        self.coeffs = {i: v for i, v in enumerate(values) if not v.is_zero()}
 
     @staticmethod
     def constant(modulus: int, value: Scalar) -> FiniteCyclicFunction:
         return FiniteCyclicFunction(modulus, (value,) * modulus)
 
-    def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.values)
-
-    def _check(self, other: FiniteCyclicFunction) -> None:
-        if self.modulus != other.modulus:
-            raise MismatchError("modulus mismatch")
-
-    def __add__(self, other: FiniteCyclicFunction) -> FiniteCyclicFunction:
-        self._check(other)
-        return FiniteCyclicFunction(self.modulus, (a + b for a, b in zip(self.values, other.values)))
-
-    def __neg__(self) -> FiniteCyclicFunction:
-        return FiniteCyclicFunction(self.modulus, (-a for a in self.values))
+    @property
+    def values(self) -> list[Scalar]:
+        """The d values in point order, zeros included."""
+        zero = Scalar.zero()
+        return [self.coeffs.get(i, zero) for i in range(self.modulus)]
 
     def __mul__(self, other: FiniteCyclicFunction) -> FiniteCyclicFunction:
         self._check(other)
-        return FiniteCyclicFunction(self.modulus, (a * b for a, b in zip(self.values, other.values)))
+        b = other.coeffs
+        return self._like({i: a * b[i] for i, a in self.coeffs.items() if i in b})
 
     def star(self) -> FiniteCyclicFunction:
-        return FiniteCyclicFunction(self.modulus, (a.star() for a in self.values))
+        return self._like({i: a.star() for i, a in self.coeffs.items()})
 
     def shifted(self, m: int) -> FiniteCyclicFunction:
         d = self.modulus
-        return FiniteCyclicFunction(d, (self.values[(i - m) % d] for i in range(d)))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FiniteCyclicFunction):
-            return NotImplemented
-        return self.modulus == other.modulus and all(a == b for a, b in zip(self.values, other.values))
+        return self._like({(i + m) % d: a for i, a in self.coeffs.items()})
 
     def to_json(self) -> dict:
         return {"d": self.modulus, "values": [v.to_json() for v in self.values]}
@@ -196,7 +164,7 @@ class FiniteCyclicFunction(Subtraction):
         return FiniteCyclicFunction(json_int(data, "d"), (Scalar.from_json(v) for v in data["values"]))
 
     def __repr__(self) -> str:
-        return f"FiniteCyclicFunction({self.modulus}, {list(self.values)!r})"
+        return f"FiniteCyclicFunction({self.modulus}, {self.values!r})"
 
 
 class CoefficientAlgebra(ABC):
@@ -249,7 +217,7 @@ class CircleRotation(CoefficientAlgebra):
     _phases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def zero(self) -> CircleFunction:
-        return CircleFunction.zero()
+        return CircleFunction()
 
     def one(self) -> CircleFunction:
         return CircleFunction.one()
@@ -308,7 +276,7 @@ class FiniteCyclicShift(CoefficientAlgebra):
     def alpha_power(self, element: FiniteCyclicFunction, power: int) -> FiniteCyclicFunction:
         if element.modulus != self.d:
             raise MismatchError("modulus mismatch")
-        return element.shifted(power)
+        return element.shifted(power) if power % self.d else element
 
     def trace0(self, element: FiniteCyclicFunction) -> Scalar:
         total = Scalar.zero()

@@ -5,19 +5,15 @@ algebra (A, alpha), where the unitary u twists by a fixed power n of alpha:
 
     u * a = alpha^n(a) * u
 
-so multiplication is the twisted convolution
-(a u^l)(b u^r) = a * alpha^(n*l)(b) * u^(l+r)  and the involution is
-(a u^l)* = alpha^(-n*l)(a*) u^(-l).  Only finite sums are represented; this
-is the dense *-subalgebra of the crossed product, which is where every
-identity verified in this library lives.
+Its sums, twisted product, star and u-degree cap are those of
+``sparse.SparseSum`` with the twist alpha^(n*l).  Only finite sums are
+represented; this is the dense *-subalgebra of the crossed product, which is
+where every identity verified in this library lives.
 
 ``MatrixElement`` wraps square matrices of crossed elements sharing one
 (algebra, power) pair; stage algebras take power == size, but the power is
 kept separate so that p x p blocks of n x n stage matrices can be flattened
 before the amplification shuffle re-tags them.
-
-Zero coefficients are pruned eagerly so structural emptiness means zero, and
-u-degrees are capped (``sparse.DEGREE_CAP``) to reject runaway products.
 """
 
 from __future__ import annotations
@@ -29,22 +25,20 @@ from fractions import Fraction
 from .coeff import CoefficientAlgebra
 from .errors import MismatchError
 from .scalar import Scalar
-from .sparse import SquareMatrix, Subtraction, add_entries, convolve_entries, equal_entries, exponent_from_key, json_int
+from .sparse import SparseSum, SquareMatrix, equal_entries, exponent_from_key, json_int
 
 
-class CrossedElement(Subtraction):
+class CrossedElement(SparseSum):
     """A finite sum  sum_l a_l u^l  in A x_(alpha^power) Z."""
 
-    __slots__ = ("algebra", "power", "coeffs")
+    __slots__ = ("algebra", "power")
+    _symbol = "u"
+    _space = operator.attrgetter("algebra", "power")
 
     def __init__(self, algebra: CoefficientAlgebra, power: int, coeffs: dict | None = None):
         self.algebra = algebra
         self.power = power
         self.coeffs = {l: a for l, a in (coeffs or {}).items() if not a.is_zero()}
-
-    @staticmethod
-    def zero(algebra: CoefficientAlgebra, power: int) -> CrossedElement:
-        return CrossedElement(algebra, power)
 
     @staticmethod
     def unit(algebra: CoefficientAlgebra, power: int) -> CrossedElement:
@@ -55,39 +49,14 @@ class CrossedElement(Subtraction):
         return CrossedElement(algebra, power, {0: a})
 
     @staticmethod
-    def monomial(algebra: CoefficientAlgebra, power: int, a, u_exponent: int) -> CrossedElement:
-        return CrossedElement(algebra, power, {u_exponent: a})
-
-    @staticmethod
     def u_power(algebra: CoefficientAlgebra, power: int, u_exponent: int = 1) -> CrossedElement:
         return CrossedElement(algebra, power, {u_exponent: algebra.one()})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def _check(self, other: CrossedElement) -> None:
-        same_algebra = self.algebra is other.algebra or self.algebra == other.algebra
-        if not same_algebra or self.power != other.power:
-            raise MismatchError("crossed elements from different stage algebras")
-
-    def __add__(self, other: CrossedElement) -> CrossedElement:
-        self._check(other)
-        return CrossedElement(self.algebra, self.power, add_entries(self.coeffs, other.coeffs))
-
-    def __neg__(self) -> CrossedElement:
-        return CrossedElement(self.algebra, self.power, {l: -a for l, a in self.coeffs.items()})
+    def _twist(self, l: int, b):
+        return self.algebra.alpha_power(b, self.power * l)
 
     def __mul__(self, other: CrossedElement) -> CrossedElement:
-        self._check(other)
-        alg, n = self.algebra, self.power
-        out = convolve_entries(self.coeffs, other.coeffs, lambda l, a, b: a * alg.alpha_power(b, n * l))
-        return CrossedElement(alg, n, out)
-
-    def star(self) -> CrossedElement:
-        alg, n = self.algebra, self.power
-        return CrossedElement(
-            alg, n, {-l: alg.alpha_power(a.star(), -n * l) for l, a in self.coeffs.items()}
-        )
+        return self._product(other)
 
     def expectation(self):
         """Conditional expectation onto A: the u^0 coefficient."""
@@ -97,18 +66,8 @@ class CrossedElement(Subtraction):
         """trace0 of the conditional expectation; tracial on the dense subalgebra."""
         return self.algebra.trace0(self.expectation())
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CrossedElement):
-            return NotImplemented
-        self._check(other)
-        return equal_entries(self.coeffs, other.coeffs)
-
     def to_json(self) -> dict:
-        return {
-            "n": self.power,
-            "algebra": self.algebra.tag(),
-            "coeffs": {f"u:{l}": self.coeffs[l].to_json() for l in sorted(self.coeffs)},
-        }
+        return {"n": self.power, "algebra": self.algebra.tag(), "coeffs": super().to_json()}
 
     @staticmethod
     def from_json(data: dict, algebra: CoefficientAlgebra | None = None) -> CrossedElement:
@@ -117,11 +76,6 @@ class CrossedElement(Subtraction):
         coeffs = {exponent_from_key(key, "u"): algebra.element_from_json(val)
                   for key, val in data.get("coeffs", {}).items()}
         return CrossedElement(algebra, json_int(data, "n"), coeffs)
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        return " + ".join(f"({self.coeffs[l]!r})*u^{l}" if l else f"({self.coeffs[l]!r})" for l in sorted(self.coeffs))
 
 
 def sample_crossed(
@@ -170,7 +124,7 @@ class MatrixElement(SquareMatrix):
         return not self.entries
 
     def entry(self, i: int, j: int) -> CrossedElement:
-        return self.entries.get((i, j), CrossedElement.zero(self.algebra, self.power))
+        return self.entries.get((i, j), CrossedElement(self.algebra, self.power))
 
     def __mul__(self, other: MatrixElement) -> MatrixElement:
         return self._product(other)

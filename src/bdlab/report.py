@@ -82,6 +82,8 @@ class Report:
 def _jsonable(value: Any) -> Any:
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(x) for x in value]
     to_json = getattr(value, "to_json", None)
     if callable(to_json):
         return to_json()

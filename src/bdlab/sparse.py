@@ -1,23 +1,24 @@
 """Sparse sums and products of dicts that map keys to entries.
 
-Every sparse element type of the library stores only its nonzero entries in a
-dict: Laurent coefficients by exponent, matrix entries by (row, column).  Two
-such dicts add key by key, two (row, column) dicts multiply as matrices, and
-two exponent dicts multiply as twisted Laurent sums; these are the only places
-where that is written out.  None of ``add_entries``, ``mul_entries`` and
-``convolve_entries`` prunes zeros: the type that receives the dict does.
-``SquareMatrix`` is the one place where the matrix operations are written, for
-stage matrices, Fock operators and Fock block matrices alike.
+Every element type of the library stores only its nonzero entries in a dict:
+Laurent coefficients by exponent, values of a cyclic function by point,
+matrix entries by (row, column).  Two such dicts add key by key
+(``add_entries``) and two (row, column) dicts multiply as matrices
+(``mul_entries``); neither prunes zeros: the type that receives the dict
+does.  Two cores write the element operations once each.  ``SquareMatrix``
+does so for stage matrices, Fock operators and Fock block matrices.
+``SparseSum`` does so for the coefficient layer: circle functions, cyclic
+functions and the stage algebras' crossed elements.
 
 The two algebras with Laurent coefficients multiply by one rule,
 
-    (a u^l)(b u^r) = a * twist^l(b) * u^(l+r),
+    (a x^l)(b x^r) = a * twist(l, b) * x^(l+r),    (a x^l)* = twist(-l, a*) x^(-l),
 
-with the twist the identity on C(T) and alpha^n on the stage algebra
-A x_(alpha^n) Z.  ``convolve_entries`` is that rule with the twisted product
-``mul(l, a, b)`` supplied by the caller; exponents above ``DEGREE_CAP`` in
-absolute value are rejected.  The odometer crossed product keys its terms by
-(U-degree, cylinder) and multiplies them in ``cantor``, uncapped.
+with the twist the identity on C(T) = C*(Z) (x = z) and alpha^(n*l) on the
+stage algebra A x_(alpha^n) Z (x = u).  ``SparseSum`` writes that product,
+rejecting exponents above ``DEGREE_CAP`` in absolute value, and that star.
+The odometer crossed product keys its terms by (U-degree, cylinder) and
+multiplies them in ``cantor``, uncapped.
 
 Because the constructors drop exact-zero entries, two elements are equal
 exactly when their dicts have the same keys and equal entries under each key
@@ -50,6 +51,82 @@ class Subtraction:
 
     def __sub__(self, other):
         return self + (-other)
+
+
+class SparseSum(Subtraction):
+    """A finite sum  sum_l a_l x^l  stored as ``{l: a_l}`` with no zero coefficient.
+
+    The one place where the coefficient-level operations are written.  A
+    subclass lists its fields besides ``coeffs`` in ``__slots__``, reads those
+    two operands must share with ``_space`` (by default their type), and a
+    Laurent sum names its variable in ``_symbol`` and twists the right factor
+    of a product in ``_twist``.  A result carries the fields of its left
+    operand.
+    """
+
+    __slots__ = ("coeffs",)
+    _space = type
+
+    def __init__(self, coeffs: dict | None = None):
+        self.coeffs = {l: a for l, a in (coeffs or {}).items() if not a.is_zero()}
+
+    def _like(self, coeffs: dict):
+        """This element's fields with the nonzero ``coeffs``, which need no other check."""
+        new = object.__new__(type(self))
+        for field in self.__slots__:
+            setattr(new, field, getattr(self, field))
+        new.coeffs = {l: a for l, a in coeffs.items() if not a.is_zero()}
+        return new
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def _check(self, other: SparseSum) -> None:
+        if self._space(self) != self._space(other):
+            raise MismatchError(f"{type(self).__name__} operands on different spaces")
+
+    def __add__(self, other):
+        self._check(other)
+        return self._like(add_entries(self.coeffs, other.coeffs))
+
+    def __neg__(self):
+        return self._like({l: -a for l, a in self.coeffs.items()})
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check(other)
+        return equal_entries(self.coeffs, other.coeffs)
+
+    def _twist(self, l: int, b):
+        """What moving x^l past the coefficient b makes of it; the identity unless overridden."""
+        return b
+
+    def _product(self, other):
+        """The twisted Laurent product; BudgetError as soon as some |l + r| exceeds ``DEGREE_CAP``."""
+        self._check(other)
+        twist, out = self._twist, {}
+        for l, a in self.coeffs.items():
+            for r, b in other.coeffs.items():
+                e = l + r
+                if abs(e) > DEGREE_CAP:
+                    raise BudgetError(f"{self._symbol}-degree {e} exceeds cap {DEGREE_CAP}")
+                prod = a * twist(l, b)
+                out[e] = out[e] + prod if e in out else prod
+        return self._like(out)
+
+    def star(self):
+        twist = self._twist
+        return self._like({-l: twist(-l, a.star()) for l, a in self.coeffs.items()})
+
+    def to_json(self) -> dict:
+        return {f"{self._symbol}:{l}": self.coeffs[l].to_json() for l in sorted(self.coeffs)}
+
+    def __repr__(self) -> str:
+        if not self.coeffs:
+            return "0"
+        x = self._symbol
+        return " + ".join(f"({self.coeffs[l]!r})*{x}^{l}" if l else f"({self.coeffs[l]!r})" for l in sorted(self.coeffs))
 
 
 class SquareMatrix(Subtraction):
@@ -136,23 +213,6 @@ def mul_entries(a: dict, b: dict, mul: Callable) -> dict:
             prod = mul(x, y)
             key = (i, j)
             out[key] = out[key] + prod if key in out else prod
-    return out
-
-
-def convolve_entries(a: dict, b: dict, mul: Callable, symbol: str = "u") -> dict:
-    """Laurent product of two exponent dicts: mul(l, x, y) lands at l + r.
-
-    Raises BudgetError, naming the ``symbol``-degree, as soon as some
-    |l + r| exceeds ``DEGREE_CAP``.
-    """
-    out: dict = {}
-    for l, x in a.items():
-        for r, y in b.items():
-            e = l + r
-            if abs(e) > DEGREE_CAP:
-                raise BudgetError(f"{symbol}-degree {e} exceeds cap {DEGREE_CAP}")
-            prod = mul(l, x, y)
-            out[e] = out[e] + prod if e in out else prod
     return out
 
 

@@ -18,8 +18,8 @@ GOLDEN_APPROXES = [Fraction(FIB[k], FIB[k + 1]) for k in (10, 15, 20)]
 
 def test_twisted_product_example(circle):
     # (z u)(z u) = z * alpha(z) u^2 = t^-1 z^2 u^2, expanded by hand
-    zu = CrossedElement.monomial(circle, 1, CircleFunction.z(), 1)
-    expected = CrossedElement.monomial(circle, 1, CircleFunction.z(2, Scalar.t_power(-1)), 2)
+    zu = CrossedElement(circle, 1, {1: CircleFunction.z()})
+    expected = CrossedElement(circle, 1, {2: CircleFunction.z(2, Scalar.t_power(-1))})
     assert zu * zu == expected
 
 
@@ -33,8 +33,8 @@ def test_unit_and_unitarity(circle):
 
 
 def test_star_example_and_involution(circle):
-    zu = CrossedElement.monomial(circle, 1, CircleFunction.z(), 1)
-    expected = CrossedElement.monomial(circle, 1, CircleFunction.z(-1, Scalar.t_power(-1)), -1)
+    zu = CrossedElement(circle, 1, {1: CircleFunction.z()})
+    expected = CrossedElement(circle, 1, {-1: CircleFunction.z(-1, Scalar.t_power(-1))})
     assert zu.star() == expected
     # x x* is self-adjoint, and star is an involution, on random elements
     rng = random.Random(2)
@@ -50,7 +50,7 @@ def test_conditional_expectation(circle):
     x = CrossedElement(circle, 1, {1: z, 0: CircleFunction.z(0, Scalar.from_rational(3))})
     assert x.expectation() == CircleFunction.z(0, Scalar.from_rational(3))
     assert CrossedElement.u_power(circle, 1).expectation() == circle.zero()
-    zu = CrossedElement.monomial(circle, 1, z, 1)
+    zu = CrossedElement(circle, 1, {1: z})
     assert (zu.star() * zu).expectation() == circle.one()
 
 

@@ -2,10 +2,11 @@
 
 Each suite is run once with one of its maps broken, so that cases fail; every
 failure must then carry both sides, not only its label.  The suites are also
-run with the square-matrix core of ``sparse`` broken, which some of them must
+run with each of the two cores of ``sparse`` broken, which some of them must
 notice.
 """
 
+import json
 import operator
 from unittest import mock
 
@@ -14,7 +15,7 @@ import pytest
 from bdlab import cantor, fock, limits, sparse
 from bdlab.coeff import Angle, CircleRotation, FiniteCyclicShift
 from bdlab.crossed import MatrixElement, sample_matrix
-from bdlab.report import Report
+from bdlab.report import Report, canonical_json
 
 
 class TestCompare:
@@ -23,6 +24,16 @@ class TestCompare:
         report.compare([(0, 2), ("three", 3)], lambda x: (x * x, x + x))
         assert report.cases == 2
         assert [f.to_json() for f in report.failures] == [{"case": "three", "lhs": 9, "rhs": 6}]
+
+    def test_list_sides_are_json_arrays(self):
+        # with the odometer step patched to the identity, verify flip fails with digit tuples on both sides
+        with mock.patch.object(cantor, "odometer_step", lambda radii, digits, direction=1: tuple(digits)):
+            report = cantor.verify_flip_conjugacy(cantor.StageSequence((1, 2, 6, 12)))
+        assert report.failures
+        for f in report.failures:
+            for side in (f.lhs, f.rhs):
+                assert type(side) is list and all(type(digits) is list for digits in side)
+        assert json.loads(canonical_json(report.to_json())) == report.to_json()
 
     def test_same_replaces_equality(self):
         report = Report("parity")
@@ -117,16 +128,36 @@ def test_every_failure_carries_both_sides(suite):
 
 _real_product = sparse.SquareMatrix._product
 
-# mutant of the square-matrix core -> (the method it replaces, the replacement, suites that must fail)
+
+def _untwisted_product(self, other):
+    """SparseSum._product with the twist left out: (a x^l)(b x^r) = ab x^(l+r)."""
+    self._check(other)
+    out = {}
+    for l, a in self.coeffs.items():
+        for r, b in other.coeffs.items():
+            out[l + r] = out[l + r] + a * b if l + r in out else a * b
+    return self._like(out)
+
+
+# core of sparse -> mutant -> (the method it replaces, the replacement, suites that must fail)
 CORE_MUTANTS = {
-    "star without the transpose": (
-        "star", lambda self: self._like({key: x.star() for key, x in self.entries.items()}),
-        {"gamma-hom", "rho-hom", "fock-id", "compact-preserve"}),
-    "negation as the identity": ("__neg__", lambda self: self, {"fock-id", "compact-preserve"}),
-    "sum as its left operand": ("__add__", lambda self, other: self, {"fock-id", "compact-preserve"}),
-    "product with swapped operands": (
-        "_product", lambda self, other, mul=operator.mul: _real_product(other, self, mul),
-        {"rho-hom", "fock-id", "compact-preserve"}),
+    sparse.SquareMatrix: {
+        "star without the transpose": (
+            "star", lambda self: self._like({key: x.star() for key, x in self.entries.items()}),
+            {"gamma-hom", "rho-hom", "fock-id", "compact-preserve"}),
+        "negation as the identity": ("__neg__", lambda self: self, {"fock-id", "compact-preserve"}),
+        "sum as its left operand": ("__add__", lambda self, other: self, {"fock-id", "compact-preserve"}),
+        "product with swapped operands": (
+            "_product", lambda self, other, mul=operator.mul: _real_product(other, self, mul),
+            {"rho-hom", "fock-id", "compact-preserve"}),
+    },
+    sparse.SparseSum: {
+        "star without the twist": (
+            "star", lambda self: self._like({-l: a.star() for l, a in self.coeffs.items()}), {"rho-hom"}),
+        "product without the twist": ("_product", _untwisted_product, {"gamma-hom", "rho-hom"}),
+        "negation as the identity": ("__neg__", lambda self: self, {"fock-id", "compact-preserve"}),
+        "sum as its left operand": ("__add__", lambda self, other: self, {"fock-id", "compact-preserve"}),
+    },
 }
 
 
@@ -134,12 +165,22 @@ def _failing_suites() -> set:
     return {suite for suite, (_, run) in BROKEN.items() if not run().ok}
 
 
-@pytest.mark.parametrize("mutant", sorted(CORE_MUTANTS))
-def test_suites_notice_a_broken_matrix_core(mutant):
-    name, broken, catching = CORE_MUTANTS[mutant]
-    with mock.patch.object(sparse.SquareMatrix, name, broken):
+def _assert_noticed(core, mutant):
+    name, broken, catching = CORE_MUTANTS[core][mutant]
+    with mock.patch.object(core, name, broken):
         assert catching <= _failing_suites()
 
 
+@pytest.mark.parametrize("mutant", sorted(CORE_MUTANTS[sparse.SquareMatrix]))
+def test_suites_notice_a_broken_matrix_core(mutant):
+    _assert_noticed(sparse.SquareMatrix, mutant)
+
+
+@pytest.mark.parametrize("mutant", sorted(CORE_MUTANTS[sparse.SparseSum]))
+def test_suites_notice_a_broken_sum_core(mutant):
+    _assert_noticed(sparse.SparseSum, mutant)
+
+
 def test_no_suite_fails_under_the_real_matrix_core():
+    # nor under the real sum core: both are in place here
     assert _failing_suites() == set()

@@ -1,17 +1,26 @@
-"""The square-matrix core of ``sparse``, through the three classes built on it.
+"""The two cores of ``sparse``, through the classes built on them.
 
-``MatrixElement``, ``FockOperator`` and ``BlockMatrix`` share their checked
-construction, ``+``, unary ``-``, star and product; these tests pin the rules
-that core enforces for each of them.
+``MatrixElement``, ``FockOperator`` and ``BlockMatrix`` share the checked
+construction, ``+``, unary ``-``, star and product of ``SquareMatrix``;
+``CircleFunction``, ``FiniteCyclicFunction`` and ``CrossedElement`` share the
+construction, ``+``, unary ``-``, ``==`` and twisted product of ``SparseSum``.
+These tests pin the rules those cores enforce for each of them.
 """
 
+import importlib
 import operator
+import re
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from bdlab.coeff import CircleFunction, FiniteCyclicFunction, FiniteCyclicShift
 from bdlab.crossed import CrossedElement, MatrixElement
-from bdlab.errors import MismatchError
+from bdlab.errors import BudgetError, MismatchError
 from bdlab.fock import BlockMatrix, FockOperator
+from bdlab.scalar import Scalar
+from bdlab.sparse import DEGREE_CAP
 
 OPERATIONS = {"+": operator.add, "-": operator.sub, "product": operator.mul}
 
@@ -32,6 +41,16 @@ def _fock_pair(circle, cyclic3, field):
     return X, other
 
 
+def _crossed_pair(circle, cyclic3, field):
+    X = CrossedElement.unit(circle, 2)
+    other = {"algebra": CrossedElement.unit(cyclic3, 2), "power": CrossedElement.unit(circle, 3)}[field]
+    return X, other
+
+
+def _cyclic_pair(circle, cyclic3, field):
+    return cyclic3.one(), {"modulus": FiniteCyclicShift(2).one()}[field]
+
+
 def _block_pair(circle, cyclic3, field):
     one = FockOperator.identity(circle, 4)
     X = BlockMatrix(circle, 2, 4, {(0, 0): one, (1, 1): one})
@@ -44,6 +63,7 @@ class TestSpaceMismatch:
         (_matrix_pair, "algebra"), (_matrix_pair, "power"), (_matrix_pair, "size"),
         (_fock_pair, "algebra"), (_fock_pair, "step"), (_fock_pair, "depth"),
         (_block_pair, "block size"),
+        (_crossed_pair, "algebra"), (_crossed_pair, "power"), (_cyclic_pair, "modulus"),
     ])
     @pytest.mark.parametrize("operation", sorted(OPERATIONS))
     def test_operands_on_different_spaces(self, circle, cyclic3, pair, field, operation):
@@ -58,11 +78,12 @@ class TestSpaceMismatch:
 
     @pytest.mark.parametrize("pair,field", [
         (_matrix_pair, "size"), (_fock_pair, "step"), (_fock_pair, "depth"), (_block_pair, "block size"),
+        (_crossed_pair, "algebra"), (_crossed_pair, "power"), (_cyclic_pair, "modulus"),
     ])
     def test_comparison_on_different_spaces(self, circle, cyclic3, pair, field):
         X, Y = pair(circle, cyclic3, field)
         with pytest.raises(MismatchError):
-            X == Y if isinstance(X, MatrixElement) else X.agrees(Y)
+            X.agrees(Y) if isinstance(X, (FockOperator, BlockMatrix)) else X == Y
 
 
 class TestConstruction:
@@ -78,7 +99,7 @@ class TestConstruction:
     @pytest.mark.parametrize("entry", [
         lambda circle, cyclic3: CrossedElement.unit(cyclic3, 2),
         lambda circle, cyclic3: CrossedElement.unit(circle, 1),
-        lambda circle, cyclic3: CrossedElement.zero(circle, 1),
+        lambda circle, cyclic3: CrossedElement(circle, 1),
     ], ids=("algebra", "power", "zero of another power"))
     def test_entry_from_another_stage_algebra(self, circle, cyclic3, entry):
         with pytest.raises(MismatchError):
@@ -94,9 +115,49 @@ class TestConstruction:
             BlockMatrix(circle, 2, 3, {(1, 0): block(circle, cyclic3)})
 
     def test_zero_entries_are_dropped(self, circle):
-        X = MatrixElement(circle, 1, 2, {(0, 0): CrossedElement.zero(circle, 1), (1, 0): CrossedElement.unit(circle, 1)})
+        X = MatrixElement(circle, 1, 2, {(0, 0): CrossedElement(circle, 1), (1, 0): CrossedElement.unit(circle, 1)})
         assert set(X.entries) == {(1, 0)}
         assert set((X - X).entries) == set() and (X - X).is_zero()
+
+
+class TestSparseSum:
+    @pytest.mark.parametrize("symbol", ["z", "u"])
+    def test_product_past_the_degree_cap_names_its_symbol(self, circle, symbol):
+        def power(l):
+            if symbol == "z":
+                return CircleFunction.z(l)
+            return CrossedElement.u_power(circle, 1, l)
+
+        assert (power(DEGREE_CAP) * power(0)).coeffs.keys() == {DEGREE_CAP}
+        with pytest.raises(BudgetError, match=f"^{symbol}-degree {DEGREE_CAP + 1} exceeds cap"):
+            power(DEGREE_CAP) * power(1)
+        with pytest.raises(BudgetError, match=f"^{symbol}-degree {-DEGREE_CAP - 1} exceeds cap"):
+            power(-1) * power(-DEGREE_CAP)
+
+    def test_cyclic_function_stores_no_zero_value(self, cyclic3):
+        zero, one = Scalar.zero(), Scalar.one()
+        f = FiniteCyclicFunction(3, (zero, zero, zero))
+        assert f.coeffs == {} and f.is_zero() and f == cyclic3.zero()
+        assert f.to_json() == {"d": 3, "values": [[], [], []]}
+        g = FiniteCyclicFunction(3, (zero, one, zero))
+        assert g.coeffs.keys() == {1} and (g - g).coeffs == {} and (g * f).coeffs == {}
+        assert g.to_json() == {"d": 3, "values": [[], one.to_json(), []]}
+        assert g.shifted(2).coeffs.keys() == {0}
+
+    def test_sums_over_a_cyclic_function_run_in_point_order(self):
+        # trace0(f) and trace0(alpha(f)) are equal, but a Scalar's stored form depends on the
+        # order of its sums; alpha rotates the insertion order of the stored dict, so a sum
+        # that followed it would give the first form for both.
+        zeta6, zeta3 = Scalar.root_of_unity(Fraction(1, 6)), Scalar.root_of_unity(Fraction(1, 3))
+        algebra = FiniteCyclicShift(3)
+        f = FiniteCyclicFunction(3, (zeta6, -zeta6, zeta3))
+        trace, shifted_trace = algebra.trace0(f), algebra.trace0(algebra.alpha_power(f, 1))
+        assert trace == shifted_trace
+        assert repr(trace) == "1/3*e(1/3)"
+        assert trace.to_json() == [{"coeff": "1/3", "root": "1/3", "theta": "0"}]
+        assert repr(shifted_trace) == "-1/3 + 1/3*e(1/6)"
+        assert shifted_trace.to_json() == [{"coeff": "-1/3", "root": "0", "theta": "0"},
+                                           {"coeff": "1/3", "root": "1/6", "theta": "0"}]
 
 
 class TestBlockTrust:
@@ -132,14 +193,28 @@ def test_sum_takes_the_smaller_trust_and_composition_erodes_it(cyclic3):
     assert (Y @ T @ T @ T @ T).trust == 0
 
 
-# bench/tracer.py wraps only the attributes a class defines itself, and reads
-# its per-layer counts (crossed.matrix_mul.calls, fock.compose.calls,
-# fock.block_mul.calls, fock.agrees.entries_compared) off these five; one
-# inherited from the core would read 0.
-TRACED = [(MatrixElement, "__mul__"), (FockOperator, "compose"), (FockOperator, "__matmul__"),
-          (BlockMatrix, "__mul__"), (FockOperator, "agrees")]
+# bench/tracer.py wraps only the functions a class's own module defines in its
+# body, and reads its per-layer counts off the "<layer>.<Class>.<method>" names
+# it spells out; a method inherited from a core would read 0.
+TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+TRACED = sorted(set(re.findall(r'"(\w+)\.([A-Z]\w*)\.(\w+)"', TRACER.read_text(encoding="utf-8"))))
 
 
-@pytest.mark.parametrize("cls,name", TRACED, ids=[f"{cls.__name__}.{name}" for cls, name in TRACED])
-def test_traced_methods_are_defined_in_their_own_class(cls, name):
-    assert name in vars(cls)
+def _traced_class(layer, cls):
+    return getattr(importlib.import_module(f"bdlab.{layer}"), cls, None)
+
+
+PRESENT = [t for t in TRACED if _traced_class(*t[:2])]
+
+
+@pytest.mark.parametrize("layer,cls,name", PRESENT, ids=[f"{cls}.{name}" for _, cls, name in PRESENT])
+def test_traced_methods_are_defined_in_their_own_class(layer, cls, name):
+    # the tracer also skips a function that another module defined, such as a core method bound by alias
+    method = vars(_traced_class(layer, cls)).get(name)
+    assert method is not None and method.__module__ == f"bdlab.{layer}"
+
+
+def test_the_one_stale_hook_names_the_deleted_cylinder_function():
+    # CylinderFunction was deleted when the odometer became one dict; repointing
+    # the cantor.shifted.* rows is open (ROADMAP item 8)
+    assert [t for t in TRACED if t not in PRESENT] == [("cantor", "CylinderFunction", "shifted")]
