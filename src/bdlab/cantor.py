@@ -12,10 +12,11 @@ digit k-1 are invisible to them.  The crossed-product automorphism is
 with sign = +1 for the tower of alpha and -1 for the tower of its inverse
 (``dual()`` swaps the two).  An OdometerElement is a finite sum of terms
 a delta_j U^d, with delta_j the indicator of depth-k cylinder j and the
-relations U f U* = sigma(f).  It is stored as one sparse dict
+relations U f U* = sigma(f).  It is a ``sparse.Sparse`` element
 {(d, j): a} of the nonzero values, because rho images and the indicators of
-coefficient extraction are mostly zero.  Operands are promoted to a common
-depth first (cylinder j splits into j + t n_k below n_(k')), and on terms
+coefficient extraction are mostly zero, and takes its sums and ``==`` from
+there.  Its ``_operands`` promote both operands to a common depth (cylinder
+j splits into j + t n_k below n_(k')), and on terms
 
     (a delta_j U^d)(b delta_i U^e) = a alpha^(sign d)(b) delta_j U^(d+e)
 
@@ -38,7 +39,7 @@ from .errors import MismatchError
 from .limits import _stage_cases, check_divisibility_chain, gamma
 from .report import Report, case_rng
 from .scalar import Scalar
-from .sparse import Subtraction, add_entries, equal_entries, exponent_from_key, json_int
+from .sparse import Sparse, exponent_from_key, json_int
 
 
 @dataclass(frozen=True)
@@ -151,15 +152,15 @@ class OdometerAlgebra:
         )
 
 
-class OdometerElement(Subtraction):
-    """A finite sum of terms a delta_j U^d, stored as {(d, j): a} without zero values."""
+class OdometerElement(Sparse):
+    """A finite sum of terms a delta_j U^d, stored as ``entries`` {(d, j): a} without zero values."""
 
-    __slots__ = ("algebra", "depth", "terms")
+    __slots__ = ("algebra", "depth")
 
-    def __init__(self, algebra: OdometerAlgebra, terms: dict, depth: int = 1):
+    def __init__(self, algebra: OdometerAlgebra, entries: dict, depth: int = 1):
         self.algebra = algebra
         self.depth = depth
-        self.terms = {key: a for key, a in terms.items() if not a.is_zero()}
+        super().__init__(entries)
 
     @property
     def size(self) -> int:
@@ -172,65 +173,49 @@ class OdometerElement(Subtraction):
         if depth == self.depth:
             return self
         n_old, n_new = self.size, self.algebra.stages.size(depth)
-        terms = {(d, j + t): a for t in range(0, n_new, n_old) for (d, j), a in self.terms.items()}
-        return OdometerElement(self.algebra, terms, depth)
+        out = self._like({(d, j + t): a for t in range(0, n_new, n_old) for (d, j), a in self.entries.items()})
+        out.depth = depth
+        return out
 
-    def _align(self, other: OdometerElement) -> tuple[OdometerElement, OdometerElement, int]:
+    def _operands(self, other: OdometerElement) -> tuple[OdometerElement, OdometerElement]:
+        """Both operands promoted to the deeper of their depths."""
         if self.algebra is not other.algebra and self.algebra != other.algebra:
             raise MismatchError("odometer elements from different algebras")
         depth = max(self.depth, other.depth)
-        return self.promote(depth), other.promote(depth), depth
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: OdometerElement) -> OdometerElement:
-        a, b, depth = self._align(other)
-        return OdometerElement(self.algebra, add_entries(a.terms, b.terms), depth)
-
-    def __neg__(self) -> OdometerElement:
-        return OdometerElement(self.algebra, {key: -a for key, a in self.terms.items()}, self.depth)
+        return self.promote(depth), other.promote(depth)
 
     def __mul__(self, other: OdometerElement) -> OdometerElement:
         """(a delta_j U^d)(b delta_i U^e) = a sigma^d(b) delta_j U^(d+e) if i = j - d mod n_k, else 0.
 
         Uncapped: rho sends u^l to U^(n_k l), so U-degrees scale with the stage size.
         """
-        a, b, depth = self._align(other)
+        a, b = self._operands(other)
         n = a.size
         by_cylinder: dict = {}
-        for (e, i), y in b.terms.items():
+        for (e, i), y in b.entries.items():
             by_cylinder.setdefault(i, []).append((e, y))
         out: dict = {}
-        for (d, j), x in a.terms.items():
+        for (d, j), x in a.entries.items():
             for e, y in by_cylinder.get((j - d) % n, ()):
                 prod = x * self.algebra.twist(y, d)
                 key = (d + e, j)
                 out[key] = out[key] + prod if key in out else prod
-        return OdometerElement(self.algebra, out, depth)
+        return a._pruned(out)
 
     def shifted(self, d: int) -> OdometerElement:
         """sigma^d on every coefficient: cylinder j moves to j + d mod n_k, values by alpha^(sign*d)."""
         n = self.size
-        terms = {(e, (j + d) % n): self.algebra.twist(a, d) for (e, j), a in self.terms.items()}
-        return OdometerElement(self.algebra, terms, self.depth)
+        return self._like({(e, (j + d) % n): self.algebra.twist(a, d) for (e, j), a in self.entries.items()})
 
     def star(self) -> OdometerElement:
         """(a delta_j U^d)* = sigma^(-d)(a* delta_j) U^(-d)."""
         n = self.size
-        terms = {(-d, (j - d) % n): self.algebra.twist(a.star(), -d) for (d, j), a in self.terms.items()}
-        return OdometerElement(self.algebra, terms, self.depth)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OdometerElement):
-            return NotImplemented
-        a, b, _ = self._align(other)
-        return equal_entries(a.terms, b.terms)
+        return self._like({(-d, (j - d) % n): self.algebra.twist(a.star(), -d) for (d, j), a in self.entries.items()})
 
     def state(self) -> Scalar:
         """The canonical tracial state: average of trace0 over the U^0 coefficient."""
         total = Scalar.zero()
-        for (d, _), a in self.terms.items():
+        for (d, _), a in self.entries.items():
             if d == 0:
                 total = total + self.algebra.coeff.trace0(a)
         return Fraction(1, self.size) * total
@@ -238,7 +223,7 @@ class OdometerElement(Subtraction):
     def to_json(self) -> dict:
         zero, n = self.algebra.coeff.zero(), self.size
         rows: dict = {}
-        for (d, j), a in self.terms.items():
+        for (d, j), a in self.entries.items():
             rows.setdefault(d, [zero] * n)[j] = a
         return {
             "depth": self.depth,
@@ -256,13 +241,13 @@ class OdometerElement(Subtraction):
                  algebra.function((algebra.coeff.element_from_json(v) for v in val["values"]), json_int(val, "depth")))
                 for key, val in data.get("coeffs", {}).items()]
         depth = max([depth] + [f.depth for _, f in rows])
-        terms = {(d, j): a for d, f in rows for (_, j), a in f.promote(depth).terms.items()}
-        return OdometerElement(algebra, terms, depth)
+        entries = {(d, j): a for d, f in rows for (_, j), a in f.promote(depth).entries.items()}
+        return OdometerElement(algebra, entries, depth)
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.entries:
             return "0"
-        return " + ".join(f"({self.terms[d, j]!r})*delta_{j}*U^{d}" for d, j in sorted(self.terms))
+        return " + ".join(f"({self.entries[d, j]!r})*delta_{j}*U^{d}" for d, j in sorted(self.entries))
 
 
 def rho(algebra: OdometerAlgebra, stage: int, X: MatrixElement) -> OdometerElement:
@@ -274,9 +259,9 @@ def rho(algebra: OdometerAlgebra, stage: int, X: MatrixElement) -> OdometerEleme
     n = algebra.stages.size(stage)
     if X.size != n or X.power != algebra.alpha_sign * n or X.algebra != algebra.coeff:
         raise MismatchError(f"expected a size-{n} stage element over the coefficient algebra")
-    terms = {(j - i + n * l, -i % n): algebra.twist(a, -i)
-             for (i, j), x in X.entries.items() for l, a in x.coeffs.items()}
-    return OdometerElement(algebra, terms, stage)
+    entries = {(j - i + n * l, -i % n): algebra.twist(a, -i)
+               for (i, j), x in X.entries.items() for l, a in x.entries.items()}
+    return OdometerElement(algebra, entries, stage)
 
 
 def rho_extract(algebra: OdometerAlgebra, stage: int, Y: OdometerElement, p: int, q: int) -> CrossedElement | None:
@@ -287,9 +272,9 @@ def rho_extract(algebra: OdometerAlgebra, stage: int, Y: OdometerElement, p: int
     coefficient at (p, q) on every cylinder 0, n, ..., N - n of each U-degree; otherwise the result is None.
     """
     n = algebra.stages.size(stage)
-    _, Y, _ = OdometerElement(algebra, {}, stage)._align(Y)
+    _, Y = OdometerElement(algebra, {}, stage)._operands(Y)
     rows: dict = {}
-    for (d, j), a in Y.terms.items():
+    for (d, j), a in Y.entries.items():
         if (j + p) % n == 0 and (j - d + q) % n == 0:
             rows.setdefault(d + p - q, {})[(j + p) % Y.size] = algebra.twist(a, p)
     if any(len(row) != Y.size // n or not all(row[0] == a for a in row.values()) for row in rows.values()):
@@ -300,7 +285,7 @@ def rho_extract(algebra: OdometerAlgebra, stage: int, Y: OdometerElement, p: int
 def psi_map(x: OdometerElement) -> OdometerElement:
     """The flip intertwiner: a delta_j U^d -> a delta_(n_k - 1 - j) V^(-d) into the dual algebra."""
     n = x.size
-    return OdometerElement(x.algebra.dual(), {(-d, n - 1 - j): a for (d, j), a in x.terms.items()}, x.depth)
+    return OdometerElement(x.algebra.dual(), {(-d, n - 1 - j): a for (d, j), a in x.entries.items()}, x.depth)
 
 
 def verify_rho_homomorphism(algebra: OdometerAlgebra, stage: int, seed: int, count: int,
@@ -331,7 +316,7 @@ def verify_rg(algebra: OdometerAlgebra, stage: int, seed: int, count: int) -> Re
     report = Report("rg", config={"sizes": list(sizes), "stage": stage,
                                   "algebra": algebra.coeff.tag(), "seed": seed, "count": count})
     report.compare(_stage_cases(algebra.coeff, algebra.alpha_sign * n, n, seed, count),
-                   lambda X: (rho(algebra, stage, X).promote(stage + 1), rho(algebra, stage + 1, gamma(n, m, X))))
+                   lambda X: (rho(algebra, stage, X), rho(algebra, stage + 1, gamma(n, m, X))))
     return report
 
 

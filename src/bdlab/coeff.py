@@ -132,7 +132,7 @@ class FiniteCyclicFunction(SparseSum):
         if len(values) != modulus:
             raise MismatchError(f"expected {modulus} values, got {len(values)}")
         self.modulus = modulus
-        self.coeffs = {i: v for i, v in enumerate(values) if not v.is_zero()}
+        super().__init__(dict(enumerate(values)))
 
     @staticmethod
     def constant(modulus: int, value: Scalar) -> FiniteCyclicFunction:
@@ -142,19 +142,19 @@ class FiniteCyclicFunction(SparseSum):
     def values(self) -> list[Scalar]:
         """The d values in point order, zeros included."""
         zero = Scalar.zero()
-        return [self.coeffs.get(i, zero) for i in range(self.modulus)]
+        return [self.entries.get(i, zero) for i in range(self.modulus)]
 
     def __mul__(self, other: FiniteCyclicFunction) -> FiniteCyclicFunction:
-        self._check(other)
-        b = other.coeffs
-        return self._like({i: a * b[i] for i, a in self.coeffs.items() if i in b})
+        a, b = self._operands(other)
+        values = b.entries
+        return a._pruned({i: x * values[i] for i, x in a.entries.items() if i in values})
 
     def star(self) -> FiniteCyclicFunction:
-        return self._like({i: a.star() for i, a in self.coeffs.items()})
+        return self._like({i: a.star() for i, a in self.entries.items()})
 
     def shifted(self, m: int) -> FiniteCyclicFunction:
         d = self.modulus
-        return self._like({(i + m) % d: a for i, a in self.coeffs.items()})
+        return self._like({(i + m) % d: a for i, a in self.entries.items()})
 
     def to_json(self) -> dict:
         return {"d": self.modulus, "values": [v.to_json() for v in self.values]}
@@ -225,7 +225,7 @@ class CircleRotation(CoefficientAlgebra):
     def alpha_power(self, element: CircleFunction, power: int) -> CircleFunction:
         if power == 0 or element.is_zero():
             return element
-        return CircleFunction({m: self._phase(m, power) * c for m, c in element.coeffs.items()})
+        return element._like({m: self._phase(m, power) * c for m, c in element.entries.items()})
 
     def _phase(self, z_power: int, alpha_power: int) -> Scalar:
         """The phase e(-e*q) * t^(-e*r) that alpha^m puts on z^p, for e = p*m.
@@ -243,7 +243,7 @@ class CircleRotation(CoefficientAlgebra):
         return phase
 
     def trace0(self, element: CircleFunction) -> Scalar:
-        return element.coeffs.get(0, Scalar.zero())
+        return element.entries.get(0, Scalar.zero())
 
     def sample(self, rng: random.Random, degree: int = 2) -> CircleFunction:
         coeffs = {}

@@ -6,7 +6,8 @@ algebra (A, alpha), where the unitary u twists by a fixed power n of alpha:
     u * a = alpha^n(a) * u
 
 Its sums, twisted product, star and u-degree cap are those of
-``sparse.SparseSum`` with the twist alpha^(n*l).  Only finite sums are
+``sparse.SparseSum`` with the twist alpha^(n*l), and ``MatrixElement``'s are
+those of ``sparse.SquareMatrix``.  Only finite sums are
 represented; this is the dense *-subalgebra of the crossed product, which is
 where every identity verified in this library lives.
 
@@ -25,7 +26,7 @@ from fractions import Fraction
 from .coeff import CoefficientAlgebra
 from .errors import MismatchError
 from .scalar import Scalar
-from .sparse import SparseSum, SquareMatrix, equal_entries, exponent_from_key, json_int
+from .sparse import SparseSum, SquareMatrix, exponent_from_key, json_int
 
 
 class CrossedElement(SparseSum):
@@ -38,7 +39,7 @@ class CrossedElement(SparseSum):
     def __init__(self, algebra: CoefficientAlgebra, power: int, coeffs: dict | None = None):
         self.algebra = algebra
         self.power = power
-        self.coeffs = {l: a for l, a in (coeffs or {}).items() if not a.is_zero()}
+        super().__init__(coeffs)
 
     @staticmethod
     def unit(algebra: CoefficientAlgebra, power: int) -> CrossedElement:
@@ -60,7 +61,7 @@ class CrossedElement(SparseSum):
 
     def expectation(self):
         """Conditional expectation onto A: the u^0 coefficient."""
-        return self.coeffs.get(0, self.algebra.zero())
+        return self.entries.get(0, self.algebra.zero())
 
     def trace(self) -> Scalar:
         """trace0 of the conditional expectation; tracial on the dense subalgebra."""
@@ -94,7 +95,7 @@ def sample_crossed(
 class MatrixElement(SquareMatrix):
     """A size x size matrix over one crossed-product algebra."""
 
-    __slots__ = ("algebra", "power", "size", "entries")
+    __slots__ = ("algebra", "power", "size")
     _space = operator.attrgetter("algebra", "power", "size")
 
     def __init__(self, algebra: CoefficientAlgebra, power: int, size: int, entries: dict | None = None):
@@ -103,10 +104,9 @@ class MatrixElement(SquareMatrix):
         self.size = size
         self.entries = self._admit(entries, size)
 
-    def _admits(self, x: CrossedElement) -> bool:
+    def _check_entry(self, x: CrossedElement) -> None:
         if (x.algebra is not self.algebra and x.algebra != self.algebra) or x.power != self.power:
             raise MismatchError("matrix entry from a different stage algebra")
-        return bool(x.coeffs)  # x.is_zero(), without the call
 
     @staticmethod
     def identity(algebra: CoefficientAlgebra, power: int, size: int) -> MatrixElement:
@@ -119,9 +119,6 @@ class MatrixElement(SquareMatrix):
         if x is None:
             x = CrossedElement.unit(algebra, power)
         return MatrixElement(algebra, power, size, {(i, j): x})
-
-    def is_zero(self) -> bool:
-        return not self.entries
 
     def entry(self, i: int, j: int) -> CrossedElement:
         return self.entries.get((i, j), CrossedElement(self.algebra, self.power))
@@ -138,12 +135,6 @@ class MatrixElement(SquareMatrix):
                 total = total + x.trace()
         return Fraction(1, self.size) * total
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MatrixElement):
-            return NotImplemented
-        self._check(other)
-        return equal_entries(self.entries, other.entries)
-
     def with_twist(self, algebra: CoefficientAlgebra, power: int) -> MatrixElement:
         """Re-tag entries under a different (algebra, power) presenting the same twist.
 
@@ -153,7 +144,7 @@ class MatrixElement(SquareMatrix):
         if self.algebra.composite_tag(self.power) != algebra.composite_tag(power):
             raise MismatchError("incompatible twist re-tag")
         entries = {
-            key: CrossedElement(algebra, power, dict(x.coeffs)) for key, x in self.entries.items()
+            key: CrossedElement(algebra, power, x.entries) for key, x in self.entries.items()
         }
         return MatrixElement(algebra, power, self.size, entries)
 

@@ -33,7 +33,7 @@ from .sparse import SquareMatrix, equal_entries, shuffled_entries
 class FockOperator(SquareMatrix):
     """Band matrix over A on levels 0..depth-1, with a trusted window."""
 
-    __slots__ = ("algebra", "depth", "step", "trust", "entries")
+    __slots__ = ("algebra", "depth", "step", "trust")
     _space = operator.attrgetter("algebra", "depth", "step")
 
     def __init__(self, algebra: CoefficientAlgebra, depth: int, entries: dict | None = None,
@@ -89,6 +89,11 @@ class FockOperator(SquareMatrix):
         out.trust = min(self.trust, other.trust)
         return out
 
+    def __eq__(self, other) -> bool:
+        """Equal entries and equal trust: operators that trust different windows are different truncations."""
+        equal = super().__eq__(other)
+        return equal if equal is NotImplemented else equal and self.trust == other.trust
+
     def compose(self, other: FockOperator) -> FockOperator:
         """Matrix composition; trust shrinks by the right factor's level-raise max(i - j), if positive."""
         out = self._product(other)
@@ -100,7 +105,7 @@ class FockOperator(SquareMatrix):
 
     def agrees(self, other: FockOperator) -> bool:
         """Equality on the joint trusted window max(i, j) < min(trusts)."""
-        self._check(other)
+        self._operands(other)
         window = min(self.trust, other.trust)
 
         def inside(entries: dict) -> dict:
@@ -155,7 +160,7 @@ def block_decompose(X: FockOperator, k: int) -> dict[tuple[int, int], FockOperat
 class BlockMatrix(SquareMatrix):
     """A square matrix of FockOperators sharing depth and step (absent = zero)."""
 
-    __slots__ = ("algebra", "size", "depth", "step", "entries")
+    __slots__ = ("algebra", "size", "depth", "step")
     _space = operator.attrgetter("algebra", "size", "depth", "step")
 
     def __init__(self, algebra: CoefficientAlgebra, size: int, depth: int, entries: dict | None = None,
@@ -166,9 +171,8 @@ class BlockMatrix(SquareMatrix):
         self.step = step
         self.entries = self._admit(entries, size)
 
-    def _admits(self, op: FockOperator) -> bool:
-        op._check(self)  # a block shares this matrix's algebra, depth and step
-        return not op.is_zero()
+    def _check_entry(self, op: FockOperator) -> None:
+        op._operands(self)  # a block shares this matrix's algebra, depth and step
 
     def block(self, i: int, j: int) -> FockOperator:
         return self.entries.get((i, j), FockOperator(self.algebra, self.depth, step=self.step))
@@ -178,7 +182,7 @@ class BlockMatrix(SquareMatrix):
         return self._product(other, operator.matmul)
 
     def agrees(self, other: BlockMatrix) -> bool:
-        self._check(other)
+        self._operands(other)
         keys = set(self.entries) | set(other.entries)
         return all(self.block(i, j).agrees(other.block(i, j)) for (i, j) in keys)
 

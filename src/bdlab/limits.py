@@ -57,7 +57,7 @@ def gamma(n: int, m: int, X: MatrixElement) -> MatrixElement:
     for (r, s), x in X.entries.items():
         (B, i), (C, j) = divmod(r, n), divmod(s, n)
         row, col = B * m + i, C * m + j
-        for l, a in x.coeffs.items():
+        for l, a in x.entries.items():
             for c in range(k):
                 cp = (c + l) % k
                 e = (c + l - cp) // k

@@ -1,31 +1,37 @@
-"""Sparse sums and products of dicts that map keys to entries.
+"""Sparse elements: dicts that map keys to nonzero entries.
 
-Every element type of the library stores only its nonzero entries in a dict:
+Every element type of the library is a finite sum in the dense
+*-subalgebra of its C*-algebra, stored as a dict of its nonzero entries:
 Laurent coefficients by exponent, values of a cyclic function by point,
-matrix entries by (row, column).  Two such dicts add key by key
-(``add_entries``) and two (row, column) dicts multiply as matrices
-(``mul_entries``); neither prunes zeros: the type that receives the dict
-does.  Two cores write the element operations once each.  ``SquareMatrix``
-does so for stage matrices, Fock operators and Fock block matrices.
-``SparseSum`` does so for the coefficient layer: circle functions, cyclic
-functions and the stage algebras' crossed elements.
+matrix entries by (row, column), odometer values by (U-degree, cylinder).
+One base, ``Sparse``, writes what they share: construction, ``+``, unary
+``-``, ``==``, ``is_zero`` and the check that two operands lie on one space
+(``_operands``, which the odometer overrides to promote both operands to a
+common depth).  A result carries the fields of its left operand (``_like``).
 
-The two algebras with Laurent coefficients multiply by one rule,
+The types differ only in their products, of three kinds:
 
-    (a x^l)(b x^r) = a * twist(l, b) * x^(l+r),    (a x^l)* = twist(-l, a*) x^(-l),
+* ``SparseSum``, a twisted Laurent sum, for circle functions (x = z, the
+  identity twist), cyclic functions (pointwise, in ``coeff``) and the stage
+  algebras' crossed elements (x = u, twist alpha^(n*l)):
 
-with the twist the identity on C(T) = C*(Z) (x = z) and alpha^(n*l) on the
-stage algebra A x_(alpha^n) Z (x = u).  ``SparseSum`` writes that product,
-rejecting exponents above ``DEGREE_CAP`` in absolute value, and that star.
-The odometer crossed product keys its terms by (U-degree, cylinder) and
-multiplies them in ``cantor``, uncapped.
+      (a x^l)(b x^r) = a * twist(l, b) * x^(l+r),    (a x^l)* = twist(-l, a*) x^(-l),
 
-Because the constructors drop exact-zero entries, two elements are equal
-exactly when their dicts have the same keys and equal entries under each key
-(``equal_entries``): a key held by one dict only carries a nonzero entry.  So
-``__eq__``, and the Fock layer's ``agrees`` on its trusted window, compare
-entries in place instead of building the difference.  ``shuffled_entries``
-is the canonical shuffle M_p(M_n) -> M_(pn) of matrices and block matrices.
+  rejecting exponents above ``DEGREE_CAP`` in absolute value;
+* ``SquareMatrix``, the matrix product and the transposing star, for stage
+  matrices, Fock operators and Fock block matrices;
+* the odometer crossed product in ``cantor``, keyed by (U-degree, cylinder)
+  and uncapped.
+
+**The zero rule.**  Construction, sums and products drop zero entries, and
+nothing else tests for zero: negation, star, alpha-twists and re-keyings
+send nonzero entries to nonzero entries, so they build their results with
+``_like`` as they are.  Hence two elements are equal exactly when their
+dicts have the same keys and equal entries under each key
+(``equal_entries``), and ``==``, and the Fock layer's ``agrees`` on its
+trusted window, compare entries in place instead of building the
+difference.  ``shuffled_entries`` is the canonical shuffle M_p(M_n) -> M_(pn)
+of matrices and block matrices.
 
 In element JSON an exponent dict is keyed ``<symbol>:<exponent>``.
 ``exponent_from_key`` accepts a key only in exactly that spelling, so that
@@ -36,6 +42,7 @@ integer where an element stores a size, a twist or a depth.
 from __future__ import annotations
 
 import operator
+from types import MappingProxyType
 from typing import Callable
 
 from .errors import BudgetError, MismatchError
@@ -53,50 +60,75 @@ class Subtraction:
         return self + (-other)
 
 
-class SparseSum(Subtraction):
-    """A finite sum  sum_l a_l x^l  stored as ``{l: a_l}`` with no zero coefficient.
+class Sparse(Subtraction):
+    """An element stored as ``{key: entry}`` with no zero entry.
 
-    The one place where the coefficient-level operations are written.  A
-    subclass lists its fields besides ``coeffs`` in ``__slots__``, reads those
-    two operands must share with ``_space`` (by default their type), and a
-    Laurent sum names its variable in ``_symbol`` and twists the right factor
-    of a product in ``_twist``.  A result carries the fields of its left
+    The one place where construction, ``+``, unary ``-``, ``==`` and the zero
+    test are written.  A subclass lists its fields besides ``entries`` in
+    ``__slots__`` and names the fields two operands must share in ``_space``
+    (by default their type), or overrides ``_operands`` to bring both
+    operands onto one space.  A result carries the fields of its left
     operand.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("entries",)
     _space = type
 
-    def __init__(self, coeffs: dict | None = None):
-        self.coeffs = {l: a for l, a in (coeffs or {}).items() if not a.is_zero()}
+    def __init__(self, entries: dict | None = None):
+        self.entries = self._nonzero(entries or {})
 
-    def _like(self, coeffs: dict):
-        """This element's fields with the nonzero ``coeffs``, which need no other check."""
+    @staticmethod
+    def _nonzero(entries: dict) -> dict:
+        return {key: x for key, x in entries.items() if not x.is_zero()}
+
+    def _like(self, entries: dict):
+        """This element's fields with ``entries`` as given, each of which must be nonzero."""
         new = object.__new__(type(self))
         for field in self.__slots__:
             setattr(new, field, getattr(self, field))
-        new.coeffs = {l: a for l, a in coeffs.items() if not a.is_zero()}
+        new.entries = entries
         return new
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    def _pruned(self, entries: dict):
+        """``_like`` for a sum or a product, whose entries may cancel: zero entries are dropped."""
+        return self._like(self._nonzero(entries))
 
-    def _check(self, other: SparseSum) -> None:
+    def _operands(self, other: Sparse) -> tuple[Sparse, Sparse]:
+        """Both operands on one space; MismatchError if they lie on different ones."""
         if self._space(self) != self._space(other):
             raise MismatchError(f"{type(self).__name__} operands on different spaces")
+        return self, other
+
+    def is_zero(self) -> bool:
+        return not self.entries
 
     def __add__(self, other):
-        self._check(other)
-        return self._like(add_entries(self.coeffs, other.coeffs))
+        a, b = self._operands(other)
+        return a._pruned(add_entries(a.entries, b.entries))
 
     def __neg__(self):
-        return self._like({l: -a for l, a in self.coeffs.items()})
+        return self._like({key: -x for key, x in self.entries.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, type(self)):
             return NotImplemented
-        self._check(other)
-        return equal_entries(self.coeffs, other.coeffs)
+        a, b = self._operands(other)
+        return equal_entries(a.entries, b.entries)
+
+
+class SparseSum(Sparse):
+    """A finite sum  sum_l a_l x^l  stored as ``{l: a_l}``.
+
+    A Laurent sum names its variable in ``_symbol`` and twists the right
+    factor of a product in ``_twist``.
+    """
+
+    __slots__ = ()
+
+    @property
+    def coeffs(self):
+        """A read-only view of ``entries``."""
+        return MappingProxyType(self.entries)
 
     def _twist(self, l: int, b):
         """What moving x^l past the coefficient b makes of it; the identity unless overridden."""
@@ -104,82 +136,59 @@ class SparseSum(Subtraction):
 
     def _product(self, other):
         """The twisted Laurent product; BudgetError as soon as some |l + r| exceeds ``DEGREE_CAP``."""
-        self._check(other)
-        twist, out = self._twist, {}
-        for l, a in self.coeffs.items():
-            for r, b in other.coeffs.items():
+        a, b = self._operands(other)
+        twist, out = a._twist, {}
+        for l, x in a.entries.items():
+            for r, y in b.entries.items():
                 e = l + r
                 if abs(e) > DEGREE_CAP:
                     raise BudgetError(f"{self._symbol}-degree {e} exceeds cap {DEGREE_CAP}")
-                prod = a * twist(l, b)
+                prod = x * twist(l, y)
                 out[e] = out[e] + prod if e in out else prod
-        return self._like(out)
+        return a._pruned(out)
 
     def star(self):
         twist = self._twist
-        return self._like({-l: twist(-l, a.star()) for l, a in self.coeffs.items()})
+        return self._like({-l: twist(-l, a.star()) for l, a in self.entries.items()})
 
     def to_json(self) -> dict:
-        return {f"{self._symbol}:{l}": self.coeffs[l].to_json() for l in sorted(self.coeffs)}
+        return {f"{self._symbol}:{l}": self.entries[l].to_json() for l in sorted(self.entries)}
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self.entries:
             return "0"
         x = self._symbol
-        return " + ".join(f"({self.coeffs[l]!r})*{x}^{l}" if l else f"({self.coeffs[l]!r})" for l in sorted(self.coeffs))
+        return " + ".join(f"({self.entries[l]!r})*{x}^{l}" if l else f"({self.entries[l]!r})"
+                          for l in sorted(self.entries))
 
 
-class SquareMatrix(Subtraction):
-    """A square matrix ``{(row, column): entry}`` that stores no zero entry.
+class SquareMatrix(Sparse):
+    """A square matrix ``{(row, column): entry}``.
 
-    The one place where the library's matrix operations are written.  A
-    subclass lists its fields in ``__slots__``, reads those two operands must
-    share with ``_space``, and refuses an entry of another space in
-    ``_admits``.  A result carries the fields of its left operand.
+    A subclass builds its entries with ``_admit`` and refuses an entry of
+    another space in ``_check_entry``.
     """
 
     __slots__ = ()
 
     def _admit(self, entries: dict | None, size: int) -> dict:
-        """The entries that ``_admits``, each checked to lie in the size x size square."""
-        admits, clean = self._admits, {}
-        for key, x in (entries or {}).items():
-            i, j = key
+        """The nonzero ``entries``, each checked to lie in the size x size square and on this matrix's space."""
+        entries, check = entries or {}, self._check_entry
+        for (i, j), x in entries.items():
             if not (0 <= i < size and 0 <= j < size):
                 raise MismatchError(f"entry ({i},{j}) outside {size}x{size} matrix")
-            if admits(x):
-                clean[key] = x
-        return clean
+            check(x)
+        return self._nonzero(entries)
 
-    def _admits(self, x) -> bool:
-        """Whether to store the entry x; raises MismatchError if x is of another space."""
-        return not x.is_zero()
-
-    def _like(self, entries: dict):
-        """This matrix's fields with the nonzero ``entries``, which need no other check."""
-        new = object.__new__(type(self))
-        for field in self.__slots__:
-            setattr(new, field, getattr(self, field))
-        new.entries = {key: x for key, x in entries.items() if not x.is_zero()}
-        return new
-
-    def _check(self, other: SquareMatrix) -> None:
-        if self._space(self) != self._space(other):
-            raise MismatchError(f"{type(self).__name__} operands on different spaces")
-
-    def __add__(self, other):
-        self._check(other)
-        return self._like(add_entries(self.entries, other.entries))
-
-    def __neg__(self):
-        return self._like({key: -x for key, x in self.entries.items()})
+    def _check_entry(self, x) -> None:
+        """MismatchError if x is an entry of another space; any entry passes unless overridden."""
 
     def star(self):
         return self._like({(j, i): x.star() for (i, j), x in self.entries.items()})
 
     def _product(self, other, mul: Callable = operator.mul):
-        self._check(other)
-        return self._like(mul_entries(self.entries, other.entries, mul))
+        a, b = self._operands(other)
+        return a._pruned(mul_entries(a.entries, b.entries, mul))
 
 
 def add_entries(a: dict, b: dict) -> dict:

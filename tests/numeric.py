@@ -1,6 +1,6 @@
 """Floating-point values of exact elements, used by the tests as numeric oracles.
 
-Built on the public ``Scalar.terms`` and ``CircleFunction.coeffs`` views, so
+Built on the public ``Scalar.terms`` and ``CircleFunction.entries`` views, so
 they do not depend on how the library stores a scalar.
 """
 
@@ -20,6 +20,6 @@ def scalar_value(s, theta_value):
 def circle_value(f, theta_value, point):
     """Numeric value of a CircleFunction at z = exp(2*pi*i*point) with t = exp(2*pi*i*theta_value)."""
     return sum(
-        (scalar_value(c, theta_value) * cmath.exp(2j * cmath.pi * m * point) for m, c in f.coeffs.items()),
+        (scalar_value(c, theta_value) * cmath.exp(2j * cmath.pi * m * point) for m, c in f.entries.items()),
         0j,
     )

@@ -106,7 +106,7 @@ def dense_sum(x, y, op):
 def assert_matches_dense(x, expected):
     """x serializes as the dense oracle's result and stores no zero value."""
     assert x.to_json() == expected
-    assert not any(a.is_zero() for a in x.terms.values())
+    assert not any(a.is_zero() for a in x.entries.values())
 
 
 def with_degrees(odo, pairs):
@@ -120,8 +120,8 @@ def with_degrees(odo, pairs):
 def table(f):
     """The dense values of a cylinder function (an element with U-degree 0 only)."""
     zero = f.algebra.coeff.zero()
-    assert all(d == 0 for d, _ in f.terms)
-    return [f.terms.get((0, j), zero) for j in range(f.size)]
+    assert all(d == 0 for d, _ in f.entries)
+    return [f.entries.get((0, j), zero) for j in range(f.size)]
 
 
 @pytest.fixture
@@ -248,7 +248,7 @@ class TestRho:
                 X = sample_matrix(odo.coeff, odo.alpha_sign * n, n, rng)
                 by_products = by_shifts = OdometerElement(odo, {}, stage)
                 for (i, j), x in X.entries.items():
-                    for l, a in x.coeffs.items():
+                    for l, a in x.entries.items():
                         delta = odo.indicator(0, stage, a)
                         by_products += odo.u_power(-i, stage) * delta * odo.u_power(j + n * l, stage)
                         by_shifts += delta.shifted(-i) * odo.u_power(j - i + n * l, stage)
@@ -294,7 +294,7 @@ def rho_extract_by_products(algebra, stage, Y, p, q):
     left = algebra.u_power(p, stage) * algebra.indicator(n - p, stage)
     right = algebra.indicator(n - q, stage) * algebra.u_power(-q, stage)
     Z = left * Y * right
-    head = {(d, 0): a for (d, j), a in Z.terms.items() if j == 0}
+    head = {(d, 0): a for (d, j), a in Z.entries.items() if j == 0}
     if any(d % n for d, _ in head) or not OdometerElement(algebra, head, stage).promote(Z.depth) == Z:
         return None
     return CrossedElement(algebra.coeff, algebra.alpha_sign * n, {d // n: a for (d, _), a in head.items()})
@@ -349,7 +349,7 @@ def _untwisted(algebra, stage, Y, p, q):
     x = rho_extract(algebra, stage, Y, p, q)
     if x is None:
         return None
-    return CrossedElement(x.algebra, x.power, {l: algebra.twist(a, -p) for l, a in x.coeffs.items()})
+    return CrossedElement(x.algebra, x.power, {l: algebra.twist(a, -p) for l, a in x.entries.items()})
 
 
 @pytest.mark.parametrize("mutant", [_transposed, _untwisted])
@@ -497,5 +497,5 @@ class TestSparseAgainstDenseOracle:
     def test_dense_constructor_drops_zeros(self, odometer, circle):
         z = CircleFunction.z()
         f = odometer.function((circle.zero(), z), 2)
-        assert f.terms == {(0, 1): z} and table(f) == [circle.zero(), z]
+        assert f.entries == {(0, 1): z} and table(f) == [circle.zero(), z]
         assert f.to_json() == {"depth": 2, "coeffs": {"U:0": {"depth": 2, "values": [{}, z.to_json()]}}}

@@ -120,10 +120,10 @@ class TestCircleRotation:
                 got = algebra.alpha_power(f, power)
                 want = CircleFunction({
                     m: Scalar.term(1, root=(-m * power * q) % 1, theta=-m * power * r) * c
-                    for m, c in f.coeffs.items()
+                    for m, c in f.entries.items()
                 })
-                assert {m: list(c.terms.items()) for m, c in got.coeffs.items()} == \
-                    {m: list(c.terms.items()) for m, c in want.coeffs.items()}
+                assert {m: list(c.terms.items()) for m, c in got.entries.items()} == \
+                    {m: list(c.terms.items()) for m, c in want.entries.items()}
                 assert got.to_json() == want.to_json()
 
 

@@ -39,7 +39,7 @@ def gamma_left_inverse(n: int, m: int, Y: MatrixElement) -> MatrixElement | None
                 y = Y.entries.get((i, j + cp * n))
                 if y is None:
                     continue
-                for e, b in y.coeffs.items():
+                for e, b in y.entries.items():
                     coeffs[e * k + cp] = b
             if coeffs:
                 entries[(i, j)] = CrossedElement(Y.algebra, n, coeffs)
@@ -81,7 +81,7 @@ def gamma_generator_product(n: int, m: int, X: MatrixElement) -> MatrixElement:
 
     acc = MatrixElement(algebra, m, m)
     for (i, j), x in X.entries.items():
-        for l, a in x.coeffs.items():
+        for l, a in x.entries.items():
             coeff_image = MatrixElement(algebra, m, m, {
                 (c * n, c * n): CrossedElement.from_coefficient(algebra, m, algebra.alpha_power(a, c * n))
                 for c in range(k)

@@ -2,8 +2,8 @@
 
 Each suite is run once with one of its maps broken, so that cases fail; every
 failure must then carry both sides, not only its label.  The suites are also
-run with each of the two cores of ``sparse`` broken, which some of them must
-notice.
+run with the base of ``sparse``, each of its two product cores and the
+odometer's promotion broken, which some of them must notice.
 """
 
 import json
@@ -12,7 +12,7 @@ from unittest import mock
 
 import pytest
 
-from bdlab import cantor, fock, limits, sparse
+from bdlab import cantor, cli, fock, limits, sparse
 from bdlab.coeff import Angle, CircleRotation, FiniteCyclicShift
 from bdlab.crossed import MatrixElement, sample_matrix
 from bdlab.report import Report, canonical_json
@@ -117,6 +117,10 @@ BROKEN = {
 }
 
 
+def test_every_suite_has_a_planted_defect():
+    assert set(BROKEN) == set(cli.SUITES)
+
+
 @pytest.mark.parametrize("suite", sorted(BROKEN))
 def test_every_failure_carries_both_sides(suite):
     breaking, run = BROKEN[suite]
@@ -131,32 +135,38 @@ _real_product = sparse.SquareMatrix._product
 
 def _untwisted_product(self, other):
     """SparseSum._product with the twist left out: (a x^l)(b x^r) = ab x^(l+r)."""
-    self._check(other)
+    self, other = self._operands(other)
     out = {}
-    for l, a in self.coeffs.items():
-        for r, b in other.coeffs.items():
+    for l, a in self.entries.items():
+        for r, b in other.entries.items():
             out[l + r] = out[l + r] + a * b if l + r in out else a * b
-    return self._like(out)
+    return self._pruned(out)
 
 
-# core of sparse -> mutant -> (the method it replaces, the replacement, suites that must fail)
+# class that writes the method -> mutant -> (the method it replaces, the replacement, suites that must fail)
 CORE_MUTANTS = {
+    sparse.Sparse: {
+        "negation as the identity": ("__neg__", lambda self: self, {"fock-id", "compact-preserve"}),
+        "sum as its left operand": ("__add__", lambda self, other: self,
+                                    {"fock-id", "compact-preserve", "gk-generation"}),
+        "sum and product keep zero entries": ("_pruned", lambda self, entries: self._like(entries),
+                                              {"fock-id", "compact-preserve"}),
+    },
     sparse.SquareMatrix: {
         "star without the transpose": (
             "star", lambda self: self._like({key: x.star() for key, x in self.entries.items()}),
             {"gamma-hom", "rho-hom", "fock-id", "compact-preserve"}),
-        "negation as the identity": ("__neg__", lambda self: self, {"fock-id", "compact-preserve"}),
-        "sum as its left operand": ("__add__", lambda self, other: self, {"fock-id", "compact-preserve"}),
         "product with swapped operands": (
             "_product", lambda self, other, mul=operator.mul: _real_product(other, self, mul),
             {"rho-hom", "fock-id", "compact-preserve"}),
     },
     sparse.SparseSum: {
         "star without the twist": (
-            "star", lambda self: self._like({-l: a.star() for l, a in self.coeffs.items()}), {"rho-hom"}),
+            "star", lambda self: self._like({-l: a.star() for l, a in self.entries.items()}), {"rho-hom"}),
         "product without the twist": ("_product", _untwisted_product, {"gamma-hom", "rho-hom"}),
-        "negation as the identity": ("__neg__", lambda self: self, {"fock-id", "compact-preserve"}),
-        "sum as its left operand": ("__add__", lambda self, other: self, {"fock-id", "compact-preserve"}),
+    },
+    cantor.OdometerElement: {
+        "odometer operands not promoted": ("_operands", lambda self, other: (self, other), {"rg"}),
     },
 }
 
@@ -171,6 +181,11 @@ def _assert_noticed(core, mutant):
         assert catching <= _failing_suites()
 
 
+@pytest.mark.parametrize("mutant", sorted(CORE_MUTANTS[sparse.Sparse]))
+def test_suites_notice_a_broken_base(mutant):
+    _assert_noticed(sparse.Sparse, mutant)
+
+
 @pytest.mark.parametrize("mutant", sorted(CORE_MUTANTS[sparse.SquareMatrix]))
 def test_suites_notice_a_broken_matrix_core(mutant):
     _assert_noticed(sparse.SquareMatrix, mutant)
@@ -181,6 +196,11 @@ def test_suites_notice_a_broken_sum_core(mutant):
     _assert_noticed(sparse.SparseSum, mutant)
 
 
+@pytest.mark.parametrize("mutant", sorted(CORE_MUTANTS[cantor.OdometerElement]))
+def test_suites_notice_unpromoted_odometer_operands(mutant):
+    _assert_noticed(cantor.OdometerElement, mutant)
+
+
 def test_no_suite_fails_under_the_real_matrix_core():
-    # nor under the real sum core: both are in place here
+    # nor under the real base, sum core or odometer promotion: all are in place here
     assert _failing_suites() == set()

@@ -1,10 +1,12 @@
-"""The two cores of ``sparse``, through the classes built on them.
+"""The base of ``sparse`` and its two product cores, through the classes built on them.
 
-``MatrixElement``, ``FockOperator`` and ``BlockMatrix`` share the checked
-construction, ``+``, unary ``-``, star and product of ``SquareMatrix``;
-``CircleFunction``, ``FiniteCyclicFunction`` and ``CrossedElement`` share the
-construction, ``+``, unary ``-``, ``==`` and twisted product of ``SparseSum``.
-These tests pin the rules those cores enforce for each of them.
+Every element type shares the construction, ``+``, unary ``-``, ``==``, the
+space check and the zero rule of ``Sparse``.  ``MatrixElement``,
+``FockOperator`` and ``BlockMatrix`` add the checked construction, star and
+product of ``SquareMatrix``; ``CircleFunction``, ``FiniteCyclicFunction`` and
+``CrossedElement`` the twisted product and star of ``SparseSum``; the
+odometer's ``OdometerElement`` its own product.  These tests pin the rules
+the base and the cores enforce for each of them.
 """
 
 import importlib
@@ -12,9 +14,11 @@ import operator
 import re
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from bdlab.cantor import OdometerAlgebra, StageSequence
 from bdlab.coeff import CircleFunction, FiniteCyclicFunction, FiniteCyclicShift
 from bdlab.crossed import CrossedElement, MatrixElement
 from bdlab.errors import BudgetError, MismatchError
@@ -86,6 +90,15 @@ class TestSpaceMismatch:
             X.agrees(Y) if isinstance(X, (FockOperator, BlockMatrix)) else X == Y
 
 
+def _elements(circle, cyclic3):
+    """One element of every type built on ``Sparse``, each with a nonzero entry."""
+    odometer = OdometerAlgebra(StageSequence((1, 2)), circle)
+    return [CircleFunction.z(1, Scalar.one()), FiniteCyclicFunction(3, (Scalar.one(), Scalar.zero(), Scalar.one())),
+            CrossedElement.u_power(circle, 2), MatrixElement.identity(circle, 2, 2),
+            FockOperator.shift(cyclic3, 4), BlockMatrix(cyclic3, 1, 4, {(0, 0): FockOperator.shift(cyclic3, 4)}),
+            odometer.u_power(1, 2)]
+
+
 class TestConstruction:
     @pytest.mark.parametrize("key", [(2, 0), (0, 2), (-1, 0), (0, -1)])
     def test_entry_outside_the_square(self, circle, key):
@@ -114,10 +127,17 @@ class TestConstruction:
         with pytest.raises(MismatchError):
             BlockMatrix(circle, 2, 3, {(1, 0): block(circle, cyclic3)})
 
-    def test_zero_entries_are_dropped(self, circle):
+    def test_zero_entries_are_dropped(self, circle, cyclic3):
         X = MatrixElement(circle, 1, 2, {(0, 0): CrossedElement(circle, 1), (1, 0): CrossedElement.unit(circle, 1)})
         assert set(X.entries) == {(1, 0)}
         assert set((X - X).entries) == set() and (X - X).is_zero()
+        # sums and products drop what cancels, for every type built on Sparse
+        for x in _elements(circle, cyclic3):
+            assert (x - x).entries == {} and (x + (-x)).entries == {}
+        f = FiniteCyclicFunction(3, (Scalar.one(), Scalar.zero(), Scalar.zero()))
+        assert (f * f.shifted(1)).entries == {}
+        E01 = MatrixElement.single(circle, 1, 2, 0, 1)
+        assert (E01 * E01).entries == {}
 
 
 class TestSparseSum:
@@ -128,7 +148,7 @@ class TestSparseSum:
                 return CircleFunction.z(l)
             return CrossedElement.u_power(circle, 1, l)
 
-        assert (power(DEGREE_CAP) * power(0)).coeffs.keys() == {DEGREE_CAP}
+        assert (power(DEGREE_CAP) * power(0)).entries.keys() == {DEGREE_CAP}
         with pytest.raises(BudgetError, match=f"^{symbol}-degree {DEGREE_CAP + 1} exceeds cap"):
             power(DEGREE_CAP) * power(1)
         with pytest.raises(BudgetError, match=f"^{symbol}-degree {-DEGREE_CAP - 1} exceeds cap"):
@@ -137,12 +157,20 @@ class TestSparseSum:
     def test_cyclic_function_stores_no_zero_value(self, cyclic3):
         zero, one = Scalar.zero(), Scalar.one()
         f = FiniteCyclicFunction(3, (zero, zero, zero))
-        assert f.coeffs == {} and f.is_zero() and f == cyclic3.zero()
+        assert f.entries == {} and f.is_zero() and f == cyclic3.zero()
         assert f.to_json() == {"d": 3, "values": [[], [], []]}
         g = FiniteCyclicFunction(3, (zero, one, zero))
-        assert g.coeffs.keys() == {1} and (g - g).coeffs == {} and (g * f).coeffs == {}
+        assert g.entries.keys() == {1} and (g - g).entries == {} and (g * f).entries == {}
         assert g.to_json() == {"d": 3, "values": [[], one.to_json(), []]}
-        assert g.shifted(2).coeffs.keys() == {0}
+        assert g.shifted(2).entries.keys() == {0}
+
+    def test_coeffs_is_a_read_only_view_of_the_entries(self, circle):
+        x = CrossedElement(circle, 2, {1: circle.one(), 3: circle.zero()})
+        assert dict(x.coeffs) == x.entries == {1: circle.one()}
+        with pytest.raises(TypeError):
+            x.coeffs[2] = circle.one()
+        with pytest.raises(AttributeError):
+            x.coeffs = {}
 
     def test_sums_over_a_cyclic_function_run_in_point_order(self):
         # trace0(f) and trace0(alpha(f)) are equal, but a Scalar's stored form depends on the
@@ -160,6 +188,18 @@ class TestSparseSum:
                                            {"coeff": "1/3", "root": "1/6", "theta": "0"}]
 
 
+class TestZeroRule:
+    """Construction, sums and products drop zero entries; nothing else tests an entry for zero."""
+
+    def test_negation_star_and_twists_test_no_entry(self, circle, cyclic3):
+        elements = _elements(circle, cyclic3)
+        f, g, odometer_x = elements[0], elements[1], elements[-1]
+        with mock.patch.object(Scalar, "is_zero", side_effect=AssertionError("an entry was tested for zero")):
+            for x in elements:
+                -x, x.star()
+            circle.alpha_power(f, 1), cyclic3.alpha_power(g, 1), odometer_x.shifted(1)
+
+
 class TestBlockTrust:
     """A block with no entries but trust below its depth is not zero: it hides what lies outside its window."""
 
@@ -170,6 +210,14 @@ class TestBlockTrust:
         assert set(B.entries) == {(0, 1)}
         assert set((-B).entries) == {(0, 1)} and set((B + B).entries) == {(0, 1)}
         assert set(B.star().entries) == {(1, 0)} and B.star().block(1, 0).trust == 2
+
+    def test_equality_requires_equal_trust(self, cyclic3):
+        one = cyclic3.one()
+        X, Y = (FockOperator(cyclic3, 6, {(0, 0): one}, trust=t) for t in (6, 2))
+        assert X != Y and Y != X and X.agrees(Y)
+        assert X == FockOperator(cyclic3, 6, {(0, 0): one}) and Y == FockOperator(cyclic3, 6, {(0, 0): one}, trust=2)
+        assert BlockMatrix(cyclic3, 2, 6, {(0, 1): X}) != BlockMatrix(cyclic3, 2, 6, {(0, 1): Y})
+        assert BlockMatrix(cyclic3, 2, 6, {(0, 1): Y}) == BlockMatrix(cyclic3, 2, 6, {(0, 1): Y + X - X})
 
     def test_agrees_narrows_to_the_kept_block_window(self, cyclic3):
         one = cyclic3.one()
