@@ -143,7 +143,9 @@ def _untwisted_product(self, other):
     return self._pruned(out)
 
 
-# class that writes the method -> mutant -> (the method it replaces, the replacement, suites that must fail)
+# class patched -> mutant -> (the method it replaces, the replacement, suites that must fail).
+# A mutant of a method the class inherits shadows it on that class alone, so the
+# base's + and - are broken for matrices only, or for Laurent sums only.
 CORE_MUTANTS = {
     sparse.Sparse: {
         "negation as the identity": ("__neg__", lambda self: self, {"fock-id", "compact-preserve"}),
@@ -159,11 +161,15 @@ CORE_MUTANTS = {
         "product with swapped operands": (
             "_product", lambda self, other, mul=operator.mul: _real_product(other, self, mul),
             {"rho-hom", "fock-id", "compact-preserve"}),
+        "negation as the identity": ("__neg__", lambda self: self, {"fock-id", "compact-preserve"}),
+        "sum as its left operand": ("__add__", lambda self, other: self, {"fock-id", "compact-preserve"}),
     },
     sparse.SparseSum: {
         "star without the twist": (
             "star", lambda self: self._like({-l: a.star() for l, a in self.entries.items()}), {"rho-hom"}),
         "product without the twist": ("_product", _untwisted_product, {"gamma-hom", "rho-hom"}),
+        "negation as the identity": ("__neg__", lambda self: self, {"fock-id", "compact-preserve"}),
+        "sum as its left operand": ("__add__", lambda self, other: self, {"fock-id", "compact-preserve"}),
     },
     cantor.OdometerElement: {
         "odometer operands not promoted": ("_operands", lambda self, other: (self, other), {"rg"}),
