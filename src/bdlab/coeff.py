@@ -118,11 +118,7 @@ class CircleFunction(SparseSum):
 
 
 class FiniteCyclicFunction(SparseSum):
-    """A Scalar-valued function on Z/d, stored as ``{point: value}`` without zero values.
-
-    Sums iterate ``values``, in point order, because the stored form of a
-    Scalar sum depends on the order of its terms.
-    """
+    """A Scalar-valued function on Z/d, stored as ``{point: value}`` without zero values."""
 
     __slots__ = ("modulus",)
     _space = operator.attrgetter("modulus")
@@ -279,10 +275,7 @@ class FiniteCyclicShift(CoefficientAlgebra):
         return element.shifted(power) if power % self.d else element
 
     def trace0(self, element: FiniteCyclicFunction) -> Scalar:
-        total = Scalar.zero()
-        for v in element.values:
-            total = total + v
-        return Fraction(1, self.d) * total
+        return Fraction(1, self.d) * sum(element.entries.values(), Scalar.zero())
 
     def sample(self, rng: random.Random, degree: int = 2) -> FiniteCyclicFunction:
         return FiniteCyclicFunction(

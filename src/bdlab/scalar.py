@@ -6,22 +6,28 @@ t is a formal unit-circle symbol (morally exp(2*pi*i*theta) for a fixed formal
 irrational theta) carrying a rational exponent s.  Distinct theta exponents
 never interact: t is transcendental over the cyclotomics by fiat.
 
-Canonical form: within each fixed theta exponent, the root-of-unity
-combination is reduced modulo the N-th cyclotomic polynomial, N being the lcm
-of the root-exponent denominators, under the identification e(a/N) = zeta_N^a.
-Since 1, zeta_N, ..., zeta_N^(phi(N)-1) form a basis of the cyclotomic field,
-a reduced combination is zero exactly when it has no terms, which makes
-equality decidable: x == y iff (x - y) normalises to the empty sum.  A stored
-form fixes its value, so equal stored forms answer x == y at once.  The stored
-form still depends on the conductor the terms arrived with (e.g. zeta_3 and
-zeta_6 - 1 are the same number in different clothes), so unequal stored forms
-fall back to the subtraction.
+Canonical form: within each theta exponent, the root-of-unity combination is
+written in the Zumbroich basis (the one GAP uses: W. Bosma, AAECC 1 (1990);
+T. Breuer, AAECC 8 (1997)) at the least conductor N that holds its value,
+never N = 2 mod 4.  Each value has exactly one stored form, so x == y
+compares stored forms and equal values serialize alike.  Read e(a/N) as
+zeta_N^a.  For each p^k || N, write the p-part j = a * (N/p^k)^-1 mod p^k in
+base p with lower digits in 0..1 (p = 2) or -(p-1)/2..(p-1)/2 (odd p); a is
+a basis exponent when every top digit, at place p^(k-1), is 0 for p = 2 and
+nonzero for odd p.  A term with a top digit not allowed is rewritten by
+zeta_2 = -1 or 1 + zeta_p + ... + zeta_p^(p-1) = 0, each step adding N/p to
+its exponent, which moves only that digit.  N then shrinks a prime at a
+time: by p when p = 2 or p^2 | N and p divides every exponent; by an odd
+p || N when the p - 1 exponents of each class mod N/p share a coefficient c,
+the class being -c * zeta_(N/p)^(b/p) for its member b that p divides.
+Examples: e(1/6) - 1 -> e(1/3); 2 + e(1/3) -> -e(1/3) - 2e(2/3);
+e(1/12) -> -e(7/12); e(1/9) -> -e(4/9) - e(7/9).  Short sums at a large
+conductor can expand: 1 + e(1/30030) takes 5760 terms.
 
 Layout: a scalar stores, for each theta exponent s, one integer group
 (N, D, nums) with value sum nums[a]/D * e(a/N) over the nonzero integer
-numerators nums[a].  N is the joint conductor of the stored roots, D > 0,
-gcd(D, *nums) == 1 and every a < phi(N).  This is the canonical form above
-written in integers: the term e(a/N) * t^s with coefficient nums[a]/D is
+numerators nums[a], every a a basis exponent at the least conductor N, D > 0
+and gcd(D, *nums) == 1.  The term e(a/N) * t^s with coefficient nums[a]/D is
 exactly the term a Fraction-keyed form stores, so serialized forms do not
 depend on the layout.  A theta exponent is kept as an int when it is
 integral and as a Fraction otherwise; the two hash and compare alike, so
@@ -32,35 +38,21 @@ differ from its input.  Public input (``Scalar(...)``, ``term``,
 ``root_of_unity``, ``from_json``) is converted to Fractions with roots in
 [0, 1) once, on the way in; ``+``, ``*`` and ``star`` hand ``_normalize`` raw
 integer groups and store its result as canonical.  ``+`` reduces only the
-theta exponents both sides hold.
-
-A canonical group (N, D, nums) has every a < phi(N) at the joint conductor N
-of its roots: the last reduction mod Phi_M left exponents a < phi(M), and
-going down to the joint conductor N (a divisor of M) maps them to
-b = a * N / M < phi(M) * N / M <= phi(N).  So ``_reduce_root_group`` returns
-a canonical group unchanged, which makes ``_normalize`` idempotent.
+theta exponents both sides hold.  A canonical group reduces to itself, so
+``_normalize`` is idempotent.
 
 One product skips ``_normalize``: a factor that is a root-free monomial
-q * t^s (one theta exponent s whose group has conductor 1), times any x.
-The general product would put q * nums[a] over q's denominator times D at
-exponent a of each group of x (rescaled to a common modulus), under the
-theta exponent theta + s.  Distinct theta exponents stay distinct after the
-shift, so no two groups meet; q != 0 removes no root, so each group goes
-back to its own joint conductor N with every a < phi(N), and
-``_reduce_root_group`` only divides out the gcd of the denominator and the
-numerators.  So the general product stores exactly the groups of x moved to
-theta + s, with numerators times q in lowest terms, and that is what the fast
-path stores.  Rational factors are the case s = 0, and alpha phases with no
-root are the case q = 1.  A factor with a root, e(a) * t^s with a != 0, is
-different: adding a to the roots of x and reducing gives an equal scalar, but
-its stored form can differ from the product's, because the stored form
-depends on the conductor the terms arrive with.  Such factors go through the
-general product, so serialized results stay byte-identical.
+q * t^s (one theta exponent s whose group has conductor 1), times any x.  It
+moves each group of x to theta + s and scales its numerators by q, which
+keeps every exponent, so only the gcd of the denominator and the numerators
+needs dividing out.  Rational factors are the case s = 0, and alpha phases
+with no root are the case q = 1.  A factor with a root moves the exponents
+off the basis and goes through the general product.
 
-``factorize`` is the library's one prime factorization, behind
-``euler_phi``, ``cyclotomic_polynomial`` (built from the primes of N alone)
-and the supernatural numbers of ``invariants``.  Its trial division stops
-with a BudgetError past FACTOR_LIMIT, which no conductor reaches.
+``factorize`` is the library's one prime factorization, behind the prime
+data of each conductor, ``cyclotomic_polynomial`` (built from the primes of
+N alone) and the supernatural numbers of ``invariants``.  Its trial division
+stops with a BudgetError past FACTOR_LIMIT, which no conductor reaches.
 
 ``_reduce_root_group(group)`` is the per-group step, one call per theta
 exponent that ``_normalize`` reduces.  The bench tracer wraps it and reads
@@ -126,14 +118,6 @@ def factorize(n: int) -> dict[int, int]:
     if n > 1:
         factors[n] = factors.get(n, 0) + 1
     return factors
-
-
-@lru_cache(maxsize=None)
-def euler_phi(n: int) -> int:
-    result = n
-    for p in factorize(n):
-        result -= result // p
-    return result
 
 
 def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
@@ -205,21 +189,47 @@ def _at_joint_conductor(n: int, nums: dict[int, int]) -> tuple[int, dict[int, in
     return n // g, {a // g: c for a, c in nums.items()}
 
 
-def _mod_cyclotomic(n: int, phi: int, nums: dict[int, int]) -> dict[int, int]:
-    """nums as a polynomial in zeta_n, reduced modulo Phi_n to degree < phi."""
-    top = max(nums)
-    coeffs = [0] * (top + 1)
-    for a, c in nums.items():
-        coeffs[a] = c
-    poly = cyclotomic_polynomial(n)
-    for i in range(top, phi - 1, -1):
-        c = coeffs[i]
-        if c:
-            base = i - phi
-            for j, pc in enumerate(poly):
-                if pc:
-                    coeffs[base + j] -= c * pc
-    return {a: c for a, c in enumerate(coeffs[:phi]) if c}
+@lru_cache(maxsize=None)
+def _prime_powers(n: int) -> tuple[tuple[int, int, int], ...]:
+    """(p, q, u) for each prime power q = p^k exactly dividing n, with u = (n/q)^-1 mod q."""
+    return tuple((p, p**k, pow(n // p**k, -1, p**k)) for p, k in factorize(n).items())
+
+
+def _to_basis(n: int, nums: dict[int, int]) -> dict[int, int]:
+    """Nonzero numerators at conductor n rewritten over the Zumbroich basis there, zeros dropped."""
+    for p, q, u in _prime_powers(n):
+        low, step = q // p, n // p
+        # the top digit is not allowed on a window of q/p residues of the p-part
+        start = low if p == 2 else -(low // 2)
+        bad = [a for a in nums if (a * u - start) % q < low]
+        if bad:
+            nums = dict(nums)
+            for a in bad:
+                c = nums.pop(a)
+                for i in range(1, p):
+                    b = (a + i * step) % n
+                    nums[b] = nums.get(b, 0) - c
+            nums = {a: c for a, c in nums.items() if c}
+    return nums
+
+
+def _shrink(n: int, nums: dict[int, int]) -> tuple[int, dict[int, int]]:
+    """A basis expansion at n, moved to the least conductor that holds its value."""
+    for p, q, _ in _prime_powers(n):
+        while q > 1:
+            m = n // p
+            if p == 2 or q > p:
+                if gcd(p, *nums) == 1:
+                    break
+                nums = {a // p: c for a, c in nums.items()}
+            else:
+                # each class mod m holds at most p - 1 basis exponents
+                first = {} if len(nums) % (p - 1) else {a % m: c for a, c in nums.items()}
+                if len(nums) != len(first) * (p - 1) or any(first[a % m] != c for a, c in nums.items()):
+                    break
+                nums = {r * pow(p, -1, m) % m: -c for r, c in first.items()}
+            n, q = m, q // p
+    return n, nums
 
 
 def _reduce_root_group(group: _RawGroup) -> Group | None:
@@ -231,15 +241,12 @@ def _reduce_root_group(group: _RawGroup) -> Group | None:
         return None
     if n > 1:
         n, nums = _at_joint_conductor(n, nums)
-    if n > CONDUCTOR_LIMIT:
-        raise BudgetError(f"root-of-unity conductor {n} exceeds limit {CONDUCTOR_LIMIT}")
-    if n > 1:
-        phi = euler_phi(n)
-        if max(nums) >= phi:
-            nums = _mod_cyclotomic(n, phi, nums)
-            if not nums:
-                return None
-            n, nums = _at_joint_conductor(n, nums)
+        if n > CONDUCTOR_LIMIT:
+            raise BudgetError(f"root-of-unity conductor {n} exceeds limit {CONDUCTOR_LIMIT}")
+        nums = _to_basis(n, nums)
+        if not nums:
+            return None
+        n, nums = _shrink(n, nums)
     den = group.den
     g = gcd(den, *nums.values())
     if g > 1:
@@ -463,8 +470,8 @@ class Scalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        # Equal stored forms are equal values; unequal ones may still be equal.
-        return self._groups == other._groups or (self - other).is_zero()
+        # one stored form per value
+        return self._groups == other._groups
 
     def to_json(self) -> list[dict[str, str]]:
         out = []

@@ -816,6 +816,29 @@ class TestFactorGuard:
         assert code == 0 and json.loads(out)["left"]["delta"]["factors"] == {"1000000000039": 1}
 
 
+class TestLargeConductors:
+    # Sums of roots at conductor 30030 can be dense in the power basis mod Phi_30030
+    # (2cos(2*pi/30030) takes 5369 terms there) and took seconds to minutes to reduce;
+    # their canonical forms are short.  Each case runs in a subprocess with a timeout.
+    @pytest.mark.parametrize("suite", ["gamma-hom", "rho-hom"])
+    def test_suites_at_an_angle_of_conductor_30030_are_fast(self, suite, src_env):
+        argv = ["verify", suite, "--angle", "1/30030+theta", "--sizes", "1,2,6", "--count", "5"]
+        done = subprocess.run([sys.executable, "-m", "bdlab.cli", *argv], capture_output=True, timeout=10,
+                              env=src_env)
+        assert done.returncode == 0 and json.loads(done.stdout)["failures"] == []
+
+    def test_trace_at_conductor_30030_is_fast(self, src_env):
+        value = [{"coeff": "1", "root": "1/30030", "theta": "0"}, {"coeff": "1", "root": "30029/30030", "theta": "0"}]
+        algebra = {"kind": "circle", "angle": {"q": "0", "r": "1"}}
+        corner = {"n": 1, "algebra": algebra, "coeffs": {"u:0": {"z:0": value}}}
+        payload = json.dumps({"size": 1, "entries": [[corner]]}).encode()
+        done = subprocess.run([sys.executable, "-m", "bdlab.cli", "trace"], input=payload, capture_output=True,
+                              timeout=5, env=src_env)
+        assert done.returncode == 0
+        assert json.loads(done.stdout) == [{"coeff": "-1", "root": "7507/15015", "theta": "0"},
+                                           {"coeff": "-1", "root": "7508/15015", "theta": "0"}]
+
+
 class TestFockDepthGuard:
     # A Fock level is capped like a u-degree; each case runs in a subprocess
     # with a timeout, so a missing guard fails the test instead of hanging it.

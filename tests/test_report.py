@@ -2,8 +2,9 @@
 
 Each suite is run once with one of its maps broken, so that cases fail; every
 failure must then carry both sides, not only its label.  The suites are also
-run with the base of ``sparse``, each of its two product cores and the
-odometer's promotion broken, which some of them must notice.
+run with the base of ``sparse``, each of its two product cores, the
+odometer's promotion and the scalar kernel broken, which some of them must
+notice.
 """
 
 import json
@@ -12,7 +13,7 @@ from unittest import mock
 
 import pytest
 
-from bdlab import cantor, cli, fock, limits, sparse
+from bdlab import cantor, cli, fock, limits, scalar, sparse
 from bdlab.coeff import Angle, CircleRotation, FiniteCyclicShift
 from bdlab.crossed import MatrixElement, sample_matrix
 from bdlab.report import Report, canonical_json
@@ -210,3 +211,15 @@ def test_suites_notice_unpromoted_odometer_operands(mutant):
 def test_no_suite_fails_under_the_real_matrix_core():
     # nor under the real base, sum core or odometer promotion: all are in place here
     assert _failing_suites() == set()
+
+
+def test_suites_notice_a_reduction_without_the_conductor_shrink():
+    # Equal values then keep the forms of the conductors they arrived at, which == tells
+    # apart.  CIRCLE (which ODOMETER shares) memoizes its alpha phases, so the phases the
+    # mutant stores are dropped after it, and the ones the real kernel stored before it.
+    CIRCLE._phases.clear()
+    try:
+        with mock.patch.object(scalar, "_shrink", lambda n, nums: (n, nums)):
+            assert {"gamma-hom", "rho-hom", "rg"} <= _failing_suites()
+    finally:
+        CIRCLE._phases.clear()

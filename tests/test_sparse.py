@@ -172,20 +172,15 @@ class TestSparseSum:
         with pytest.raises(AttributeError):
             x.coeffs = {}
 
-    def test_sums_over_a_cyclic_function_run_in_point_order(self):
-        # trace0(f) and trace0(alpha(f)) are equal, but a Scalar's stored form depends on the
-        # order of its sums; alpha rotates the insertion order of the stored dict, so a sum
-        # that followed it would give the first form for both.
+    def test_sums_over_a_cyclic_function_agree_in_any_order(self):
+        # alpha rotates the insertion order of the stored dict; a Scalar has one stored
+        # form per value, so trace0(f) and trace0(alpha(f)) write the same bytes
         zeta6, zeta3 = Scalar.root_of_unity(Fraction(1, 6)), Scalar.root_of_unity(Fraction(1, 3))
         algebra = FiniteCyclicShift(3)
         f = FiniteCyclicFunction(3, (zeta6, -zeta6, zeta3))
-        trace, shifted_trace = algebra.trace0(f), algebra.trace0(algebra.alpha_power(f, 1))
-        assert trace == shifted_trace
-        assert repr(trace) == "1/3*e(1/3)"
-        assert trace.to_json() == [{"coeff": "1/3", "root": "1/3", "theta": "0"}]
-        assert repr(shifted_trace) == "-1/3 + 1/3*e(1/6)"
-        assert shifted_trace.to_json() == [{"coeff": "-1/3", "root": "0", "theta": "0"},
-                                           {"coeff": "1/3", "root": "1/6", "theta": "0"}]
+        for trace in (algebra.trace0(f), algebra.trace0(algebra.alpha_power(f, 1))):
+            assert repr(trace) == "1/3*e(1/3)"
+            assert trace.to_json() == [{"coeff": "1/3", "root": "1/3", "theta": "0"}]
 
 
 class TestZeroRule:
