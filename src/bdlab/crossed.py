@@ -149,16 +149,25 @@ class MatrixElement(SquareMatrix):
         return MatrixElement(algebra, power, self.size, entries)
 
     def to_json(self) -> dict:
-        rows = [[self.entry(i, j).to_json() for j in range(self.size)] for i in range(self.size)]
+        """Every absent entry is written as one shared zero-entry JSON, so the tag is built once for them."""
+        zero = CrossedElement(self.algebra, self.power).to_json()
+        rows = [[zero] * self.size for _ in range(self.size)]
+        for (i, j), x in self.entries.items():
+            rows[i][j] = x.to_json()
         return {"size": self.size, "entries": rows}
 
     @staticmethod
     def from_json(data: dict) -> MatrixElement:
-        """Every entry's tag must name one algebra; a tag spelled like the first is not reparsed."""
+        """``entries`` must be size rows of size entries, and every entry's tag must name one algebra;
+        a tag spelled like the first is not reparsed."""
         size = json_int(data, "size")
         if size < 1:
             raise ValueError("empty matrix JSON")
         rows = data["entries"]
+        lengths = [len(row) for row in rows]
+        if lengths != [size] * size:
+            raise ValueError(f"malformed element JSON: a size {size} matrix needs {size} rows of {size} entries, "
+                             f"got row lengths {lengths}")
         first = algebra = None
         entries = {}
         for i in range(size):

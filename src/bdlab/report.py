@@ -10,10 +10,10 @@ serialization sorts keys, so two runs with the same inputs are byte-identical.
 
 from __future__ import annotations
 
-import json
 import operator
 import random
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable, Iterable
 
 
@@ -23,7 +23,81 @@ def case_rng(seed: int, case: int | str) -> random.Random:
 
 
 def canonical_json(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """The text the stdlib ``json`` module writes for ``dumps(obj, sort_keys=True, indent=2)``, plus "\\n".
+
+    With an indent, the stdlib falls back to its pure-Python encoder, which
+    passes every token up through one generator per level of nesting; this
+    writer appends each part to one list instead.  Strings go through the
+    stdlib's C escaper, so non-ASCII characters are escaped alike, and an
+    object with no JSON form raises the stdlib's TypeError.
+    """
+    out: list[str] = []
+    _write(obj, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+_INF = float("inf")
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _json_key(key: Any) -> str:
+    """A dict key as the stdlib writes it, before quoting."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _json_float(key)
+    if key is None or key is True or key is False:
+        return _CONSTANTS[key]
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _write(value: Any, out: list[str], newline: str) -> None:
+    """Append the JSON of ``value``, nested lines starting with ``newline`` plus two spaces."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None or value is True or value is False:
+        out.append(_CONSTANTS[value])
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_json_float(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for x in value:
+            out.append(sep)
+            _write(x, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, x in sorted(value.items()):
+            out.append(sep + _quote(_json_key(key)) + ": ")
+            _write(x, out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
 @dataclass

@@ -35,11 +35,14 @@ mixed keys are safe.  ``terms`` and ``to_json`` expose the Fraction view.
 
 ``_normalize`` is the only reduction, and it runs only where the result can
 differ from its input.  Public input (``Scalar(...)``, ``term``,
-``root_of_unity``, ``from_json``) is converted to Fractions with roots in
-[0, 1) once, on the way in; ``+``, ``*`` and ``star`` hand ``_normalize`` raw
-integer groups and store its result as canonical.  ``+`` reduces only the
-theta exponents both sides hold.  A canonical group reduces to itself, so
-``_normalize`` is idempotent.
+``root_of_unity``, ``from_json``) becomes raw integer groups once, on the
+way in: the constructor reads each rational through Fraction, and
+``from_json`` reads a field spelled as ``to_json`` writes it,
+``-?[0-9]+(/[0-9]+)?`` with a nonzero denominator, as two ints, and any
+other text through ``parse_fraction``.  ``+``, ``*`` and ``star`` hand
+``_normalize`` raw integer groups too, and each stores its result as
+canonical.  ``+`` reduces only the theta exponents both sides hold.  A
+canonical group reduces to itself, so ``_normalize`` is idempotent.
 
 One product skips ``_normalize``: a factor that is a root-free monomial
 q * t^s (one theta exponent s whose group has conductor 1), times any x.  It
@@ -62,6 +65,7 @@ exponent that ``_normalize`` reduces.  The bench tracer wraps it and reads
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -265,15 +269,41 @@ def _normalize(raw: dict[Theta, _RawGroup]) -> dict[Theta, Group]:
     return groups
 
 
-def _from_fractions(pairs: list[tuple[Fraction, Fraction]]) -> _RawGroup:
-    """The raw group of (root, coeff) pairs, roots in [0, 1)."""
-    n = lcm(*(r.denominator for r, _ in pairs))
-    d = lcm(*(c.denominator for _, c in pairs))
+def _raw_group(terms: list[tuple[int, int, int, int]]) -> _RawGroup:
+    """The raw group of terms (p, q, c, d), each c/d * e(p/q) with q, d > 0 and c != 0."""
+    n = lcm(*(q for _, q, _, _ in terms))
+    den = lcm(*(d for _, _, _, d in terms))
     nums: dict[int, int] = {}
-    for r, c in pairs:
-        a = r.numerator * (n // r.denominator)
-        nums[a] = nums.get(a, 0) + c.numerator * (d // c.denominator)
-    return _RawGroup(n, d, nums)
+    for p, q, c, d in terms:
+        a = p * (n // q) % n
+        nums[a] = nums.get(a, 0) + c * (den // d)
+    return _RawGroup(n, den, nums)
+
+
+def _grouped(terms: Iterable[tuple[Theta, int, int, int, int]]) -> dict[Theta, Group]:
+    """The canonical groups of terms (theta, p, q, c, d), each c/d * e(p/q) * t^theta with q, d > 0."""
+    by_theta: dict[Theta, list[tuple[int, int, int, int]]] = {}
+    for theta, p, q, c, d in terms:
+        if c:
+            by_theta.setdefault(theta, []).append((p, q, c, d))
+    return _normalize({theta: _raw_group(group) for theta, group in by_theta.items()})
+
+
+#: A field as ``to_json`` writes it: an integer or p/q, read as two ints when q != 0.
+_RATIONAL_FIELD = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _read_rational(text) -> tuple[int, int]:
+    """(p, q) with q > 0 and p/q the value of a JSON field; text not spelled as
+    ``to_json`` spells it goes through parse_fraction, with its values and errors."""
+    m = _RATIONAL_FIELD.fullmatch(text) if isinstance(text, str) else None
+    if m:
+        p, q = m.groups()
+        q = int(q) if q else 1
+        if q:
+            return int(p), q
+    value = parse_fraction(text)
+    return value.numerator, value.denominator
 
 
 def _joined(x: Group, y: Group) -> _RawGroup:
@@ -315,6 +345,15 @@ def _times_monomial(groups: dict[Theta, Group], qn: int, qd: int, s: Theta) -> d
     return out
 
 
+def _json_terms(data: list[dict[str, str]]):
+    """(theta, p, q, c, d) for each JSON term c/d * e(p/q) * t^theta, fields read as root, theta, coeff."""
+    for item in data:
+        p, q = _read_rational(item.get("root", "0"))
+        tn, td = _read_rational(item.get("theta", "0"))
+        c, d = _read_rational(item["coeff"])
+        yield (tn // td if tn % td == 0 else Fraction(tn, td)), p, q, c, d
+
+
 class Scalar:
     """Immutable exact scalar; supports +, -, *, star() and complete equality."""
 
@@ -323,12 +362,9 @@ class Scalar:
     def __init__(self, terms: Iterable | dict = ()):
         if isinstance(terms, dict):
             terms = terms.items()
-        by_theta: dict[Theta, list[tuple[Fraction, Fraction]]] = {}
-        for (r, t), c in terms:
-            root, theta, coeff = Fraction(r) % 1, Fraction(t), Fraction(c)
-            if coeff:
-                by_theta.setdefault(_theta_key(theta), []).append((root, coeff))
-        self._groups = _normalize({theta: _from_fractions(pairs) for theta, pairs in by_theta.items()})
+        fractions = ((Fraction(r), Fraction(t), Fraction(c)) for (r, t), c in terms)
+        self._groups = _grouped((_theta_key(theta), root.numerator, root.denominator, coeff.numerator,
+                                 coeff.denominator) for root, theta, coeff in fractions)
 
     @classmethod
     def _of(cls, groups: dict[Theta, Group]) -> Scalar:
@@ -488,14 +524,7 @@ class Scalar:
 
     @staticmethod
     def from_json(data: list[dict[str, str]]) -> Scalar:
-        terms = [
-            (
-                (parse_fraction(item.get("root", "0")), parse_fraction(item.get("theta", "0"))),
-                parse_fraction(item["coeff"]),
-            )
-            for item in data
-        ]
-        return Scalar(terms)
+        return Scalar._of(_grouped(_json_terms(data)))
 
     def __repr__(self) -> str:
         if not self._groups:

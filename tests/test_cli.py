@@ -425,6 +425,19 @@ class TestMalformedElementJson:
         code, out, err = run_cli(capsys, self.PSI)
         assert code == 2 and out == "" and "outside 1..3" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("size,lengths", [(1, [2, 2]), (2, [2, 3]), (2, [2, 2, 2])],
+                             ids=["size-1-of-2x2", "long-row", "extra-row"])
+    def test_entries_must_fill_the_size(self, capsys, monkeypatch, size, lengths):
+        # with "size": 1, the 2 x 2 identity printed the trace 1 and exited 0: rows and columns past size were ignored
+        rows = two_by_two_identity()["entries"]
+        zero = rows[0][1]
+        payload = {"size": size, "entries": [[rows[i][j] if i < 2 and j < 2 else zero for j in range(length)]
+                                             for i, length in enumerate(lengths)]}
+        feed_stdin(monkeypatch, payload)
+        code, out, err = run_cli(capsys, ["trace"])
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: malformed element JSON: a size {size} matrix needs {size} rows of {size} entries")
+
     def test_trace_of_empty_rows_is_usage_error(self, capsys, monkeypatch):
         # was an IndexError
         feed_stdin(monkeypatch, {"size": 2, "entries": []})
@@ -691,6 +704,14 @@ class TestTraceCommand:
         feed_stdin(monkeypatch, self._matrix(1, {(0, 0): coeff}))
         code, out, err = run_cli(capsys, ["trace"])
         assert code == 2 and out == "" and "1/0" in err
+
+    @pytest.mark.parametrize("field,text", [("coeff", "1/0"), ("root", "-0/0"), ("theta", "1/-2"), ("coeff", "1.5.2"),
+                                            ("root", 7), ("theta", None)])
+    def test_invalid_field_is_one_line_usage_error(self, capsys, monkeypatch, field, text):
+        term = {"coeff": "1", "root": "0", "theta": "0", field: text}
+        feed_stdin(monkeypatch, self._matrix(1, {(0, 0): {"u:0": {"z:0": [term]}}}))
+        code, out, err = run_cli(capsys, ["trace"])
+        assert code == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("field,text", [("coeff", "1e1000000"), ("root", "1E-3"), ("theta", "2e1")])
     def test_exponent_notation_is_usage_error(self, capsys, monkeypatch, field, text):

@@ -4,15 +4,18 @@ Each suite is run once with one of its maps broken, so that cases fail; every
 failure must then carry both sides, not only its label.  The suites are also
 run with the base of ``sparse``, each of its two product cores, the
 odometer's promotion and the scalar kernel broken, which some of them must
-notice.
+notice.  ``canonical_json`` is checked against ``json.dumps``, its oracle.
 """
 
 import json
 import operator
+from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import example, given, strategies as st
 
+import bdlab
 from bdlab import cantor, cli, fock, limits, scalar, sparse
 from bdlab.coeff import Angle, CircleRotation, FiniteCyclicShift
 from bdlab.crossed import MatrixElement, sample_matrix
@@ -40,6 +43,50 @@ class TestCompare:
         report = Report("parity")
         report.compare(((i, i) for i in range(4)), lambda x: (x, x + 2), lambda a, b: a % 2 == b % 2)
         assert report.ok and report.cases == 4
+
+
+def stdlib_json(obj):
+    """The oracle of canonical_json: its text, or the class and message of the error it raised."""
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    except TypeError as exc:
+        return TypeError, str(exc)
+
+
+def written_json(obj):
+    try:
+        return canonical_json(obj)
+    except TypeError as exc:
+        return TypeError, str(exc)
+
+
+_strings = st.one_of(st.text(max_size=6), st.sampled_from(['"', "\\", "\n", "\x00\x1f\x7f", "é", "\u2028", "😀"]))
+_leaves = st.one_of(st.none(), st.booleans(), st.integers(), st.sampled_from([10**40, -(10**40)]),
+                    st.floats(allow_nan=True, allow_infinity=True), _strings)
+# numbers sort among themselves; a str key beside a number makes both writers raise
+_number_keys = st.one_of(st.integers(-3, 3), st.floats(allow_nan=False), st.booleans())
+_json_trees = st.recursive(_leaves, lambda kids: st.one_of(
+    st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+    *(st.dictionaries(keys, kids, max_size=4) for keys in (_strings, _number_keys, st.one_of(_strings, _number_keys)))),
+    max_leaves=25)
+
+
+class TestCanonicalJson:
+    @given(_json_trees)
+    @example({"b": [], "a": {}, "c": ()})
+    @example({1: "int", "1": "str"})  # sorting int keys beside str keys raises the stdlib's TypeError
+    @example([float("nan"), float("inf"), -float("inf"), -0.0, 1e300, True, None])
+    def test_matches_the_stdlib(self, tree):
+        assert written_json(tree) == stdlib_json(tree)
+
+    @pytest.mark.parametrize("obj", [object(), {"a": [1, {2}]}, {(1, 2): "tuple key"}])
+    def test_object_without_json_form_raises_the_stdlib_type_error(self, obj):
+        assert written_json(obj) == stdlib_json(obj) and stdlib_json(obj)[0] is TypeError
+
+    def test_is_the_only_writer(self):
+        # every output goes through canonical_json, so no second writer may come back
+        src = Path(bdlab.__file__).parent
+        assert [path.name for path in sorted(src.rglob("*.py")) if "json.dumps" in path.read_text()] == []
 
 
 class TestCompareHomomorphism:

@@ -233,6 +233,44 @@ def test_parse_fraction_rejects_exponent_notation(text):
         parse_fraction(text)
 
 
+#: JSON fields in the forms to_json writes, other forms parse_fraction accepts, and forms it rejects
+CANONICAL_FIELDS = ["1/4", "-3/2", "0"]
+OTHER_VALID_FIELDS = ["2/4", "-1/4", "5/4", "0.25", "+1", " 1/2 ", "1_0", "4/2", "-0", "03/6"]
+INVALID_FIELDS = ["1/0", "-0/0", "1e3", "1/-2", 7, None]
+
+
+def fraction_route(data):
+    """Scalar.from_json as it was: each field through parse_fraction, then the general constructor."""
+    return Scalar([((parse_fraction(item.get("root", "0")), parse_fraction(item.get("theta", "0"))),
+                    parse_fraction(item["coeff"])) for item in data])
+
+
+def _json_outcome(parse, data):
+    """The to_json of parse(data), or the class of the exception it raised."""
+    try:
+        return parse(data).to_json()
+    except Exception as exc:
+        return type(exc)
+
+
+_valid_field = st.sampled_from(CANONICAL_FIELDS + OTHER_VALID_FIELDS)
+_json_term = st.fixed_dictionaries({"coeff": _valid_field}, optional={"root": _valid_field, "theta": _valid_field})
+_spoiled_field = st.tuples(st.integers(0, 2), st.sampled_from(["root", "theta", "coeff"]), st.sampled_from(INVALID_FIELDS))
+
+
+@settings(max_examples=300)
+@given(st.lists(_json_term, max_size=3), st.none() | _spoiled_field)
+@example([{"coeff": "5/4", "root": "-1/4", "theta": "4/2"}, {"coeff": "-1/4", "root": "3/4", "theta": "2"}], None)
+@example([{"coeff": "1", "root": "5/4"}], None)
+@example([{"coeff": "1"}], (0, "root", "1/0"))
+def test_from_json_agrees_with_the_fraction_route(data, spoiled):
+    """Where the old route returns, both give the same to_json; where it raises, both raise the same class."""
+    if data and spoiled:
+        index, field, text = spoiled
+        data[index % len(data)][field] = text
+    assert _json_outcome(Scalar.from_json, data) == _json_outcome(fraction_route, data)
+
+
 def test_conductor_limit(monkeypatch):
     monkeypatch.setattr(scalar_mod, "CONDUCTOR_LIMIT", 100)
     with pytest.raises(BudgetError):
