@@ -164,10 +164,12 @@ class MatrixElement(SquareMatrix):
         if size < 1:
             raise ValueError("empty matrix JSON")
         rows = data["entries"]
-        lengths = [len(row) for row in rows]
-        if lengths != [size] * size:
-            raise ValueError(f"malformed element JSON: a size {size} matrix needs {size} rows of {size} entries, "
-                             f"got row lengths {lengths}")
+        shape = f"malformed element JSON: a size {size} matrix needs {size} rows of {size} entries"
+        if len(rows) != size:
+            raise ValueError(f"{shape}, got {len(rows)} rows")
+        for i, row in enumerate(rows):
+            if len(row) != size:
+                raise ValueError(f"{shape}, got {len(row)} in row {i}")
         first = algebra = None
         entries = {}
         for i in range(size):

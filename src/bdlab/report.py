@@ -29,7 +29,9 @@ def canonical_json(obj: Any) -> str:
     passes every token up through one generator per level of nesting; this
     writer appends each part to one list instead.  Strings go through the
     stdlib's C escaper, so non-ASCII characters are escaped alike, and an
-    object with no JSON form raises the stdlib's TypeError.
+    object with no JSON form raises the stdlib's TypeError.  Dict keys must be
+    str or int, as every ``to_json`` here builds them; any other key raises
+    TypeError.
     """
     out: list[str] = []
     _write(obj, out, "\n")
@@ -52,16 +54,12 @@ def _json_float(x: float) -> str:
 
 
 def _json_key(key: Any) -> str:
-    """A dict key as the stdlib writes it, before quoting."""
+    """A dict key as the stdlib writes it, before quoting; only str and int keys are taken."""
     if isinstance(key, str):
         return key
-    if isinstance(key, float):
-        return _json_float(key)
-    if key is None or key is True or key is False:
-        return _CONSTANTS[key]
-    if isinstance(key, int):
+    if isinstance(key, int) and not isinstance(key, bool):
         return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+    raise TypeError(f"keys must be str or int, not {key.__class__.__name__}")
 
 
 def _write(value: Any, out: list[str], newline: str) -> None:

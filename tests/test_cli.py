@@ -438,6 +438,16 @@ class TestMalformedElementJson:
         assert code == 2 and out == "" and err.count("\n") == 1
         assert err.startswith(f"error: malformed element JSON: a size {size} matrix needs {size} rows of {size} entries")
 
+    @pytest.mark.parametrize("argv", [["trace"], ["apply", "--map", "gamma", "--from", "1", "--to", "2"]],
+                             ids=["trace", "apply"])
+    def test_huge_size_is_usage_error(self, capsys, monkeypatch, argv):
+        # the shape check must cost what the input does: "size": 10**12 with one entry is one line, not a MemoryError
+        feed_stdin(monkeypatch, {"size": 10**12, "entries": [[two_by_two_identity()["entries"][0][0]]]})
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err == f"error: malformed element JSON: a size {10**12} matrix needs {10**12} rows of {10**12} entries, " \
+                      "got 1 rows\n"
+
     def test_trace_of_empty_rows_is_usage_error(self, capsys, monkeypatch):
         # was an IndexError
         feed_stdin(monkeypatch, {"size": 2, "entries": []})

@@ -63,11 +63,11 @@ def written_json(obj):
 _strings = st.one_of(st.text(max_size=6), st.sampled_from(['"', "\\", "\n", "\x00\x1f\x7f", "é", "\u2028", "😀"]))
 _leaves = st.one_of(st.none(), st.booleans(), st.integers(), st.sampled_from([10**40, -(10**40)]),
                     st.floats(allow_nan=True, allow_infinity=True), _strings)
-# numbers sort among themselves; a str key beside a number makes both writers raise
-_number_keys = st.one_of(st.integers(-3, 3), st.floats(allow_nan=False), st.booleans())
+# ints sort among themselves; a str key beside an int makes both writers raise
+_int_keys = st.one_of(st.integers(-3, 3), st.sampled_from([10**40, -(10**40)]))
 _json_trees = st.recursive(_leaves, lambda kids: st.one_of(
     st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
-    *(st.dictionaries(keys, kids, max_size=4) for keys in (_strings, _number_keys, st.one_of(_strings, _number_keys)))),
+    *(st.dictionaries(keys, kids, max_size=4) for keys in (_strings, _int_keys, st.one_of(_strings, _int_keys)))),
     max_leaves=25)
 
 
@@ -79,9 +79,14 @@ class TestCanonicalJson:
     def test_matches_the_stdlib(self, tree):
         assert written_json(tree) == stdlib_json(tree)
 
-    @pytest.mark.parametrize("obj", [object(), {"a": [1, {2}]}, {(1, 2): "tuple key"}])
+    @pytest.mark.parametrize("obj", [object(), {"a": [1, {2}]}])
     def test_object_without_json_form_raises_the_stdlib_type_error(self, obj):
         assert written_json(obj) == stdlib_json(obj) and stdlib_json(obj)[0] is TypeError
+
+    @pytest.mark.parametrize("key", [(1, 2), 0.5, True, None])
+    def test_key_other_than_str_or_int_raises_type_error(self, key):
+        # no to_json builds such keys, so the writer does not spell them
+        assert written_json({key: 1}) == (TypeError, f"keys must be str or int, not {type(key).__name__}")
 
     def test_is_the_only_writer(self):
         # every output goes through canonical_json, so no second writer may come back
