@@ -173,9 +173,8 @@ class OdometerElement(Sparse):
         if depth == self.depth:
             return self
         n_old, n_new = self.size, self.algebra.stages.size(depth)
-        out = self._like({(d, j + t): a for t in range(0, n_new, n_old) for (d, j), a in self.entries.items()})
-        out.depth = depth
-        return out
+        return self._like({(d, j + t): a for t in range(0, n_new, n_old) for (d, j), a in self.entries.items()},
+                          depth=depth)
 
     def _operands(self, other: OdometerElement) -> tuple[OdometerElement, OdometerElement]:
         """Both operands promoted to the deeper of their depths."""

@@ -19,6 +19,11 @@ equality from it.  A circle function is a Laurent sum with the identity
 twist; a cyclic function stores its nonzero values by point and keeps its own
 pointwise product, star and shift.
 
+Random elements draw their scalars with ``sample_scalar``, from a table of
+canonical units: ``_UNITS`` holds e(root) for each root choice, built once at
+import through ``Scalar.root_of_unity``, and a draw only scales one of them by
+a root-free monomial, which keeps its canonical form.
+
 Positivity of elements is deliberately not modelled: the identities verified
 downstream are linear in any weights involved, so arbitrary elements may
 stand in where the operator picture would ask for positive ones.
@@ -42,11 +47,20 @@ PHASE_CACHE_SIZE = 1024
 
 _ROOT_CHOICES = (0, 0, 0, 0, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(1, 6))
 _THETA_CHOICES = (0, 0, 0, 1, -1, 2)
+#: e(root) for each root choice, in canonical form, built once at import.
+_UNITS = tuple(Scalar.root_of_unity(root) for root in _ROOT_CHOICES)
 
 
 def sample_scalar(rng: random.Random) -> Scalar:
-    coeff = Fraction(rng.choice((-3, -2, -1, 1, 1, 2, 3)), rng.choice((1, 1, 2, 3)))
-    return Scalar.term(coeff, root=rng.choice(_ROOT_CHOICES), theta=Fraction(rng.choice(_THETA_CHOICES)))
+    """(c/d) * e(root) * t^theta, drawn in that order, each from a fixed choice list.
+
+    The unit e(root) comes from ``_UNITS``, and ``Scalar.scaled`` applies the
+    root-free monomial (c/d) * t^theta to it, so a draw reduces nothing.
+    """
+    c = rng.choice((-3, -2, -1, 1, 1, 2, 3))
+    d = rng.choice((1, 1, 2, 3))
+    unit = rng.choice(_UNITS)
+    return unit.scaled(c, d, rng.choice(_THETA_CHOICES))
 
 
 @dataclass(frozen=True)

@@ -67,8 +67,9 @@ class CrossedElement(SparseSum):
         """trace0 of the conditional expectation; tracial on the dense subalgebra."""
         return self.algebra.trace0(self.expectation())
 
-    def to_json(self) -> dict:
-        return {"n": self.power, "algebra": self.algebra.tag(), "coeffs": super().to_json()}
+    def to_json(self, tag: dict | None = None) -> dict:
+        """``tag``, when given, stands for ``algebra.tag()``: a matrix builds it once for all its entries."""
+        return {"n": self.power, "algebra": self.algebra.tag() if tag is None else tag, "coeffs": super().to_json()}
 
     @staticmethod
     def from_json(data: dict, algebra: CoefficientAlgebra | None = None) -> CrossedElement:
@@ -143,17 +144,17 @@ class MatrixElement(SquareMatrix):
         """
         if self.algebra.composite_tag(self.power) != algebra.composite_tag(power):
             raise MismatchError("incompatible twist re-tag")
-        entries = {
-            key: CrossedElement(algebra, power, x.entries) for key, x in self.entries.items()
-        }
-        return MatrixElement(algebra, power, self.size, entries)
+        entries = {key: x._like(x.entries, algebra=algebra, power=power) for key, x in self.entries.items()}
+        return self._like(entries, algebra=algebra, power=power)
 
     def to_json(self) -> dict:
-        """Every absent entry is written as one shared zero-entry JSON, so the tag is built once for them."""
-        zero = CrossedElement(self.algebra, self.power).to_json()
+        """Every entry is written with the matrix's one algebra tag (``_check_entry`` makes it theirs),
+        and every absent entry as one shared zero-entry JSON."""
+        tag = self.algebra.tag()
+        zero = CrossedElement(self.algebra, self.power).to_json(tag)
         rows = [[zero] * self.size for _ in range(self.size)]
         for (i, j), x in self.entries.items():
-            rows[i][j] = x.to_json()
+            rows[i][j] = x.to_json(tag)
         return {"size": self.size, "entries": rows}
 
     @staticmethod

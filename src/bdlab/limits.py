@@ -64,8 +64,11 @@ def gamma(n: int, m: int, X: MatrixElement) -> MatrixElement:
                 if abs(e) > DEGREE_CAP:
                     raise BudgetError(f"u-degree {e} exceeds cap {DEGREE_CAP}")
                 acc.setdefault((row + c * n, col + cp * n), {})[e] = algebra.alpha_power(a, c * n)
-    entries = {key: CrossedElement(algebra, m, coeffs) for key, coeffs in acc.items()}
-    return MatrixElement(algebra, m, X.size // n * m, entries)
+    # alpha-twists and re-keyings make no zero, so the image is built with _like and tests none;
+    # acc is empty when X has no entry to lend its type
+    like = next(iter(X.entries.values()), None)
+    entries = {key: like._like(coeffs, algebra=algebra, power=m) for key, coeffs in acc.items()}
+    return X._like(entries, power=m, size=X.size // n * m)
 
 
 def amplification_shuffle(p: int, X: MatrixElement) -> MatrixElement:
@@ -76,7 +79,7 @@ def amplification_shuffle(p: int, X: MatrixElement) -> MatrixElement:
     """
     if p < 1 or X.size % p != 0:
         raise MismatchError(f"size {X.size} is not a multiple of p={p}")
-    return MatrixElement(X.algebra, X.power, X.size, shuffled_entries(X.entries, p, X.size))
+    return X._like(shuffled_entries(X.entries, p, X.size))
 
 
 def _stage_cases(algebra: CoefficientAlgebra, power: int, size: int, seed: int,

@@ -39,18 +39,30 @@ differ from its input.  Public input (``Scalar(...)``, ``term``,
 way in: the constructor reads each rational through Fraction, and
 ``from_json`` reads a field spelled as ``to_json`` writes it,
 ``-?[0-9]+(/[0-9]+)?`` with a nonzero denominator, as two ints, and any
-other text through ``parse_fraction``.  ``+``, ``*`` and ``star`` hand
-``_normalize`` raw integer groups too, and each stores its result as
-canonical.  ``+`` reduces only the theta exponents both sides hold.  A
-canonical group reduces to itself, so ``_normalize`` is idempotent.
+other text through ``parse_fraction``.  ``+`` and ``*`` hand ``_normalize``
+raw integer groups too, and each stores its result as canonical.  ``+``
+reduces only the theta exponents both sides hold.  A canonical group
+reduces to itself, so ``_normalize`` is idempotent.
 
-One product skips ``_normalize``: a factor that is a root-free monomial
-q * t^s (one theta exponent s whose group has conductor 1), times any x.  It
-moves each group of x to theta + s and scales its numerators by q, which
-keeps every exponent, so only the gcd of the denominator and the numerators
-needs dividing out.  Rational factors are the case s = 0, and alpha phases
-with no root are the case q = 1.  A factor with a root moves the exponents
-off the basis and goes through the general product.
+Two operations skip ``_normalize``, because they keep the basis:
+
+* ``scaled(p, q, s)``, the product with a root-free monomial p/q * t^s.  It
+  moves each group to theta + s and scales its numerators by p/q, which keeps
+  every exponent, so only the gcd of the denominator and the numerators needs
+  dividing out.  ``*`` takes this path when a factor is a root-free monomial
+  (one theta exponent whose group has conductor 1): rational factors are the
+  case s = 0, and alpha phases with no root the case q = 1.  A factor with a
+  root moves the exponents off the basis and goes through the general
+  product.
+* ``star``, a key map.  Conjugation sends e(a/N) to e(-a/N) at the same
+  conductor N and denominator D, and theta to -theta.  Negation negates every
+  balanced odd digit, so for N odd -a mod N is again a basis exponent.  For
+  2^k || N (k >= 2, as N is never 2 mod 4), the 2-part j of a becomes -j, whose
+  top digit is 1 unless j = 0; one step by zeta_2 = -1 brings it back.  So an
+  exponent a with a != 0 mod 2^k goes to (N/2 - a) mod N with its
+  coefficient negated, and any other exponent goes to -a mod N.  The
+  conjugate of a value needs no smaller conductor than the value itself, so
+  N stays the least.
 
 ``factorize`` is the library's one prime factorization, behind the prime
 data of each conductor, ``cyclotomic_polynomial`` (built from the primes of
@@ -330,8 +342,10 @@ def _rescaled(groups: dict[Theta, Group], n: int, d: int) -> list[tuple[Theta, d
     return out
 
 
-def _times_monomial(groups: dict[Theta, Group], qn: int, qd: int, s: Theta) -> dict[Theta, Group]:
-    """The groups times the root-free monomial qn/qd * t^s, qn != 0, in lowest terms."""
+def _times_monomial(groups: dict[Theta, Group], qn: int, qd: int, s: RationalLike) -> dict[Theta, Group]:
+    """The groups times the root-free monomial qn/qd * t^s, for integers qn != 0 and qd > 0.
+
+    qn/qd need not be in lowest terms: each group's gcd is divided out here."""
     out = {}
     for theta, (n, d, nums) in groups.items():
         if qn != 1 or qd != 1:
@@ -459,12 +473,12 @@ class Scalar:
         xg, yg = self._groups, other._groups
         if not xg or not yg:
             return Scalar.zero()
-        for x, y in ((xg, yg), (yg, xg)):
-            if len(y) == 1:
-                (s, (yn, yd, ynums)), = y.items()
+        for x, y in ((self, other), (other, self)):
+            if len(y._groups) == 1:
+                (s, (yn, yd, ynums)), = y._groups.items()
                 if yn == 1:
                     # a root-free monomial factor keeps the roots (see the module docstring)
-                    return Scalar._of(_times_monomial(x, ynums[0], yd, s))
+                    return x.scaled(ynums[0], yd, s)
         n, dx, dy = 1, 1, 1
         for gn, gd, _ in xg.values():
             n, dx = lcm(n, gn), lcm(dx, gd)
@@ -495,12 +509,22 @@ class Scalar:
 
     __rmul__ = __mul__
 
+    def scaled(self, p: int, q: int = 1, theta: RationalLike = 0) -> Scalar:
+        """This scalar times p/q * t^theta, for integers p and q > 0; no reduction runs (module docstring)."""
+        if not p or not self._groups:
+            return Scalar.zero()
+        return Scalar._of(_times_monomial(self._groups, p, q, theta))
+
     def star(self) -> Scalar:
-        """Complex conjugation: e(r) -> e(-r), t^s -> t^(-s), rationals fixed."""
-        return Scalar._of(_normalize({
-            -theta: _RawGroup(n, d, {-a % n: c for a, c in nums.items()})
-            for theta, (n, d, nums) in self._groups.items()
-        }))
+        """Complex conjugation: e(r) -> e(-r), t^s -> t^(-s), rationals fixed; a key map on the basis."""
+        groups = {}
+        for theta, (n, d, nums) in self._groups.items():
+            two = n & -n  # 2^k || n
+            half = n // 2
+            groups[-theta] = (n, d, {
+                (half - a) % n if a % two else -a % n: -c if a % two else c for a, c in nums.items()
+            })
+        return Scalar._of(groups)
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)

@@ -26,7 +26,8 @@ The types differ only in their products, of three kinds:
 **The zero rule.**  Construction, sums and products drop zero entries, and
 nothing else tests for zero: negation, star, alpha-twists and re-keyings
 send nonzero entries to nonzero entries, so they build their results with
-``_like`` as they are.  Hence two elements are equal exactly when their
+``_like`` as they are, naming any field that changes (the connecting map's
+stage, the odometer's depth).  Hence two elements are equal exactly when their
 dicts have the same keys and equal entries under each key
 (``equal_entries``), and ``==``, and the Fock layer's ``agrees`` on its
 trusted window, compare entries in place instead of building the
@@ -81,11 +82,14 @@ class Sparse(Subtraction):
     def _nonzero(entries: dict) -> dict:
         return {key: x for key, x in entries.items() if not x.is_zero()}
 
-    def _like(self, entries: dict):
-        """This element's fields with ``entries`` as given, each of which must be nonzero."""
+    def _like(self, entries: dict, **fields):
+        """This element's fields, except those given in ``fields``, with ``entries`` as given,
+        each of which must be nonzero and lie on the result's space."""
         new = object.__new__(type(self))
         for field in self.__slots__:
             setattr(new, field, getattr(self, field))
+        for field, value in fields.items():
+            setattr(new, field, value)
         new.entries = entries
         return new
 

@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from bdlab import coeff
 from bdlab.coeff import (
     Angle,
     CircleFunction,
@@ -22,6 +23,17 @@ from numeric import circle_value
 def numeric_rotation_oracle(f: CircleFunction, m: int, angle_value: float, theta0: float, points=8):
     """alpha^m(f) should equal s -> f(s - m*angle) pointwise."""
     return [circle_value(f, theta0, s / points - m * angle_value) for s in range(points)]
+
+
+def test_sample_scalar_matches_the_term_route():
+    # oracle: the draw as the general constructor made it before the unit table, reducing every time
+    for seed in range(5000):
+        rng, ref = random.Random(seed), random.Random(seed)
+        got = sample_scalar(rng)
+        c = Fraction(ref.choice((-3, -2, -1, 1, 1, 2, 3)), ref.choice((1, 1, 2, 3)))
+        want = Scalar.term(c, ref.choice(coeff._ROOT_CHOICES), Fraction(ref.choice(coeff._THETA_CHOICES)))
+        assert got == want and got.to_json() == want.to_json(), seed
+        assert rng.getstate() == ref.getstate(), seed
 
 
 class TestCircleRotation:

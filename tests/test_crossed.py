@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -197,3 +198,12 @@ def test_json_round_trip(circle, cyclic3, rng):
         assert CrossedElement.from_json(x.to_json()) == x
         X = sample_matrix(algebra, 3, 3, rng)
         assert MatrixElement.from_json(X.to_json()) == X
+
+
+def test_matrix_json_builds_one_tag(circle, rng):
+    X = sample_matrix(circle, 3, 3, rng) + MatrixElement.identity(circle, 3, 3)
+    entries = {key: x.to_json() for key, x in X.entries.items()}
+    with mock.patch.object(CircleRotation, "tag", autospec=True, side_effect=CircleRotation.tag) as tag:
+        data = X.to_json()
+    assert tag.call_count == 1
+    assert all(data["entries"][i][j] == entry for (i, j), entry in entries.items())

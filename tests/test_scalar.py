@@ -120,6 +120,10 @@ def test_star_examples():
     assert t(1).star() == t(-1)
     assert e(Fraction(1, 3)).star() == e(Fraction(2, 3))
     assert rat(Fraction(3, 5)).star() == rat(Fraction(3, 5))
+    # 4 | N: e(-a/N) leaves the basis and comes back by zeta_2 = -1
+    assert e(Fraction(1, 4)).star() == -e(Fraction(1, 4))
+    assert e(Fraction(1, 4)).star().to_json() == [{"coeff": "-1", "root": "1/4", "theta": "0"}]
+    assert e(Fraction(1, 8)).star().to_json() == [{"coeff": "-1", "root": "3/8", "theta": "0"}]
 
 
 def test_eq_examples():
@@ -555,3 +559,28 @@ def test_conductor_limit_matches_reference(limit, xs, ys):
             assert (got is BudgetError) == (want is BudgetError)
             if got is not BudgetError:
                 _matches(got, want)
+
+
+# Conductors whose 2-part is 1, 4, 8 or 16, with odd parts prime, squared and composite.
+STAR_CONDUCTORS = (1, 3, 5, 9, 15, 21, 4, 12, 20, 36, 60, 8, 24, 40, 72, 120, 16, 48, 80, 112)
+
+
+@st.composite
+def star_scalars(draw):
+    """Scalars with up to three theta exponents, each holding roots of one conductor."""
+    terms = []
+    for theta in draw(st.lists(oracle_thetas, min_size=1, max_size=3, unique=True)):
+        n = draw(st.sampled_from(STAR_CONDUCTORS))
+        for k in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=5)):
+            terms.append(((Fraction(k, n), theta), draw(oracle_coeffs)))
+    return Scalar(terms)
+
+
+@settings(max_examples=300)
+@given(star_scalars())
+@example(Scalar([((Fraction(1, 16), 1), 1), ((Fraction(3, 16), 1), 2), ((Fraction(1, 3), 0), 1)]))
+def test_star_key_map_matches_the_reduction(x):
+    # oracle: conjugate each exponent in place and reduce, as star did before it became a key map
+    raw = {-theta: scalar_mod._RawGroup(n, d, {-a % n: c for a, c in nums.items()})
+           for theta, (n, d, nums) in x._groups.items()}
+    assert x.star()._groups == scalar_mod._normalize(raw)

@@ -11,6 +11,7 @@ the base and the cores enforce for each of them.
 
 import importlib
 import operator
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -18,11 +19,13 @@ from unittest import mock
 
 import pytest
 
+from bdlab import sparse
 from bdlab.cantor import OdometerAlgebra, StageSequence
-from bdlab.coeff import CircleFunction, FiniteCyclicFunction, FiniteCyclicShift
-from bdlab.crossed import CrossedElement, MatrixElement
+from bdlab.coeff import Angle, CircleFunction, CircleRotation, FiniteCyclicFunction, FiniteCyclicShift
+from bdlab.crossed import CrossedElement, MatrixElement, sample_matrix
 from bdlab.errors import BudgetError, MismatchError
 from bdlab.fock import BlockMatrix, FockOperator
+from bdlab.limits import amplification_shuffle, gamma
 from bdlab.scalar import Scalar
 from bdlab.sparse import DEGREE_CAP
 
@@ -193,6 +196,21 @@ class TestZeroRule:
             for x in elements:
                 -x, x.star()
             circle.alpha_power(f, 1), cyclic3.alpha_power(g, 1), odometer_x.shifted(1)
+
+    def test_connecting_maps_test_no_entry(self):
+        # gamma, the amplification shuffle and the twist re-tag are alpha-twists and re-keyings
+        angle = Angle.parse("theta+1/4")
+        base, target = CircleRotation(angle), CircleRotation(angle.scaled(Fraction(1, 2)))
+        X, zero = sample_matrix(base, 2, 4, random.Random(7)), MatrixElement(base, 2, 4)
+        with mock.patch.object(sparse.Sparse, "_nonzero", side_effect=AssertionError("an entry was tested for zero")):
+            images = [(gamma(2, 6, X), base, 6, 12), (amplification_shuffle(2, X), base, 2, 4),
+                      (X.with_twist(target, 4), target, 4, 4), (gamma(2, 6, zero), base, 6, 12)]
+        assert X.entries and all(image.entries for image, *_ in images[:3]) and not images[3][0].entries
+        for image, algebra, power, size in images:
+            # the same matrix through the checked constructors; == raises on a field that differs
+            rebuilt = MatrixElement(algebra, power, size, {
+                key: CrossedElement(algebra, power, x.entries) for key, x in image.entries.items()})
+            assert image == rebuilt and image.to_json() == rebuilt.to_json()
 
 
 class TestBlockTrust:
