@@ -5,7 +5,11 @@ Two concrete instances back everything downstream:
 * ``CircleRotation(angle)``: trigonometric polynomials sum c_m z^m on the
   circle, with alpha rotating by the angle q + r*theta.  On a monomial,
   alpha^m(z^p) = e(-p*m*q) * t^(-p*m*r) * z^p, i.e. rotation only twists the
-  coefficient by an exact phase.
+  coefficient by an exact phase.  When e*q (e = p*m) is a whole or a half
+  turn, the phase is t^(-e*r) or -t^(-e*r), and the twist is a key map: each
+  theta exponent of the coefficient moves by -e*r, with its numerators
+  negated at a half turn (``Scalar._turned``), which keeps the canonical
+  form.  Any other phase has a root, and the coefficient is multiplied by it.
 * ``FiniteCyclicShift(d)``: functions on Z/d with alpha the cyclic shift; a
   finite testbed for the invariant-ideal and trace-uniqueness questions.
 
@@ -42,7 +46,9 @@ from .errors import MismatchError
 from .scalar import Scalar, format_fraction, parse_fraction
 from .sparse import SparseSum, exponent_from_key, json_int
 
-#: Distinct alpha-phase exponents memoized per CircleRotation.
+#: Distinct exponents memoized per CircleRotation in each of its three memos: the
+#: key-map rule of alpha's phase at e, that phase itself when it has a root, and
+#: the composite tag of alpha^power.
 PHASE_CACHE_SIZE = 1024
 
 _ROOT_CHOICES = (0, 0, 0, 0, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(1, 6))
@@ -86,11 +92,15 @@ class Angle:
         r = Fraction(0)
         for sign, body in terms:
             factor = Fraction(-1 if sign == "-" else 1)
-            if body.endswith("theta"):
-                head = body[: -len("theta")].rstrip("*")
-                r += factor * (parse_fraction(head) if head else 1)
+            theta = re.fullmatch(r"(?:([^*]+)\*)?theta", body)
+            number = (theta[1] or "1") if theta else body
+            if "theta" in number or "*" in number:
+                raise ValueError(f"angle term {body!r} is not of the form p/q or p/q*theta")
+            value = factor * parse_fraction(number)
+            if theta:
+                r += value
             else:
-                q += factor * parse_fraction(body)
+                q += value
         return Angle(q, r)
 
     def __str__(self) -> str:
@@ -225,6 +235,8 @@ class CircleRotation(CoefficientAlgebra):
 
     angle: Angle
     _phases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _turns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _tags: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def zero(self) -> CircleFunction:
         return CircleFunction()
@@ -235,14 +247,33 @@ class CircleRotation(CoefficientAlgebra):
     def alpha_power(self, element: CircleFunction, power: int) -> CircleFunction:
         if power == 0 or element.is_zero():
             return element
-        return element._like({m: self._phase(m, power) * c for m, c in element.entries.items()})
+        entries = {}
+        for m, c in element.entries.items():
+            turn = self._turn(m * power)
+            entries[m] = c._turned(*turn) if turn else self._phase(m, power) * c
+        return element._like(entries)
+
+    def _turn(self, e: int) -> tuple | None:
+        """(negate, shift) when the phase e(-e*q) * t^(-e*r) is -t^shift or t^shift, else None.
+
+        That is when e*q is a half or a whole turn.  Memoized per e like the
+        phases; shift is an int when integral, so that most re-keyings add ints.
+        """
+        turns = self._turns
+        if e in turns:
+            return turns[e]
+        den = (e * self.angle.q).denominator  # 1 at a whole turn, 2 at a half turn
+        shift = -e * self.angle.r
+        turn = (den == 2, shift.numerator if shift.denominator == 1 else shift) if den <= 2 else None
+        if len(turns) < PHASE_CACHE_SIZE:
+            turns[e] = turn
+        return turn
 
     def _phase(self, z_power: int, alpha_power: int) -> Scalar:
         """The phase e(-e*q) * t^(-e*r) that alpha^m puts on z^p, for e = p*m.
 
-        Memoized per e, for at most PHASE_CACHE_SIZE exponents.  A phase with
-        no root is a root-free monomial, which Scalar multiplies without
-        reducing.
+        Memoized per e, for at most PHASE_CACHE_SIZE exponents.  ``alpha_power``
+        asks only for the phases with a root; the others are key maps (``_turn``).
         """
         e = z_power * alpha_power
         phase = self._phases.get(e)
@@ -265,7 +296,12 @@ class CircleRotation(CoefficientAlgebra):
         return {"kind": "circle", "angle": self.angle.to_json()}
 
     def composite_tag(self, power: int) -> tuple:
-        return ("circle", (self.angle.q * power) % 1, self.angle.r * power)
+        tag = self._tags.get(power)
+        if tag is None:
+            tag = ("circle", (self.angle.q * power) % 1, self.angle.r * power)
+            if len(self._tags) < PHASE_CACHE_SIZE:
+                self._tags[power] = tag
+        return tag
 
     def element_from_json(self, data: dict) -> CircleFunction:
         return CircleFunction.from_json(data)

@@ -27,7 +27,7 @@ import operator
 from .coeff import CoefficientAlgebra
 from .errors import MismatchError
 from .report import Report, case_rng
-from .sparse import SquareMatrix, equal_entries, shuffled_entries
+from .sparse import SquareMatrix, shuffled_entries
 
 
 class FockOperator(SquareMatrix):
@@ -111,7 +111,7 @@ class FockOperator(SquareMatrix):
         def inside(entries: dict) -> dict:
             return {key: a for key, a in entries.items() if max(key) < window}
 
-        return equal_entries(inside(self.entries), inside(other.entries))
+        return inside(self.entries) == inside(other.entries)
 
     def to_json(self) -> dict:
         return {

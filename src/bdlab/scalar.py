@@ -44,7 +44,7 @@ raw integer groups too, and each stores its result as canonical.  ``+``
 reduces only the theta exponents both sides hold.  A canonical group
 reduces to itself, so ``_normalize`` is idempotent.
 
-Two operations skip ``_normalize``, because they keep the basis:
+Three operations skip ``_normalize``, because they keep the basis:
 
 * ``scaled(p, q, s)``, the product with a root-free monomial p/q * t^s.  It
   moves each group to theta + s and scales its numerators by p/q, which keeps
@@ -54,6 +54,11 @@ Two operations skip ``_normalize``, because they keep the basis:
   case s = 0, and alpha phases with no root the case q = 1.  A factor with a
   root moves the exponents off the basis and goes through the general
   product.
+* ``_turned(negate, s)``, the product with the alpha phase t^s or -t^s, a
+  key map: each group moves to theta + s, an int when integral, and its
+  numerators are negated for the sign.  No gcd is taken, as +-1 leaves
+  gcd(D, *nums) at 1.  ``coeff.CircleRotation.alpha_power`` takes this path
+  at a whole or half turn.
 * ``star``, a key map.  Conjugation sends e(a/N) to e(-a/N) at the same
   conductor N and denominator D, and theta to -theta.  Negation negates every
   balanced odd digit, so for N odd -a mod N is again a basis exponent.  For
@@ -514,6 +519,19 @@ class Scalar:
         if not p or not self._groups:
             return Scalar.zero()
         return Scalar._of(_times_monomial(self._groups, p, q, theta))
+
+    def _turned(self, negate: bool, theta: RationalLike) -> Scalar:
+        """This scalar times -t^theta if negate, else t^theta; a key map on the theta exponents (module docstring)."""
+        groups = {}
+        for s, group in self._groups.items():
+            s += theta  # _theta_key, inlined
+            if type(s) is not int and s.denominator == 1:
+                s = s.numerator
+            if negate:
+                n, d, nums = group
+                group = n, d, {a: -c for a, c in nums.items()}
+            groups[s] = group
+        return Scalar._of(groups)
 
     def star(self) -> Scalar:
         """Complex conjugation: e(r) -> e(-r), t^s -> t^(-s), rationals fixed; a key map on the basis."""

@@ -28,11 +28,11 @@ nothing else tests for zero: negation, star, alpha-twists and re-keyings
 send nonzero entries to nonzero entries, so they build their results with
 ``_like`` as they are, naming any field that changes (the connecting map's
 stage, the odometer's depth).  Hence two elements are equal exactly when their
-dicts have the same keys and equal entries under each key
-(``equal_entries``), and ``==``, and the Fock layer's ``agrees`` on its
-trusted window, compare entries in place instead of building the
-difference.  ``shuffled_entries`` is the canonical shuffle M_p(M_n) -> M_(pn)
-of matrices and block matrices.
+dicts have the same keys and equal entries under each key, which is dict
+equality: ``==``, and the Fock layer's ``agrees`` on its trusted window,
+compare the dicts with ``==`` instead of building the difference.
+``shuffled_entries`` is the canonical shuffle M_p(M_n) -> M_(pn) of matrices
+and block matrices.
 
 In element JSON an exponent dict is keyed ``<symbol>:<exponent>``.
 ``exponent_from_key`` accepts a key only in exactly that spelling, so that
@@ -117,7 +117,7 @@ class Sparse(Subtraction):
         if not isinstance(other, type(self)):
             return NotImplemented
         a, b = self._operands(other)
-        return equal_entries(a.entries, b.entries)
+        return a.entries == b.entries
 
 
 class SparseSum(Sparse):
@@ -201,11 +201,6 @@ def add_entries(a: dict, b: dict) -> dict:
     for key, y in b.items():
         merged[key] = merged[key] + y if key in merged else y
     return merged
-
-
-def equal_entries(a: dict, b: dict) -> bool:
-    """Same keys and equal entries; exact when neither dict stores a zero entry."""
-    return a.keys() == b.keys() and all(x == b[key] for key, x in a.items())
 
 
 def shuffled_entries(entries: dict, p: int, size: int) -> dict:

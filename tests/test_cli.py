@@ -96,6 +96,13 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, ["verify", "gamma-hom", "--angle", "1/0*theta", "--count", "1"])
         assert code == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("angle", ["theta/2", "2*theta*theta", "thetatheta", "theta*2"])
+    def test_malformed_theta_term_is_named(self, capsys, angle):
+        # each was blamed on exponent notation
+        code, out, err = run_cli(capsys, ["verify", "gamma-hom", "--angle", angle, "--sizes", "1,2", "--count", "1"])
+        assert code == 2 and out == ""
+        assert err == f"error: angle term {angle!r} is not of the form p/q or p/q*theta\n"
+
     def test_report_written_to_out_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"
         code, out, _ = run_cli(capsys, [
@@ -857,6 +864,17 @@ class TestLargeConductors:
         done = subprocess.run([sys.executable, "-m", "bdlab.cli", *argv], capture_output=True, timeout=10,
                               env=src_env)
         assert done.returncode == 0 and json.loads(done.stdout)["failures"] == []
+
+    @pytest.mark.parametrize("argv", [
+        ["gamma-hom", "--sizes", "1,2", "--count", "5"],
+        ["rho-hom", "--sizes", "1,2,6", "--count", "3"],
+    ])
+    def test_a_phase_past_the_conductor_limit_is_budget_exit(self, argv, src_env):
+        # the phases e(-e/1000003) have a root, so alpha builds them, and the reduction refuses their conductor
+        done = subprocess.run([sys.executable, "-m", "bdlab.cli", "verify", *argv, "--angle", "theta+1/1000003"],
+                              capture_output=True, timeout=10, env=src_env)
+        assert done.returncode == 3 and done.stdout == b""
+        assert done.stderr == b"budget exceeded: root-of-unity conductor 1000003 exceeds limit 1000000\n"
 
     def test_trace_at_conductor_30030_is_fast(self, src_env):
         value = [{"coeff": "1", "root": "1/30030", "theta": "0"}, {"coeff": "1", "root": "30029/30030", "theta": "0"}]

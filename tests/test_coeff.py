@@ -116,16 +116,25 @@ class TestCircleRotation:
         f = circle.sample(rng)
         assert CircleFunction.from_json(f.to_json()) == f
 
-    @pytest.mark.parametrize("angle", ["theta", "-theta", "theta+1/4", "1/2*theta+1/3"])
+    @pytest.mark.parametrize("angle", ["theta", "-theta", "theta+1/4", "1/2*theta+1/3", "theta+1/2",
+                                       "-3/2*theta+1/2", "1/3*theta+5/6"])
     def test_alpha_matches_normalized_phase_product(self, angle):
         # oracle: each coefficient times a freshly normalized phase e(-e*q) t^(-e*r),
-        # compared on stored terms (in order) and on JSON, not only as values
+        # compared on stored groups (in order, int keys where integral), on terms and
+        # on JSON, not only as values; some coefficients have theta exponents in thirds
+        # and halves, which a fractional shift can make integral
         algebra = CircleRotation(Angle.parse(angle))
         q, r = algebra.angle.q, algebra.angle.r
         rng = random.Random(20261018)
+
+        def stored(f):
+            return {m: [(type(theta), theta, group) for theta, group in c._groups.items()]
+                    for m, c in f.entries.items()}
+
         for _ in range(12):
             f = CircleFunction({
-                m: sum((sample_scalar(rng) for _ in range(rng.randint(1, 4))), Scalar.zero())
+                m: sum((sample_scalar(rng) * Scalar.t_power(Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))))
+                        for _ in range(rng.randint(1, 4))), Scalar.zero())
                 for m in rng.sample(range(-4, 5), rng.randint(1, 4))
             })
             for power in range(-12, 13):
@@ -134,6 +143,7 @@ class TestCircleRotation:
                     m: Scalar.term(1, root=(-m * power * q) % 1, theta=-m * power * r) * c
                     for m, c in f.entries.items()
                 })
+                assert stored(got) == stored(want)
                 assert {m: list(c.terms.items()) for m, c in got.entries.items()} == \
                     {m: list(c.terms.items()) for m, c in want.entries.items()}
                 assert got.to_json() == want.to_json()
@@ -236,6 +246,20 @@ class TestAngle:
         # read as -theta, 1 - theta, theta + 1/2 and theta before
         with pytest.raises(ValueError, match="signed terms"):
             Angle.parse(text)
+
+    @pytest.mark.parametrize("text,term", [("theta/2", "theta/2"), ("1/4+2*theta*theta", "2*theta*theta"),
+                                           ("thetatheta", "thetatheta"), ("-theta*2", "theta*2"),
+                                           ("2**theta", "2**theta"), ("2theta", "2theta"), ("1/2*3", "1/2*3")])
+    def test_parse_names_a_malformed_term(self, text, term):
+        # the first four blamed exponent notation, which none of them uses; 2**theta and
+        # 2theta were read as 2*theta, and 1/2*3 was blamed on Fraction's literal syntax
+        with pytest.raises(ValueError) as exc:
+            Angle.parse(text)
+        assert str(exc.value) == f"angle term {term!r} is not of the form p/q or p/q*theta"
+
+    def test_parse_rejects_exponent_notation(self):
+        with pytest.raises(ValueError, match="exponent notation is not accepted: '1e5'"):
+            Angle.parse("1e5*theta")
 
     def test_str_round_trip(self):
         for angle in (Angle(Fraction(1, 8), Fraction(-1)), Angle(Fraction(0), Fraction(1, 2))):

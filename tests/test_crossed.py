@@ -186,6 +186,17 @@ def test_mismatch_rejected(circle, cyclic3):
         A * B
 
 
+def test_with_twist_checks_the_composite_twist():
+    # (theta+1/4)^4 = (1/2*theta+1/8)^8 as rotations, but not ^6; asked twice, as the tags are memoized
+    base, half = CircleRotation(Angle.parse("theta+1/4")), CircleRotation(Angle.parse("1/2*theta+1/8"))
+    X = MatrixElement.identity(base, 4, 2)
+    for _ in range(2):
+        assert X.with_twist(half, 8).with_twist(base, 4) == X
+        with pytest.raises(MismatchError, match="incompatible twist"):
+            X.with_twist(half, 6)
+    assert base.composite_tag(4) == half.composite_tag(8) == ("circle", 0, 4)
+
+
 def test_u_degree_cap(circle):
     x = CrossedElement.u_power(circle, 1, 40)
     with pytest.raises(BudgetError):

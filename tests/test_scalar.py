@@ -584,3 +584,16 @@ def test_star_key_map_matches_the_reduction(x):
     raw = {-theta: scalar_mod._RawGroup(n, d, {-a % n: c for a, c in nums.items()})
            for theta, (n, d, nums) in x._groups.items()}
     assert x.star()._groups == scalar_mod._normalize(raw)
+
+
+@settings(max_examples=300)
+@given(star_scalars(), st.booleans(), oracle_thetas)
+@example(Scalar([((Fraction(1, 4), Fraction(1, 2)), 1), ((0, Fraction(-3, 2)), 2)]), True, Fraction(1, 2))
+def test_turn_key_map_matches_the_product(x, negate, shift):
+    # oracle: the product with the phase -t^shift or t^shift, reduced as any product is
+    want = x * Scalar.term(-1 if negate else 1, theta=shift)
+    for s in (shift, shift.numerator if shift.denominator == 1 else shift):
+        got = x._turned(negate, s)
+        assert list(got._groups.items()) == list(want._groups.items()) and got.to_json() == want.to_json()
+        # an integral theta exponent is stored as an int, whatever the shift that made it so
+        assert all(type(theta) is (int if Fraction(theta).denominator == 1 else Fraction) for theta in got._groups)
