@@ -138,7 +138,8 @@ SUITES = {
 def _run_suite(args) -> Report:
     reads, runs, call = SUITES[args.suite]
     o = _options(args, reads, f"verify {args.suite}")
-    for name, value, low in (("--p", o.p, 1), ("--depth", o.depth, 1), ("--count", o.count, 0)):
+    # a creation operator has no entry below depth 2, so a Fock case would compare nothing it contributes
+    for name, value, low in (("--p", o.p, 1), ("--depth", o.depth, 2), ("--count", o.count, 0)):
         if value is not None and value < low:
             raise ValueError(f"{name} must be at least {low}, got {value}")
     # a Fock level l is where T^l lands, so the truncation depth is capped like a u-degree

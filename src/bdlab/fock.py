@@ -84,8 +84,9 @@ class FockOperator(SquareMatrix):
         """No entries and full trust: only such an operator agrees with 0 on every level."""
         return not self.entries and self.trust == self.depth
 
-    def __add__(self, other: FockOperator) -> FockOperator:
-        out = super().__add__(other)
+    def _summed(self, other: FockOperator, entries: dict) -> FockOperator:
+        """A sum or difference trusts the smaller of the two windows."""
+        out = super()._summed(other, entries)
         out.trust = min(self.trust, other.trust)
         return out
 

@@ -27,7 +27,6 @@ from typing import Iterable, Iterator
 from .coeff import Angle, cyclic_invariant_ideal_search, cyclic_orbits
 from .errors import BudgetError, MismatchError
 from .scalar import factorize, format_fraction
-from .sparse import Subtraction
 
 INF = math.inf
 
@@ -132,7 +131,7 @@ def q_delta_member(r: Fraction, delta: SupernaturalNumber) -> bool:
 
 
 @dataclass(frozen=True)
-class K0Class(Subtraction):
+class K0Class:
     """q + m*theta in the K0 presentation Q(delta) + theta*Z."""
 
     q: Fraction
@@ -140,6 +139,9 @@ class K0Class(Subtraction):
 
     def __add__(self, other: K0Class) -> K0Class:
         return K0Class(self.q + other.q, self.m + other.m)
+
+    def __sub__(self, other: K0Class) -> K0Class:
+        return K0Class(self.q - other.q, self.m - other.m)
 
     def __neg__(self) -> K0Class:
         return K0Class(-self.q, -self.m)

@@ -41,8 +41,10 @@ way in: the constructor reads each rational through Fraction, and
 ``-?[0-9]+(/[0-9]+)?`` with a nonzero denominator, as two ints, and any
 other text through ``parse_fraction``.  ``+`` and ``*`` hand ``_normalize``
 raw integer groups too, and each stores its result as canonical.  ``+``
-reduces only the theta exponents both sides hold.  A canonical group
-reduces to itself, so ``_normalize`` is idempotent.
+reduces only the theta exponents both sides hold; ``x - y`` is ``x + (-y)``,
+except that equal values, which have one stored form, cancel to zero with
+no reduction.  A canonical group reduces to itself, so ``_normalize`` is
+idempotent.
 
 Three operations skip ``_normalize``, because they keep the basis:
 
@@ -466,6 +468,8 @@ class Scalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self._groups == other._groups:
+            return Scalar.zero()
         return self + (-other)
 
     def __rsub__(self, other) -> Scalar:

@@ -4,10 +4,15 @@ Every element type of the library is a finite sum in the dense
 *-subalgebra of its C*-algebra, stored as a dict of its nonzero entries:
 Laurent coefficients by exponent, values of a cyclic function by point,
 matrix entries by (row, column), odometer values by (U-degree, cylinder).
-One base, ``Sparse``, writes what they share: construction, ``+``, unary
-``-``, ``==``, ``is_zero`` and the check that two operands lie on one space
-(``_operands``, which the odometer overrides to promote both operands to a
-common depth).  A result carries the fields of its left operand (``_like``).
+One base, ``Sparse``, writes what they share: construction, ``+``, ``-``
+(binary and unary), ``==``, ``is_zero`` and the check that two operands lie
+on one space (``_operands``, which the odometer overrides to promote both
+operands to a common depth).  A result carries the fields of its left
+operand (``_like``), and a sum or difference passes through ``_summed``,
+where the Fock layer takes the smaller trust.  ``a - b`` merges the two
+dicts key by key (``sub_entries``), not as ``a + (-b)``: an entry of ``b``
+is negated only where ``a`` has no entry under its key, and where both
+entries are equal scalars the difference is zero with no reduction.
 
 The types differ only in their products, of three kinds:
 
@@ -52,19 +57,10 @@ from .errors import BudgetError, MismatchError
 DEGREE_CAP = 64
 
 
-class Subtraction:
-    """``a - b`` as ``a + (-b)`` for element types that define ``+`` and unary ``-``."""
-
-    __slots__ = ()
-
-    def __sub__(self, other):
-        return self + (-other)
-
-
-class Sparse(Subtraction):
+class Sparse:
     """An element stored as ``{key: entry}`` with no zero entry.
 
-    The one place where construction, ``+``, unary ``-``, ``==`` and the zero
+    The one place where construction, ``+``, ``-``, ``==`` and the zero
     test are written.  A subclass lists its fields besides ``entries`` in
     ``__slots__`` and names the fields two operands must share in ``_space``
     (by default their type), or overrides ``_operands`` to bring both
@@ -97,6 +93,10 @@ class Sparse(Subtraction):
         """``_like`` for a sum or a product, whose entries may cancel: zero entries are dropped."""
         return self._like(self._nonzero(entries))
 
+    def _summed(self, other: Sparse, entries: dict):
+        """The sum or difference of this element and ``other`` (on its space), with ``entries`` as merged."""
+        return self._pruned(entries)
+
     def _operands(self, other: Sparse) -> tuple[Sparse, Sparse]:
         """Both operands on one space; MismatchError if they lie on different ones."""
         if self._space(self) != self._space(other):
@@ -108,7 +108,11 @@ class Sparse(Subtraction):
 
     def __add__(self, other):
         a, b = self._operands(other)
-        return a._pruned(add_entries(a.entries, b.entries))
+        return a._summed(b, add_entries(a.entries, b.entries))
+
+    def __sub__(self, other):
+        a, b = self._operands(other)
+        return a._summed(b, sub_entries(a.entries, b.entries))
 
     def __neg__(self):
         return self._like({key: -x for key, x in self.entries.items()})
@@ -200,6 +204,14 @@ def add_entries(a: dict, b: dict) -> dict:
     merged = dict(a)
     for key, y in b.items():
         merged[key] = merged[key] + y if key in merged else y
+    return merged
+
+
+def sub_entries(a: dict, b: dict) -> dict:
+    """Key-by-key difference; a key present in ``b`` only gets its entry negated."""
+    merged = dict(a)
+    for key, y in b.items():
+        merged[key] = merged[key] - y if key in merged else -y
     return merged
 
 

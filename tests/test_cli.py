@@ -252,7 +252,7 @@ def test_verify_integer_options_fuzz(suite, algebra, sizes, depth, p, count, mod
         assert code == 2 and out == "" and f"does not take --{unread}" in err
     if code == 0:
         assert json.loads(out)["cases"] > 0
-        assert all(value >= low for name, value, low in (("depth", depth, 1), ("p", p, 1), ("count", count, 0))
+        assert all(value >= low for name, value, low in (("depth", depth, 2), ("p", p, 1), ("count", count, 0))
                    if name in reads)
         if suite == "fock-blocks":
             assert depth >= 2 * max(int(k) for k in periods.split(","))
@@ -912,6 +912,16 @@ class TestFockDepthGuard:
     def test_depth_at_cap_still_runs(self, capsys, argv):
         code, out, _ = run_cli(capsys, ["verify", *argv])
         assert code == 0 and json.loads(out)["cases"] > 0
+
+    @pytest.mark.parametrize("argv", [
+        ["fock-id", "--algebra", "cyclic", "--modulus", "1", "--count", "1"],
+        ["compact-preserve", "--sizes", "1,2", "--count", "1"],
+        ["shuffle", "--sizes", "1,2"],
+    ])
+    def test_depth_one_is_usage_error(self, capsys, argv):
+        # exited 0: at depth 1 every creation operator T has no entry, so no case compared anything T contributes
+        code, out, err = run_cli(capsys, ["verify", *argv, "--depth", "1"])
+        assert (code, out, err) == (2, "", "error: --depth must be at least 2, got 1\n")
 
 
 class TestDeterminism:

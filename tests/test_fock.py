@@ -1,6 +1,8 @@
+from unittest import mock
+
 import pytest
 
-from bdlab.coeff import CircleFunction, FiniteCyclicFunction
+from bdlab.coeff import CircleFunction, FiniteCyclicFunction, FiniteCyclicShift
 from bdlab.errors import MismatchError
 from bdlab.fock import (
     BlockMatrix,
@@ -196,6 +198,17 @@ class TestEqId:
         for algebra in (circle, cyclic3):
             report = verify_fock_identity(algebra, seed=7, count=50, depth=8)
             assert report.ok
+
+    def test_depth_two_is_the_least_that_sees_the_creation_operator(self):
+        # with T(a) replaced by zero, fock-id passed all its cases at depth 1, where T has no entry;
+        # so verify exits 2 on a --depth below 2
+        def zero(algebra, a, depth, *, step=1):
+            return FockOperator(algebra, depth, step=step)
+
+        algebra = FiniteCyclicShift(1)
+        with mock.patch.object(FockOperator, "creation", staticmethod(zero)):
+            assert verify_fock_identity(algebra, seed=0, count=3, depth=1).ok
+            assert not verify_fock_identity(algebra, seed=0, count=3, depth=2).ok
 
     def test_right_module_linearity(self, circle, rng):
         # T_lam(a c) = T_lam(a) phi(c), exactly on the whole window

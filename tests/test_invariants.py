@@ -179,6 +179,8 @@ class TestK0:
         b = K0Class(Fraction(1, 3), -1)
         assert a + b == K0Class(Fraction(5, 6), 2)
         assert (a - a).is_zero()
+        # componentwise in q and m, on both components at once
+        assert a - b == K0Class(Fraction(1, 6), 4) and b - a == -(a - b) and (a - b) + b == a
 
 
 class TestK1:

@@ -318,6 +318,15 @@ def test_eq_agrees_with_subtraction(pair):
     assert (y == x) == (x == y)
 
 
+@given(scalar_pairs)
+@example((e(Fraction(1, 3)), e(Fraction(1, 6)) - rat(1)))
+def test_difference_is_the_sum_with_the_negation(pair):
+    # x - y cancels equal stored forms without a reduction; any other difference is x + (-y)
+    x, y = pair
+    assert x - y == x + (-y) and (x - y).to_json() == (x + (-y)).to_json()
+    assert x - x == Scalar.zero() and (x - x).to_json() == []
+
+
 @given(scalars, st.sampled_from((2, 3, 4, 5, 9)), fractions_st, fractions_st)
 def test_vanishing_sum_leaves_the_form(x, p, shift, theta):
     # sum_{k<p} e(k/p + shift) * t^theta is zero, added one term at a time or all at once

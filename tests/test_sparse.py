@@ -1,7 +1,7 @@
 """The base of ``sparse`` and its two product cores, through the classes built on them.
 
-Every element type shares the construction, ``+``, unary ``-``, ``==``, the
-space check and the zero rule of ``Sparse``.  ``MatrixElement``,
+Every element type shares the construction, ``+``, ``-``, ``==``, the space
+check and the zero rule of ``Sparse``.  ``MatrixElement``,
 ``FockOperator`` and ``BlockMatrix`` add the checked construction, star and
 product of ``SquareMatrix``; ``CircleFunction``, ``FiniteCyclicFunction`` and
 ``CrossedElement`` the twisted product and star of ``SparseSum``; the
@@ -18,16 +18,17 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, strategies as st
 
 from bdlab import sparse
-from bdlab.cantor import OdometerAlgebra, StageSequence
+from bdlab.cantor import OdometerAlgebra, OdometerElement, StageSequence
 from bdlab.coeff import Angle, CircleFunction, CircleRotation, FiniteCyclicFunction, FiniteCyclicShift
 from bdlab.crossed import CrossedElement, MatrixElement, sample_matrix
 from bdlab.errors import BudgetError, MismatchError
 from bdlab.fock import BlockMatrix, FockOperator
 from bdlab.limits import amplification_shuffle, gamma
 from bdlab.scalar import Scalar
-from bdlab.sparse import DEGREE_CAP
+from bdlab.sparse import DEGREE_CAP, add_entries
 
 OPERATIONS = {"+": operator.add, "-": operator.sub, "product": operator.mul}
 
@@ -136,11 +137,117 @@ class TestConstruction:
         assert set((X - X).entries) == set() and (X - X).is_zero()
         # sums and products drop what cancels, for every type built on Sparse
         for x in _elements(circle, cyclic3):
-            assert (x - x).entries == {} and (x + (-x)).entries == {}
+            assert (x - x).entries == {} and _cancellation_holds(x)
         f = FiniteCyclicFunction(3, (Scalar.one(), Scalar.zero(), Scalar.zero()))
         assert (f * f.shifted(1)).entries == {}
         E01 = MatrixElement.single(circle, 1, 2, 0, 1)
         assert (E01 * E01).entries == {}
+
+
+def _cancellation_holds(x) -> bool:
+    """x + (-x) is zero and (x + x) - x is x."""
+    return (x + (-x)).entries == {} and (x + x) - x == x
+
+
+# Defects that no suite of ``verify`` reaches: its Fock suites reach the base only
+# through ``-``, which merges key by key with neither a sum nor a negation.  The
+# identities of ``_cancellation_holds`` must then notice each of them on every type
+# built on the class patched.  (class patched, mutant) -> (method it replaces, replacement)
+UNREACHED_MUTANTS = {
+    (sparse.Sparse, "negation as the identity"): ("__neg__", lambda self: self),
+    (sparse.SquareMatrix, "negation as the identity"): ("__neg__", lambda self: self),
+    (sparse.SquareMatrix, "sum as its left operand"): ("__add__", lambda self, other: self),
+    (sparse.SparseSum, "negation as the identity"): ("__neg__", lambda self: self),
+    (sparse.SparseSum, "sum as its left operand"): ("__add__", lambda self, other: self),
+}
+
+
+@pytest.mark.parametrize("core,mutant", UNREACHED_MUTANTS, ids=[f"{core.__name__}-{mutant}"
+                                                                 for core, mutant in UNREACHED_MUTANTS])
+def test_cancellation_notices_a_broken_sum_or_negation(circle, cyclic3, core, mutant):
+    elements = [x for x in _elements(circle, cyclic3) if isinstance(x, core)]
+    name, broken = UNREACHED_MUTANTS[core, mutant]
+    with mock.patch.object(core, name, broken):
+        assert elements and not any(_cancellation_holds(x) for x in elements)
+
+
+CIRCLE, CYCLIC = CircleRotation(Angle.parse("theta+1/4")), FiniteCyclicShift(3)
+ODOMETER = OdometerAlgebra(StageSequence((1, 2, 6)), CIRCLE)
+# few entry values, so that drawn entries are often equal and cancel
+_scalars = st.sampled_from([Scalar.one(), Scalar.from_rational(-2), Scalar.root_of_unity(Fraction(1, 3)),
+                            Scalar.term(Fraction(1, 2), Fraction(1, 4), 1)])
+
+
+def _dicts(keys, values):
+    return st.dictionaries(keys, values, max_size=3)
+
+
+def _square(size):
+    return st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+
+
+def _cyclic(entries):
+    return FiniteCyclicFunction(3, (entries.get(i, Scalar.zero()) for i in range(3)))
+
+
+_circle_functions = _dicts(st.integers(-1, 1), _scalars).map(CircleFunction)
+_cyclic_functions = _dicts(st.integers(0, 2), _scalars).map(_cyclic)
+_crossed = _dicts(st.integers(-1, 1), _circle_functions).map(lambda e: CrossedElement(CIRCLE, 2, e))
+_fock = st.builds(lambda e, trust: FockOperator(CYCLIC, 3, e, trust=trust),
+                  _dicts(_square(3), _cyclic_functions), st.integers(0, 3))
+
+# type -> (a strategy of builders from an entry dict, keys, entries); an operand's own
+# fields (a Fock operator's trust, an odometer element's depth) are drawn with its builder
+OPERANDS = {
+    "CircleFunction": (st.just(CircleFunction), st.integers(-2, 2), _scalars),
+    "FiniteCyclicFunction": (st.just(_cyclic), st.integers(0, 2), _scalars),
+    "CrossedElement": (st.just(lambda e: CrossedElement(CIRCLE, 2, e)), st.integers(-2, 2), _circle_functions),
+    "MatrixElement": (st.just(lambda e: MatrixElement(CIRCLE, 2, 2, e)), _square(2), _crossed),
+    "FockOperator": (st.integers(0, 3).map(lambda trust: lambda e: FockOperator(CYCLIC, 3, e, trust=trust)),
+                     _square(3), _cyclic_functions),
+    "BlockMatrix": (st.just(lambda e: BlockMatrix(CYCLIC, 2, 3, e)), _square(2), _fock),
+    # a key's cylinder is taken mod the size of the operand's depth, so that depths mix
+    "OdometerElement": (st.integers(1, 3).map(lambda depth: lambda e: OdometerElement(
+        ODOMETER, {(d, j % ODOMETER.stages.size(depth)): a for (d, j), a in e.items()}, depth)),
+                        st.tuples(st.integers(-1, 1), st.integers(0, 5)), _circle_functions),
+}
+
+
+@st.composite
+def _operand_pairs(draw, builders, keys, values):
+    """x and y on one space: y draws entries under some of x's keys and takes others of x's entries
+    as they are, which cancel in x - y; its other keys either meet an entry of x or stand alone."""
+    x, y = draw(_dicts(keys, values)), draw(_dicts(keys, values))
+    if x:
+        shared = st.sets(st.sampled_from(sorted(x)))
+        y.update({key: draw(values) for key in draw(shared)})
+        y.update({key: x[key] for key in draw(shared)})
+    return draw(builders)(x), draw(builders)(y)
+
+
+def _negated_and_added(x, y):
+    """x - y by the route it took before ``sub_entries``: y negated entry by entry, then added to x."""
+    a, b = x._operands(y)
+    out = a._pruned(add_entries(a.entries, {key: -v for key, v in b.entries.items()}))
+    if isinstance(out, FockOperator):
+        out.trust = min(a.trust, b.trust)
+    return out
+
+
+class TestDifference:
+    @pytest.mark.parametrize("kind", OPERANDS)
+    @given(data=st.data())
+    def test_matches_negation_and_sum(self, kind, data):
+        x, y = data.draw(_operand_pairs(*OPERANDS[kind]))
+        for a, b in ((x, y), (x, x)):
+            got, want = a - b, _negated_and_added(a, b)
+            assert type(got) is type(want) and got == want and got.to_json() == want.to_json()
+        zero = x - x
+        if kind == "BlockMatrix":
+            # x - x keeps the empty blocks of trust below their depth, which hide what lies outside it
+            assert all(not op.entries and op.trust < op.depth for op in zero.entries.values())
+        else:
+            assert zero.entries == {}
 
 
 class TestSparseSum:
