@@ -8,8 +8,9 @@ Two concrete instances back everything downstream:
   coefficient by an exact phase.  When e*q (e = p*m) is a whole or a half
   turn, the phase is t^(-e*r) or -t^(-e*r), and the twist is a key map: each
   theta exponent of the coefficient moves by -e*r, with its numerators
-  negated at a half turn (``Scalar._turned``), which keeps the canonical
-  form.  Any other phase has a root, and the coefficient is multiplied by it.
+  negated at a half turn (``Scalar.scaled`` by +-1), which keeps the
+  canonical form.  Any other phase has a root, and the coefficient is
+  multiplied by it.
 * ``FiniteCyclicShift(d)``: functions on Z/d with alpha the cyclic shift; a
   finite testbed for the invariant-ideal and trace-uniqueness questions.
 
@@ -250,21 +251,22 @@ class CircleRotation(CoefficientAlgebra):
         entries = {}
         for m, c in element.entries.items():
             turn = self._turn(m * power)
-            entries[m] = c._turned(*turn) if turn else self._phase(m, power) * c
+            entries[m] = c.scaled(*turn) if turn else self._phase(m, power) * c
         return element._like(entries)
 
     def _turn(self, e: int) -> tuple | None:
-        """(negate, shift) when the phase e(-e*q) * t^(-e*r) is -t^shift or t^shift, else None.
+        """``Scalar.scaled``'s arguments (sign, 1, shift) when e(-e*q) * t^(-e*r) is sign * t^shift, else None.
 
-        That is when e*q is a half or a whole turn.  Memoized per e like the
-        phases; shift is an int when integral, so that most re-keyings add ints.
+        That is when e*q is a whole turn (sign 1) or a half turn (sign -1).
+        Memoized per e like the phases; shift is an int when integral, so that
+        most re-keyings add ints.
         """
         turns = self._turns
         if e in turns:
             return turns[e]
         den = (e * self.angle.q).denominator  # 1 at a whole turn, 2 at a half turn
         shift = -e * self.angle.r
-        turn = (den == 2, shift.numerator if shift.denominator == 1 else shift) if den <= 2 else None
+        turn = (-1 if den == 2 else 1, 1, shift.numerator if shift.denominator == 1 else shift) if den <= 2 else None
         if len(turns) < PHASE_CACHE_SIZE:
             turns[e] = turn
         return turn

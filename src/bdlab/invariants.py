@@ -95,9 +95,6 @@ class SupernaturalNumber:
     def exponent(self, prime: int) -> int | float:
         return self.factors.get(prime, 0)
 
-    def divides(self, other: SupernaturalNumber) -> bool:
-        return all(e <= other.exponent(p) for p, e in self.factors.items())
-
     def amplify(self, p: int) -> SupernaturalNumber:
         """The supernatural number of {p * n_k}: exponents shifted by those of p."""
         factors = dict(self.factors)

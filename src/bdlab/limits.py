@@ -108,9 +108,7 @@ def verify_gamma_homomorphism(algebra: CoefficientAlgebra, n: int, m: int, seed:
     return report
 
 
-def verify_gamma_composition(
-    algebra: CoefficientAlgebra, n: int, k: int, l: int, seed: int, count: int = 50,
-) -> Report:
+def verify_gamma_composition(algebra: CoefficientAlgebra, n: int, k: int, l: int, seed: int, count: int) -> Report:
     nk, nkl = n * k, n * k * l
     report = Report(
         "gamma-comp",

@@ -27,11 +27,11 @@ def canonical_json(obj: Any) -> str:
 
     With an indent, the stdlib falls back to its pure-Python encoder, which
     passes every token up through one generator per level of nesting; this
-    writer appends each part to one list instead.  Strings go through the
-    stdlib's C escaper, so non-ASCII characters are escaped alike, and an
-    object with no JSON form raises the stdlib's TypeError.  Dict keys must be
-    str or int, as every ``to_json`` here builds them; any other key raises
-    TypeError.
+    writer appends each part to one list instead.  It takes str, int, bool,
+    None, list, tuple and dict, the values every ``to_json`` here builds, and
+    raises the stdlib's TypeError on anything else, floats included.  Strings
+    go through the stdlib's C escaper, so non-ASCII characters are escaped
+    alike.  Dict keys must be str or int; any other key raises TypeError.
     """
     out: list[str] = []
     _write(obj, out, "\n")
@@ -39,18 +39,7 @@ def canonical_json(obj: Any) -> str:
     return "".join(out)
 
 
-_INF = float("inf")
 _CONSTANTS = {None: "null", True: "true", False: "false"}
-
-
-def _json_float(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == _INF:
-        return "Infinity"
-    if x == -_INF:
-        return "-Infinity"
-    return float.__repr__(x)
 
 
 def _json_key(key: Any) -> str:
@@ -70,8 +59,6 @@ def _write(value: Any, out: list[str], newline: str) -> None:
         out.append(_CONSTANTS[value])
     elif isinstance(value, int):
         out.append(int.__repr__(value))
-    elif isinstance(value, float):
-        out.append(_json_float(value))
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
@@ -152,11 +139,8 @@ class Report:
 
 
 def _jsonable(value: Any) -> Any:
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
+    """A failure side as JSON data: its ``to_json()``, lists and tuples element by element, else itself."""
     if isinstance(value, (list, tuple)):
         return [_jsonable(x) for x in value]
     to_json = getattr(value, "to_json", None)
-    if callable(to_json):
-        return to_json()
-    return repr(value)
+    return to_json() if callable(to_json) else value

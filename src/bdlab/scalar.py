@@ -46,21 +46,19 @@ except that equal values, which have one stored form, cancel to zero with
 no reduction.  A canonical group reduces to itself, so ``_normalize`` is
 idempotent.
 
-Three operations skip ``_normalize``, because they keep the basis:
+Two operations skip ``_normalize``, because they keep the basis; each maps
+the stored groups key by key:
 
 * ``scaled(p, q, s)``, the product with a root-free monomial p/q * t^s.  It
-  moves each group to theta + s and scales its numerators by p/q, which keeps
-  every exponent, so only the gcd of the denominator and the numerators needs
-  dividing out.  ``*`` takes this path when a factor is a root-free monomial
-  (one theta exponent whose group has conductor 1): rational factors are the
-  case s = 0, and alpha phases with no root the case q = 1.  A factor with a
-  root moves the exponents off the basis and goes through the general
-  product.
-* ``_turned(negate, s)``, the product with the alpha phase t^s or -t^s, a
-  key map: each group moves to theta + s, an int when integral, and its
-  numerators are negated for the sign.  No gcd is taken, as +-1 leaves
-  gcd(D, *nums) at 1.  ``coeff.CircleRotation.alpha_power`` takes this path
-  at a whole or half turn.
+  moves each group to theta + s, an int when integral, and scales its
+  numerators by p/q, which keeps every exponent, so only the gcd of the
+  denominator and the numerators needs dividing out, and none at p/q = +-1,
+  which leaves gcd(D, *nums) at 1.  ``*`` takes this path when a factor is a
+  root-free monomial (one theta exponent whose group has conductor 1):
+  rational factors are the case s = 0, and alpha phases with no root the
+  case q = 1; ``coeff.CircleRotation.alpha_power`` calls it directly with
+  p = +-1 at a whole or half turn.  A factor with a root moves the exponents
+  off the basis and goes through the general product.
 * ``star``, a key map.  Conjugation sends e(a/N) to e(-a/N) at the same
   conductor N and denominator D, and theta to -theta.  Negation negates every
   balanced odd digit, so for N odd -a mod N is again a basis exponent.  For
@@ -352,13 +350,14 @@ def _rescaled(groups: dict[Theta, Group], n: int, d: int) -> list[tuple[Theta, d
 def _times_monomial(groups: dict[Theta, Group], qn: int, qd: int, s: RationalLike) -> dict[Theta, Group]:
     """The groups times the root-free monomial qn/qd * t^s, for integers qn != 0 and qd > 0.
 
-    qn/qd need not be in lowest terms: each group's gcd is divided out here."""
+    qn/qd need not be in lowest terms: each group's gcd is divided out here,
+    except at qn/qd = +-1, under which a canonical group's gcd stays 1."""
     out = {}
     for theta, (n, d, nums) in groups.items():
         if qn != 1 or qd != 1:
             d *= qd
             nums = {a: c * qn for a, c in nums.items()}
-            g = gcd(d, *nums.values())
+            g = 1 if qn == -1 and qd == 1 else gcd(d, *nums.values())
             if g > 1:
                 d //= g
                 nums = {a: c // g for a, c in nums.items()}
@@ -472,9 +471,6 @@ class Scalar:
             return Scalar.zero()
         return self + (-other)
 
-    def __rsub__(self, other) -> Scalar:
-        return _coerce(other) + (-self)
-
     def __mul__(self, other) -> Scalar:
         other = _coerce(other)
         if other is NotImplemented:
@@ -518,24 +514,11 @@ class Scalar:
 
     __rmul__ = __mul__
 
-    def scaled(self, p: int, q: int = 1, theta: RationalLike = 0) -> Scalar:
+    def scaled(self, p: int, q: int, theta: RationalLike) -> Scalar:
         """This scalar times p/q * t^theta, for integers p and q > 0; no reduction runs (module docstring)."""
         if not p or not self._groups:
             return Scalar.zero()
         return Scalar._of(_times_monomial(self._groups, p, q, theta))
-
-    def _turned(self, negate: bool, theta: RationalLike) -> Scalar:
-        """This scalar times -t^theta if negate, else t^theta; a key map on the theta exponents (module docstring)."""
-        groups = {}
-        for s, group in self._groups.items():
-            s += theta  # _theta_key, inlined
-            if type(s) is not int and s.denominator == 1:
-                s = s.numerator
-            if negate:
-                n, d, nums = group
-                group = n, d, {a: -c for a, c in nums.items()}
-            groups[s] = group
-        return Scalar._of(groups)
 
     def star(self) -> Scalar:
         """Complex conjugation: e(r) -> e(-r), t^s -> t^(-s), rationals fixed; a key map on the basis."""

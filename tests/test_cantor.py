@@ -257,6 +257,13 @@ class TestRho:
     def test_unital(self, odometer, circle):
         assert rho(odometer, 3, MatrixElement.identity(circle, 6, 6)) == odometer.unit(3)
 
+    @pytest.mark.parametrize("algebra, power, size", [("circle", 2, 3), ("circle", 3, 2), ("cyclic3", 2, 2)])
+    def test_rejects_an_element_of_another_stage(self, odometer, algebra, power, size, request):
+        # stage 2 of (1, 2, 6) is the size-2 matrices over the circle at power 2; each case is off in one
+        X = MatrixElement.identity(request.getfixturevalue(algebra), power, size)
+        with pytest.raises(MismatchError, match="expected a size-2 stage element"):
+            rho(odometer, 2, X)
+
     def test_extraction_round_trip(self, odometer, circle, rng):
         for _ in range(25):
             X = sample_matrix(circle, 6, 6, rng)
@@ -370,6 +377,10 @@ class TestRg:
                 report = verify_rg(odo, stage, seed=12, count=15)
                 assert report.ok, (sizes, stage, report.failures[:1])
 
+    def test_last_stage_has_no_next_stage(self, odometer):
+        with pytest.raises(MismatchError, match="need a next stage"):
+            verify_rg(odometer, 3, seed=12, count=1)
+
     def test_generator_values(self, odometer, circle):
         # a e_{0,0} maps to a delta_0 at both stages
         z = CircleFunction.z()
@@ -385,7 +396,8 @@ class TestFlipAndPsi:
     def test_flip_conjugacy_exhaustive(self):
         for sizes in [(1, 2, 6), (1, 3, 6), (1, 2, 4, 8, 16, 32, 64)]:
             report = verify_flip_conjugacy(StageSequence(sizes))
-            assert report.ok
+            # one case per point of each stage
+            assert report.ok and report.cases == sum(sizes)
 
     @pytest.mark.parametrize("step", ["real", "carry-less", "identity"])
     def test_flip_suite_fails_under_a_broken_step(self, monkeypatch, step):
@@ -426,7 +438,8 @@ class TestFlipAndPsi:
         for algebra in (circle, cyclic3):
             for sizes in [(1, 2, 6), (1, 3, 6)]:
                 report = verify_gk_generation(OdometerAlgebra(StageSequence(sizes), algebra))
-                assert report.ok
+                # one case per stage
+                assert report.ok and report.cases == len(sizes)
 
 
 def test_odometer_cycle_order(stages):

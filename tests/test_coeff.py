@@ -261,6 +261,13 @@ class TestAngle:
         with pytest.raises(ValueError, match="exponent notation is not accepted: '1e5'"):
             Angle.parse("1e5*theta")
 
+    @pytest.mark.parametrize("angle, text", [(Angle(Fraction(0), Fraction(-1)), "-theta"),
+                                             (Angle(Fraction(1, 8), Fraction(-1)), "-theta+1/8"),
+                                             (Angle(Fraction(-1, 2), Fraction(1)), "theta-1/2")])
+    def test_str(self, angle, text):
+        # "-1*theta" would parse back to the same angle, so the round trip below does not pin it
+        assert str(angle) == text
+
     def test_str_round_trip(self):
         for angle in (Angle(Fraction(1, 8), Fraction(-1)), Angle(Fraction(0), Fraction(1, 2))):
             assert Angle.parse(str(angle)) == angle

@@ -197,6 +197,33 @@ def test_with_twist_checks_the_composite_twist():
     assert base.composite_tag(4) == half.composite_tag(8) == ("circle", 0, 4)
 
 
+def test_with_twist_reads_the_rational_angle_mod_one():
+    # theta+5/4 is the rotation theta+1/4; three turns of theta+1/4 and nine of 1/3*theta+3/4 both
+    # rotate by 3*theta+3/4 mod 1; three turns of theta+1/2 do not
+    X = MatrixElement.identity(CircleRotation(Angle.parse("theta+1/4")), 3, 2)
+    assert X.with_twist(CircleRotation(Angle.parse("theta+5/4")), 3).power == 3
+    assert X.with_twist(CircleRotation(Angle.parse("1/3*theta+3/4")), 9).power == 9
+    with pytest.raises(MismatchError, match="incompatible twist"):
+        X.with_twist(CircleRotation(Angle.parse("theta+1/2")), 3)
+
+
+def test_with_twist_on_cyclic_stages(cyclic3):
+    # on Z/3, the shift by 1 is the shift by 4 and by -2, but not by 2
+    X = MatrixElement.identity(cyclic3, 1, 2)
+    for power in (4, -2):
+        assert X.with_twist(cyclic3, power).with_twist(cyclic3, 1) == X
+    with pytest.raises(MismatchError, match="incompatible twist"):
+        X.with_twist(cyclic3, 2)
+
+
+def test_entry_of_another_stage_algebra_is_rejected(circle):
+    with pytest.raises(MismatchError, match="different stage algebra"):
+        MatrixElement(circle, 2, 2, {(0, 1): CrossedElement.unit(circle, 3)})
+    # an equal algebra built apart is the same stage algebra
+    twin = CircleRotation(Angle.parse(str(circle.angle)))
+    assert twin is not circle and MatrixElement(circle, 2, 2, {(0, 1): CrossedElement.unit(twin, 2)}).size == 2
+
+
 def test_u_degree_cap(circle):
     x = CrossedElement.u_power(circle, 1, 40)
     with pytest.raises(BudgetError):

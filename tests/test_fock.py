@@ -1,3 +1,4 @@
+import random
 from unittest import mock
 
 import pytest
@@ -8,6 +9,7 @@ from bdlab.fock import (
     BlockMatrix,
     FockOperator,
     block_decompose,
+    block_trust,
     compact_preservation_sides,
     eq_id_sides,
     weighted_blocks_check,
@@ -127,6 +129,71 @@ class TestTrustRule:
         X = FockOperator(circle, K, sample_fock(circle, K, rng).entries, trust=5)
         assert (X @ T.star()).trust == 5
         assert (X @ T).trust == 4
+
+
+def inside(op, window):
+    """The entries of ``op`` on levels below ``window``."""
+    return {key: a for key, a in op.entries.items() if max(key) < window}
+
+
+def built_operators(algebra, k, a, c, weights, depth):
+    """{label: operator} for each operator and block the Fock suites build at ``depth`` from one input.
+
+    The inputs are the pair (a, c), the period k and k weights: both sides of
+    eq-id, each block of both sides of compact-preserve at n = 1, m = k, each
+    block pair of fock-blocks, and each block of T(a) T(a)* and T(a)* T(a)
+    split at period k.
+    """
+    ops = {}
+    for side, op in zip(("lhs", "rhs"), eq_id_sides(algebra, a, c, depth)):
+        ops["eq-id", side] = op
+    for side, M in zip(("lhs", "rhs"), compact_preservation_sides(algebra, 1, k, a, c, depth)):
+        for i in range(M.size):
+            for j in range(M.size):
+                ops["compact-preserve", side, i, j] = M.block(i, j)
+    for label, pair in weighted_blocks_check(algebra, weights, a, depth):
+        for side, op in zip(("actual", "expected"), pair):
+            ops["fock-blocks", label, side] = op
+    T = FockOperator.creation(algebra, a, depth)
+    for name, X in (("T T*", T @ T.star()), ("T* T", T.star() @ T)):
+        for key, block in block_decompose(X, k).items():
+            ops[name, key] = block
+    return ops
+
+
+class TestTrustOracle:
+    """An entry trusted at depth D is the entry of the untruncated operator, so it equals
+    the same entry computed at depth 2D; and block_trust counts the trusted quotient levels."""
+
+    @pytest.mark.parametrize("algebra_fixture", ["circle_q", "cyclic3"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_trusted_entries_match_twice_the_depth(self, algebra_fixture, k, request):
+        algebra = request.getfixturevalue(algebra_fixture)
+        rng = random.Random(f"trust:{algebra_fixture}:{k}")
+        compared = 0
+        for depth in range(2, 10):
+            a, c = algebra.sample(rng), algebra.sample(rng)
+            weights = tuple(algebra.sample(rng) for _ in range(k))
+            shallow = built_operators(algebra, k, a, c, weights, depth)
+            deep = built_operators(algebra, k, a, c, weights, 2 * depth)
+            assert shallow.keys() == deep.keys()
+            for label, op in shallow.items():
+                assert op.trust <= deep[label].trust, label
+                assert inside(op, op.trust) == inside(deep[label], op.trust), (depth, label)
+                compared += len(inside(op, op.trust))
+        assert compared
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_block_trust_counts_the_quotient_levels_inside_the_window(self, k):
+        for trust in range(4 * k + 6):
+            for r in range(k):
+                for c in range(k):
+                    want = sum(1 for q in range(trust + 1) if q * k + max(r, c) < trust)
+                    assert block_trust(trust, r, c, k) == want, (trust, r, c)
+
+    @pytest.mark.parametrize("trust, clamped", [(9, 4), (-2, 0), (0, 0), (3, 3), (None, 4)])
+    def test_trust_is_clamped_to_the_levels(self, cyclic3, trust, clamped):
+        assert FockOperator(cyclic3, 4, trust=trust).trust == clamped
 
 
 def loop_agrees(x, y):

@@ -61,11 +61,6 @@ class TestSupernatural:
         d = SupernaturalNumber.from_sequence([1, 2, 4])
         assert d.factors == {2: 2} and d.finite_evidence
 
-    def test_divides(self):
-        assert SupernaturalNumber.parse("2^inf*3").divides(SupernaturalNumber.parse("2^inf*3^2"))
-        assert not SupernaturalNumber.parse("5").divides(D2INF)
-        assert D2INF.divides(D2INF)
-
     def test_parse_plain_integer(self):
         assert SupernaturalNumber.parse("12").factors == {2: 2, 3: 1}
 

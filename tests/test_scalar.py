@@ -169,6 +169,15 @@ def test_normalization_idempotent():
         assert Scalar(s.terms).terms == s.terms
 
 
+@pytest.mark.parametrize("n", [9, 25, 27, 49, 75, 81, 125])
+def test_roots_at_conductors_with_an_odd_square(n):
+    # the allowed top digits of an odd p^k || N (k >= 2) are the nonzero balanced ones,
+    # -(p-1)/2..(p-1)/2; a window moved off centre left e(2/25)* apart from e(-2/25)
+    for a in range(n):
+        assert e(Fraction(a, n)).star() == e(Fraction(-a, n)), a
+        assert e(Fraction(a, n)) * e(Fraction(1, n)) == e(Fraction(a + 1, n)), a
+
+
 def test_theta_shift_equals_t_power_product():
     rng = random.Random(11)
     for _ in range(300):
@@ -599,10 +608,12 @@ def test_star_key_map_matches_the_reduction(x):
 @given(star_scalars(), st.booleans(), oracle_thetas)
 @example(Scalar([((Fraction(1, 4), Fraction(1, 2)), 1), ((0, Fraction(-3, 2)), 2)]), True, Fraction(1, 2))
 def test_turn_key_map_matches_the_product(x, negate, shift):
-    # oracle: the product with the phase -t^shift or t^shift, reduced as any product is
-    want = x * Scalar.term(-1 if negate else 1, theta=shift)
+    # oracle: the product with the phase -t^shift or t^shift, reduced as any product is;
+    # scaled takes no gcd at +-1, as alpha_power calls it at a whole or half turn
+    sign = -1 if negate else 1
+    want = x * Scalar.term(sign, theta=shift)
     for s in (shift, shift.numerator if shift.denominator == 1 else shift):
-        got = x._turned(negate, s)
+        got = x.scaled(sign, 1, s)
         assert list(got._groups.items()) == list(want._groups.items()) and got.to_json() == want.to_json()
         # an integral theta exponent is stored as an int, whatever the shift that made it so
         assert all(type(theta) is (int if Fraction(theta).denominator == 1 else Fraction) for theta in got._groups)
