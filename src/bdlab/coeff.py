@@ -168,7 +168,8 @@ class FiniteCyclicFunction(SparseSum):
     def __mul__(self, other: FiniteCyclicFunction) -> FiniteCyclicFunction:
         a, b = self._operands(other)
         values = b.entries
-        return a._pruned({i: x * values[i] for i, x in a.entries.items() if i in values})
+        # scalars form an integral domain, so a product of nonzero values is nonzero
+        return a._like({i: x * values[i] for i, x in a.entries.items() if i in values})
 
     def star(self) -> FiniteCyclicFunction:
         return self._like({i: a.star() for i, a in self.entries.items()})

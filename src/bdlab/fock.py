@@ -13,6 +13,12 @@ Generators:
     weighted(lam, a): subdiagonal, (q+1, q) = alpha^(step*q)(lam_(q+1) * a)
     creation(a) = weighted(1, a) = T(a);  shift() = T(1);  projection0()
 
+T(a) is built directly, (q+1, q) = alpha^(step*q)(a), with no product by the
+weight 1; T_lam keeps the product and the checked construction, because
+weights can multiply to zero (on Z/d, for instance).  phi, creation and
+block_decompose wrap entries that are nonzero and in range as they are
+(``FockOperator._of``), so a zero a gives the empty operator with full trust.
+
 Truncation semantics: every operator carries ``trust``; entries (i, j) with
 max(i, j) < trust provably agree with the untruncated operator.  Composition
 erodes trust by the maximal level-raise of the right factor, so boundary
@@ -44,12 +50,18 @@ class FockOperator(SquareMatrix):
         self.trust = depth if trust is None else max(0, min(trust, depth))
         self.entries = self._admit(entries, depth)
 
+    @classmethod
+    def _of(cls, algebra: CoefficientAlgebra, depth: int, entries: dict, step: int, trust: int) -> FockOperator:
+        """Wrap entries that are nonzero and in range, with a trust in [0, depth]; nothing is checked."""
+        op = cls.__new__(cls)
+        op.algebra, op.depth, op.step, op.trust, op.entries = algebra, depth, step, trust, entries
+        return op
+
     @staticmethod
     def phi(algebra: CoefficientAlgebra, a, depth: int, *, step: int = 1) -> FockOperator:
-        """Left action phi_infinity(a): level i carries alpha^(step*i)(a)."""
-        return FockOperator(
-            algebra, depth, {(i, i): algebra.alpha_power(a, step * i) for i in range(depth)}, step=step
-        )
+        """Left action phi_infinity(a): level i carries alpha^(step*i)(a), nonzero when a is."""
+        entries = {} if a.is_zero() else {(i, i): algebra.alpha_power(a, step * i) for i in range(depth)}
+        return FockOperator._of(algebra, depth, entries, step, depth)
 
     @staticmethod
     def identity(algebra: CoefficientAlgebra, depth: int, *, step: int = 1) -> FockOperator:
@@ -69,8 +81,9 @@ class FockOperator(SquareMatrix):
 
     @staticmethod
     def creation(algebra: CoefficientAlgebra, a, depth: int, *, step: int = 1) -> FockOperator:
-        """Unweighted creation operator T(a)."""
-        return FockOperator.weighted(algebra, (algebra.one(),), a, depth, step=step)
+        """Unweighted creation operator T(a) = T_1(a): level q+1 <- q carries alpha^(step*q)(a), built directly."""
+        entries = {} if a.is_zero() else {(q + 1, q): algebra.alpha_power(a, step * q) for q in range(depth - 1)}
+        return FockOperator._of(algebra, depth, entries, step, depth)
 
     @staticmethod
     def shift(algebra: CoefficientAlgebra, depth: int, *, step: int = 1) -> FockOperator:
@@ -148,14 +161,12 @@ def block_decompose(X: FockOperator, k: int) -> dict[tuple[int, int], FockOperat
     buckets: dict[tuple[int, int], dict] = {}
     for (i, j), a in X.entries.items():
         buckets.setdefault((i % k, j % k), {})[(i // k, j // k)] = a
-    blocks = {}
-    for lp in range(k):
-        for l in range(k):
-            blocks[(lp, l)] = FockOperator(
-                X.algebra, depth, buckets.get((lp, l), {}),
-                step=X.step * k, trust=block_trust(X.trust, lp, l, k),
-            )
-    return blocks
+    # X's entries are nonzero and each quotient index is below depth; block_trust lies in [0, depth]
+    return {
+        (lp, l): FockOperator._of(X.algebra, depth, buckets.get((lp, l), {}), X.step * k,
+                                  block_trust(X.trust, lp, l, k))
+        for lp in range(k) for l in range(k)
+    }
 
 
 class BlockMatrix(SquareMatrix):

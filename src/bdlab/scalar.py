@@ -53,12 +53,13 @@ the stored groups key by key:
   moves each group to theta + s, an int when integral, and scales its
   numerators by p/q, which keeps every exponent, so only the gcd of the
   denominator and the numerators needs dividing out, and none at p/q = +-1,
-  which leaves gcd(D, *nums) at 1.  ``*`` takes this path when a factor is a
-  root-free monomial (one theta exponent whose group has conductor 1):
-  rational factors are the case s = 0, and alpha phases with no root the
-  case q = 1; ``coeff.CircleRotation.alpha_power`` calls it directly with
-  p = +-1 at a whole or half turn.  A factor with a root moves the exponents
-  off the basis and goes through the general product.
+  which leaves gcd(D, *nums) at 1.  At p/q * t^s = 1 it returns the scalar
+  itself, which is safe as scalars are immutable.  ``*`` takes this path
+  when a factor is a root-free monomial (one theta exponent whose group has
+  conductor 1): rational factors are the case s = 0, and alpha phases with
+  no root the case q = 1; ``coeff.CircleRotation.alpha_power`` calls it
+  directly with p = +-1 at a whole or half turn.  A factor with a root
+  moves the exponents off the basis and goes through the general product.
 * ``star``, a key map.  Conjugation sends e(a/N) to e(-a/N) at the same
   conductor N and denominator D, and theta to -theta.  Negation negates every
   balanced odd digit, so for N odd -a mod N is again a basis exponent.  For
@@ -516,6 +517,8 @@ class Scalar:
 
     def scaled(self, p: int, q: int, theta: RationalLike) -> Scalar:
         """This scalar times p/q * t^theta, for integers p and q > 0; no reduction runs (module docstring)."""
+        if p == q and not theta:
+            return self
         if not p or not self._groups:
             return Scalar.zero()
         return Scalar._of(_times_monomial(self._groups, p, q, theta))

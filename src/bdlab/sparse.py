@@ -32,10 +32,15 @@ The types differ only in their products, of three kinds:
 nothing else tests for zero: negation, star, alpha-twists and re-keyings
 send nonzero entries to nonzero entries, so they build their results with
 ``_like`` as they are, naming any field that changes (the connecting map's
-stage, the odometer's depth).  Hence two elements are equal exactly when their
-dicts have the same keys and equal entries under each key, which is dict
-equality: ``==``, and the Fock layer's ``agrees`` on its trusted window,
-compare the dicts with ``==`` instead of building the difference.
+stage, the odometer's depth).  So does a pointwise product over an integral
+domain, the cyclic functions' product of scalars, where a product of nonzero
+values is nonzero.  The Fock generators phi(a) and T(a), whose entries
+alpha^j(a) are nonzero when a is, and the blocks of a Fock operator are
+admitted as built, with no scan for zeros or for indices out of range.
+Hence two elements are equal exactly when their dicts have the same keys
+and equal entries under each key, which is dict equality: ``==``, and the
+Fock layer's ``agrees`` on its trusted window, compare the dicts with ``==``
+instead of building the difference.
 ``shuffled_entries`` is the canonical shuffle M_p(M_n) -> M_(pn) of matrices
 and block matrices.
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bdlab import cli
+from bdlab.coeff import FiniteCyclicShift
 from bdlab.report import Report
 
 
@@ -922,6 +924,16 @@ class TestFockDepthGuard:
         # exited 0: at depth 1 every creation operator T has no entry, so no case compared anything T contributes
         code, out, err = run_cli(capsys, ["verify", *argv, "--depth", "1"])
         assert (code, out, err) == (2, "", "error: --depth must be at least 2, got 1\n")
+
+    @pytest.mark.parametrize("suite", ["fock-id", "fock-blocks", "compact-preserve", "shuffle"])
+    def test_default_depth_is_the_library_default(self, suite):
+        # verify passes a depth even without --depth, and the bench calls the library without one:
+        # the two defaults must be one depth
+        _, runs, call = cli.SUITES[suite]
+        o = argparse.Namespace(**{**cli.DEFAULTS, "algebra": FiniteCyclicShift(3), "count": 1,
+                                  "pairs": [(1, 2), (2, 6)]})
+        for _, (*arguments, depth) in runs(o):
+            assert call(*arguments).config["depth"] == depth
 
 
 class TestDeterminism:

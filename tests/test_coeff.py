@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, strategies as st
 
 from bdlab import coeff
 from bdlab.coeff import (
@@ -183,6 +184,34 @@ class TestFiniteCyclicShift:
     def test_json_round_trip(self, cyclic3, rng):
         f = cyclic3.sample(rng)
         assert FiniteCyclicFunction.from_json(f.to_json()) == f
+
+
+# terms e(a/12) * t^s with small rational coefficients: values at conductors 1 to 12, some cancelling to 0
+_cyclic_terms = st.tuples(st.tuples(st.builds(Fraction, st.integers(0, 11), st.just(12)),
+                                    st.sampled_from((0, 1, -1, Fraction(1, 2)))),
+                          st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3)))
+cyclic_values = st.builds(Scalar, st.lists(_cyclic_terms, max_size=3))
+
+
+@st.composite
+def cyclic_pairs(draw):
+    """Two functions on one Z/d, half the time with disjoint supports."""
+    d = draw(st.integers(1, 5))
+    f = draw(st.lists(cyclic_values, min_size=d, max_size=d))
+    g = draw(st.lists(cyclic_values, min_size=d, max_size=d))
+    if draw(st.booleans()):
+        g = [y if x.is_zero() else Scalar.zero() for x, y in zip(f, g)]
+    return FiniteCyclicFunction(d, f), FiniteCyclicFunction(d, g)
+
+
+@given(cyclic_pairs())
+def test_cyclic_product_stores_no_zero_value(pair):
+    # scalars form an integral domain, so the product builds its values unchecked; oracle: the pruned route
+    f, g = pair
+    h = f * g
+    assert not any(x.is_zero() for x in h.entries.values())
+    assert h.entries == f._pruned({i: x * g.entries[i] for i, x in f.entries.items() if i in g.entries}).entries
+    assert h.values == [x * y for x, y in zip(f.values, g.values)]
 
 
 class TestInvariantIdealSearch:

@@ -101,6 +101,45 @@ class TestGenerators:
         assert X.compose(FockOperator(circle, 6)).entries == {}
 
 
+class TestGeneratorsAsBuilt:
+    """phi, creation and block_decompose wrap their entries unchecked; they must equal, entries and trust,
+    what the checked constructor builds (it drops zeros and clamps trust), and T(a) must be T_1(a)."""
+
+    @pytest.mark.parametrize("algebra_fixture", ["circle_q", "cyclic3"])
+    @pytest.mark.parametrize("step", [1, 3])
+    def test_creation_and_phi_match_the_checked_route(self, algebra_fixture, step, request, rng):
+        algebra = request.getfixturevalue(algebra_fixture)
+        for depth in (1, 2, 5):
+            for a in (algebra.zero(), algebra.one(), algebra.sample(rng), algebra.sample(rng)):
+                T = FockOperator.creation(algebra, a, depth, step=step)
+                assert T == FockOperator.weighted(algebra, (algebra.one(),), a, depth, step=step)
+                phi = FockOperator.phi(algebra, a, depth, step=step)
+                want = {(i, i): algebra.alpha_power(a, step * i) for i in range(depth)}
+                assert phi == FockOperator(algebra, depth, want, step=step)
+
+    @pytest.mark.parametrize("algebra_fixture", ["circle_q", "cyclic3"])
+    def test_zero_generators_are_the_empty_operator_with_full_trust(self, algebra_fixture, request):
+        algebra = request.getfixturevalue(algebra_fixture)
+        for make in (FockOperator.creation, FockOperator.phi):
+            op = make(algebra, algebra.zero(), 4, step=2)
+            assert op.entries == {} and op.trust == 4 and op.is_zero()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_block_decompose_matches_the_checked_route(self, cyclic3, k, rng):
+        for depth in (1, 4, 7):
+            T = FockOperator.creation(cyclic3, cyclic3.sample(rng), depth)
+            X = sample_fock(cyclic3, depth, rng)
+            for op in (X, FockOperator(cyclic3, depth, X.entries, trust=depth - 2), T @ T.star(), T.star() @ T,
+                       FockOperator(cyclic3, depth)):
+                blocks = block_decompose(op, k)
+                assert set(blocks) == {(lp, l) for lp in range(k) for l in range(k)}
+                for (lp, l), block in blocks.items():
+                    entries = {(i // k, j // k): a for (i, j), a in op.entries.items() if (i % k, j % k) == (lp, l)}
+                    want = FockOperator(cyclic3, (depth + k - 1) // k, entries, step=k,
+                                        trust=block_trust(op.trust, lp, l, k))
+                    assert block == want, (depth, lp, l)
+
+
 class TestTrustRule:
     def test_trust_erodes_with_raising_right_factor(self, circle, rng):
         K = 8

@@ -115,6 +115,16 @@ class TestEnclosures:
         with pytest.raises(MismatchError):
             enc.refine()
 
+    @pytest.mark.parametrize("interval", [(Fraction(-1), Fraction(1, 2)), (Fraction(1, 2), Fraction(2))])
+    def test_rejects_a_refinement_past_one_end(self, interval):
+        enc = ThetaEnclosure(iter([(Fraction(0), Fraction(1)), interval]))
+        with pytest.raises(MismatchError, match="nested"):
+            enc.refine()
+
+    def test_rejects_zero_width(self):
+        with pytest.raises(MismatchError, match="positive width"):
+            ThetaEnclosure(iter([(Fraction(1, 2), Fraction(1, 2))]))
+
     def test_exhausted_stream_is_budget_error(self):
         enc = ThetaEnclosure(iter([(Fraction(0), Fraction(1))]))
         with pytest.raises(BudgetError):
@@ -128,6 +138,23 @@ class TestK0:
         lo, hi = k0_tau_value(K0Class(Fraction(1, 2), -1), sqrt2_minus_one_stream(), Fraction(1, 1000))
         assert Fraction(8, 100) < lo <= hi < Fraction(9, 100)
         assert k0_tau_value(K0Class(Fraction(0), 0), sqrt2_minus_one_stream(), Fraction(1)) == (0, 0)
+
+    def test_precision_must_be_positive(self):
+        for c in (K0Class(Fraction(1, 2), 0), K0Class(Fraction(0), 1)):
+            with pytest.raises(ValueError, match="precision must be positive"):
+                k0_tau_value(c, sqrt2_minus_one_stream(), Fraction(0))
+
+    def test_tau_value_width_is_strictly_below_the_precision(self):
+        # theta's first interval [0, 1/2] is exactly 1/2 wide, so precision 1/2 takes the next one
+        enc = ThetaEnclosure(iter([(Fraction(0), Fraction(1, 2)), (Fraction(1, 4), Fraction(1, 2))]))
+        assert k0_tau_value(K0Class(Fraction(0), 1), enc, Fraction(1, 2)) == (Fraction(1, 4), Fraction(1, 2))
+
+    @pytest.mark.parametrize("m, positive", [(1, True), (-1, False)])
+    def test_sign_needs_zero_outside_the_interval(self, m, positive):
+        # +-theta on [0, 1/2] touches 0 at one end; the sign is read only once 0 lies outside, on [1/4, 1/2]
+        enc = ThetaEnclosure(iter([(Fraction(0), Fraction(1, 2)), (Fraction(1, 4), Fraction(1, 2))]))
+        assert k0_positive(K0Class(Fraction(0), m), enc) is positive
+        assert enc.current == (Fraction(1, 4), Fraction(1, 2))
 
     def test_positive_examples(self):
         assert k0_positive(K0Class(Fraction(1, 2), -1), sqrt2_minus_one_stream())
@@ -228,6 +255,28 @@ class TestIsomorphismDecider:
         decision = decide_isomorphism(THETA, D2INF, Angle.parse("theta+1/4"), D2INF)
         assert decision.witness["denominator"] == 4
 
+    def test_sum_case_witness(self):
+        decision = decide_isomorphism(Angle.parse("theta+1/4"), D2INF, Angle.parse("-theta+1/4"), D2INF)
+        assert decision.answer == "isomorphic"
+        assert decision.witness == {"case": "sum", "value": "1/2", "denominator": 2}
+
+    def test_sum_outside_q_delta_is_not_isomorphic(self):
+        # the r-parts cancel in the sum, but 1/6 + 1/6 = 1/3 is not in Q(2^inf), and the r-parts differ
+        decision = decide_isomorphism(Angle.parse("theta+1/6"), D2INF, Angle.parse("-theta+1/6"), D2INF)
+        assert decision.answer == "not-isomorphic"
+        assert decision.witness == {"component": "angle", "rDifference": "2", "rSum": "0"}
+
+    def test_delta_witness(self):
+        decision = decide_isomorphism(THETA, D2INF, THETA, D3INF)
+        assert decision.witness == {"component": "delta", "delta1": "2^inf", "delta2": "3^inf"}
+
+    def test_finite_evidence_on_one_side(self):
+        # the prefix 1, 2, 4 may complete to 2^inf, so the declared side cannot settle delta
+        partial = SupernaturalNumber.from_sequence([1, 2, 4])
+        for args in ((THETA, partial, THETA, D2INF), (THETA, D2INF, THETA, partial)):
+            decision = decide_isomorphism(*args)
+            assert decision.answer == "undecidable-with-finite-evidence" and decision.finite_evidence
+
     def test_finite_evidence_flagged(self):
         partial = SupernaturalNumber.from_sequence([1, 2, 4])
         decision = decide_isomorphism(THETA, partial, THETA, partial)
@@ -236,6 +285,12 @@ class TestIsomorphismDecider:
         # exact r-mismatch stays decisive
         decision = decide_isomorphism(THETA, partial, Angle.parse("2*theta"), partial)
         assert decision.answer == "not-isomorphic" and decision.finite_evidence
+
+    def test_undecided_difference_with_a_failing_sum_stays_undecided(self):
+        # 1/3 may lie in Q(delta) once the prefix 1, 2, 4 is completed, and the sum case fails on r
+        partial = SupernaturalNumber.from_sequence([1, 2, 4])
+        decision = decide_isomorphism(Angle.parse("theta+1/3"), partial, THETA, partial)
+        assert decision.answer == "undecidable-with-finite-evidence"
 
     def test_delta_equality_is_equivalence(self):
         explicit = [D2INF, D3INF, SupernaturalNumber.parse("2^inf"), SupernaturalNumber.parse("2^inf*3")]
@@ -256,6 +311,11 @@ class TestFiniteModelDeciders:
         assert not decision.simple and decision.stage_size == 2 and decision.invariant_subset == (0,)
         assert decide_simplicity_finite_model(3, (1, 2, 4, 8)).simple
         assert decide_simplicity_finite_model(1, (1, 2)).simple
+
+    def test_simplicity_json(self):
+        assert decide_simplicity_finite_model(3, (1, 2, 4, 8)).to_json() == {"answer": "simple"}
+        assert decide_simplicity_finite_model(2, (1, 2, 4)).to_json() == {
+            "answer": "not-simple", "witness": {"stageSize": 2, "invariantSubset": [0]}}
 
     def test_agreement_with_gcd_characterization(self):
         for d in range(1, 13):
