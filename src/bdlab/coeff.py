@@ -52,6 +52,8 @@ from .sparse import SparseSum, exponent_from_key, json_int
 #: the composite tag of alpha^power.
 PHASE_CACHE_SIZE = 1024
 
+#: Largest |z-degree| of a sampled circle function.
+SAMPLE_Z_DEGREE = 2
 _ROOT_CHOICES = (0, 0, 0, 0, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(1, 6))
 _THETA_CHOICES = (0, 0, 0, 1, -1, 2)
 #: e(root) for each root choice, in canonical form, built once at import.
@@ -207,8 +209,8 @@ class CoefficientAlgebra(ABC):
         """The alpha-invariant tracial state on the dense subalgebra."""
 
     @abstractmethod
-    def sample(self, rng: random.Random, degree: int = 2):
-        """A random element with degree/support bounded by ``degree``."""
+    def sample(self, rng: random.Random):
+        """A random element."""
 
     @abstractmethod
     def tag(self) -> dict:
@@ -289,10 +291,10 @@ class CircleRotation(CoefficientAlgebra):
     def trace0(self, element: CircleFunction) -> Scalar:
         return element.entries.get(0, Scalar.zero())
 
-    def sample(self, rng: random.Random, degree: int = 2) -> CircleFunction:
+    def sample(self, rng: random.Random) -> CircleFunction:
         coeffs = {}
         for _ in range(rng.randint(1, 2)):
-            coeffs[rng.randint(-degree, degree)] = sample_scalar(rng)
+            coeffs[rng.randint(-SAMPLE_Z_DEGREE, SAMPLE_Z_DEGREE)] = sample_scalar(rng)
         return CircleFunction(coeffs)
 
     def tag(self) -> dict:
@@ -330,7 +332,7 @@ class FiniteCyclicShift(CoefficientAlgebra):
     def trace0(self, element: FiniteCyclicFunction) -> Scalar:
         return Fraction(1, self.d) * sum(element.entries.values(), Scalar.zero())
 
-    def sample(self, rng: random.Random, degree: int = 2) -> FiniteCyclicFunction:
+    def sample(self, rng: random.Random) -> FiniteCyclicFunction:
         return FiniteCyclicFunction(
             self.d,
             (sample_scalar(rng) if rng.random() < 0.6 else Scalar.zero() for _ in range(self.d)),

@@ -28,6 +28,9 @@ from .errors import MismatchError
 from .scalar import Scalar
 from .sparse import SparseSum, SquareMatrix, exponent_from_key, json_int
 
+#: Largest |u-degree| of a sampled crossed element.
+SAMPLE_U_DEGREE = 2
+
 
 class CrossedElement(SparseSum):
     """A finite sum  sum_l a_l u^l  in A x_(alpha^power) Z."""
@@ -80,16 +83,10 @@ class CrossedElement(SparseSum):
         return CrossedElement(algebra, json_int(data, "n"), coeffs)
 
 
-def sample_crossed(
-    algebra: CoefficientAlgebra,
-    power: int,
-    rng: random.Random,
-    u_degree: int = 2,
-    coeff_degree: int = 2,
-) -> CrossedElement:
+def sample_crossed(algebra: CoefficientAlgebra, power: int, rng: random.Random) -> CrossedElement:
     coeffs = {}
     for _ in range(rng.randint(1, 2)):
-        coeffs[rng.randint(-u_degree, u_degree)] = algebra.sample(rng, coeff_degree)
+        coeffs[rng.randint(-SAMPLE_U_DEGREE, SAMPLE_U_DEGREE)] = algebra.sample(rng)
     return CrossedElement(algebra, power, coeffs)
 
 
@@ -190,17 +187,10 @@ class MatrixElement(SquareMatrix):
         return f"Matrix{self.size}[{body}]"
 
 
-def sample_matrix(
-    algebra: CoefficientAlgebra,
-    power: int,
-    size: int,
-    rng: random.Random,
-    u_degree: int = 2,
-    coeff_degree: int = 2,
-) -> MatrixElement:
+def sample_matrix(algebra: CoefficientAlgebra, power: int, size: int, rng: random.Random) -> MatrixElement:
     entries = {}
     for i in range(size):
         for j in range(size):
             if rng.random() < 0.5:
-                entries[(i, j)] = sample_crossed(algebra, power, rng, u_degree, coeff_degree)
+                entries[(i, j)] = sample_crossed(algebra, power, rng)
     return MatrixElement(algebra, power, size, entries)

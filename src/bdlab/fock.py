@@ -5,7 +5,10 @@ band matrices with entries in A: composition is plain matrix composition (no
 twist; the twisting sits inside the generator constructions).  The ``step``
 attribute says which power of alpha one level carries, so the same class
 models both the ambient Fock space (step 1) and the block-index spaces that
-arise from decomposing modulo a period (step k).
+arise from decomposing modulo a period (step k).  A k x k block matrix is a
+dict {(r, c): FockOperator}, which ``block_assemble`` interleaves into the
+operator it relabels (level i of block row r is level i*k + r) and
+``block_decompose`` splits back, so block arithmetic is FockOperator's.
 
 Generators:
 
@@ -15,15 +18,17 @@ Generators:
 
 T(a) is built directly, (q+1, q) = alpha^(step*q)(a), with no product by the
 weight 1; T_lam keeps the product and the checked construction, because
-weights can multiply to zero (on Z/d, for instance).  phi, creation and
-block_decompose wrap entries that are nonzero and in range as they are
+weights can multiply to zero (on Z/d, for instance).  phi, creation and the
+block maps wrap entries that are nonzero and in range as they are
 (``FockOperator._of``), so a zero a gives the empty operator with full trust.
 
 Truncation semantics: every operator carries ``trust``; entries (i, j) with
 max(i, j) < trust provably agree with the untruncated operator.  Composition
 erodes trust by the maximal level-raise of the right factor, so boundary
 artifacts can never masquerade as identities failing: ``agrees`` compares
-only inside the joint trusted window.
+only inside the joint trusted window.  A block trusts the quotient levels
+inside its operator's window, and an assembled operator a window inside each
+block's own.
 """
 
 from __future__ import annotations
@@ -92,10 +97,6 @@ class FockOperator(SquareMatrix):
     @staticmethod
     def projection0(algebra: CoefficientAlgebra, depth: int, *, step: int = 1) -> FockOperator:
         return FockOperator(algebra, depth, {(0, 0): algebra.one()}, step=step)
-
-    def is_zero(self) -> bool:
-        """No entries and full trust: only such an operator agrees with 0 on every level."""
-        return not self.entries and self.trust == self.depth
 
     def _summed(self, other: FockOperator, entries: dict) -> FockOperator:
         """A sum or difference trusts the smaller of the two windows."""
@@ -169,42 +170,31 @@ def block_decompose(X: FockOperator, k: int) -> dict[tuple[int, int], FockOperat
     }
 
 
-class BlockMatrix(SquareMatrix):
-    """A square matrix of FockOperators sharing depth and step (absent = zero)."""
+def block_assemble(algebra: CoefficientAlgebra, size: int, depth: int, blocks: dict, step: int) -> FockOperator:
+    """Inverse of block_decompose: entry (i, j) of block (r, c) goes to level pair (i*size + r, j*size + c).
 
-    __slots__ = ("algebra", "size", "depth", "step")
-    _space = operator.attrgetter("algebra", "size", "depth", "step")
-
-    def __init__(self, algebra: CoefficientAlgebra, size: int, depth: int, entries: dict | None = None,
-                 *, step: int = 1):
-        self.algebra = algebra
-        self.size = size
-        self.depth = depth
-        self.step = step
-        self.entries = self._admit(entries, size)
-
-    def _check_entry(self, op: FockOperator) -> None:
-        op._operands(self)  # a block shares this matrix's algebra, depth and step
-
-    def block(self, i: int, j: int) -> FockOperator:
-        return self.entries.get((i, j), FockOperator(self.algebra, self.depth, step=self.step))
-
-    def __mul__(self, other: BlockMatrix) -> BlockMatrix:
-        # operator.matmul finds FockOperator.__matmul__ (compose) per call, as a.compose(b) did
-        return self._product(other, operator.matmul)
-
-    def agrees(self, other: BlockMatrix) -> bool:
-        self._operands(other)
-        keys = set(self.entries) | set(other.entries)
-        return all(self.block(i, j).agrees(other.block(i, j)) for (i, j) in keys)
-
-    def to_json(self) -> dict:
-        return {"size": self.size,
-                "blocks": {f"{i},{j}": op.to_json() for (i, j), op in sorted(self.entries.items())}}
+    The blocks lie on the Fock space of ``depth`` levels at ``step``, and an
+    absent block is zero.  The result lives on size*depth levels at step
+    step // size and trusts the levels below trust*size + min(r, c) for every
+    given block (r, c), empty or not: all of them lie in that block's window.
+    """
+    if step % size:
+        raise MismatchError(f"block size {size} does not divide step {step}")
+    trust, entries, space = size * depth, {}, (algebra, depth, step)
+    for (r, c), block in blocks.items():
+        if not (0 <= r < size and 0 <= c < size):
+            raise MismatchError(f"block ({r},{c}) outside {size}x{size} block matrix")
+        if FockOperator._space(block) != space:
+            raise MismatchError("block on a different Fock space")
+        trust = min(trust, block.trust * size + min(r, c))
+        for (i, j), a in block.entries.items():
+            entries[(i * size + r, j * size + c)] = a
+    # block entries are nonzero and below depth, so each lands inside the size*depth square
+    return FockOperator._of(algebra, size * depth, entries, step // size, trust)
 
 
-def theta_block_map(algebra: CoefficientAlgebra, n: int, m: int, kind: str, element, depth: int) -> BlockMatrix:
-    """Image of a tagged period-n Toeplitz generator in the k x k block picture.
+def theta_block_map(algebra: CoefficientAlgebra, n: int, m: int, kind: str, element, depth: int) -> dict:
+    """Image of a tagged period-n Toeplitz generator in the k x k block picture, as blocks at step m.
 
     kind 'phi':       phi(a)  |-> sum_j phi(alpha^(jn)(a)) e_{j,j}
     kind 'creation':  T(b)    |-> T(alpha^((k-1)n)(b)) e_{0,k-1}
@@ -225,7 +215,7 @@ def theta_block_map(algebra: CoefficientAlgebra, n: int, m: int, kind: str, elem
             entries[(j + 1, j)] = FockOperator.phi(algebra, algebra.alpha_power(element, j * n), depth, step=m)
     else:
         raise ValueError(f"unknown Toeplitz generator kind {kind!r}")
-    return BlockMatrix(algebra, k, depth, entries, step=m)
+    return entries
 
 
 def compact_remainder(algebra: CoefficientAlgebra, a, c, ac, depth: int, step: int = 1) -> FockOperator:
@@ -306,14 +296,15 @@ def verify_weighted_blocks(algebra: CoefficientAlgebra, period: int, seed: int, 
     return report
 
 
-def compact_preservation_sides(algebra: CoefficientAlgebra, n: int, m: int, a, c, depth: int) -> tuple[BlockMatrix, BlockMatrix]:
-    """theta of the compact remainder at period n versus the corner remainder at period m."""
+def compact_preservation_sides(algebra: CoefficientAlgebra, n: int, m: int, a, c, depth: int) -> tuple:
+    """theta of the compact remainder at period n versus the corner remainder at period m, both assembled."""
+    def theta(kind: str, element) -> FockOperator:
+        return block_assemble(algebra, m // n, depth, theta_block_map(algebra, n, m, kind, element, depth), m)
+
     ac = a * c.star()
-    lhs = theta_block_map(algebra, n, m, "phi", ac, depth) - (
-        theta_block_map(algebra, n, m, "creation", algebra.alpha_power(a, n), depth)
-        * theta_block_map(algebra, n, m, "creation", algebra.alpha_power(c, n), depth).star()
-    )
-    rhs = BlockMatrix(algebra, m // n, depth, {(0, 0): compact_remainder(algebra, a, c, ac, depth, m)}, step=m)
+    lhs = theta("phi", ac) - (theta("creation", algebra.alpha_power(a, n))
+                              @ theta("creation", algebra.alpha_power(c, n)).star())
+    rhs = block_assemble(algebra, m // n, depth, {(0, 0): compact_remainder(algebra, a, c, ac, depth, m)}, m)
     return lhs, rhs
 
 
@@ -322,12 +313,12 @@ def verify_compact_preservation(algebra: CoefficientAlgebra, n: int, m: int, see
     report = Report("compact-preserve", config={"algebra": algebra.tag(), "n": n, "m": m,
                                                 "seed": seed, "count": count, "depth": depth})
     report.compare(_pair_cases(algebra, seed, count),
-                   lambda ac: compact_preservation_sides(algebra, n, m, *ac, depth), BlockMatrix.agrees)
+                   lambda ac: compact_preservation_sides(algebra, n, m, *ac, depth), FockOperator.agrees)
     return report
 
 
-def _beta_image(algebra: CoefficientAlgebra, n: int, m: int, kind: str, element, depth: int) -> BlockMatrix:
-    """Size-m matrix image of a size-n stage generator in the block picture."""
+def _beta_image(algebra: CoefficientAlgebra, n: int, m: int, kind: str, element, depth: int) -> dict:
+    """Size-m matrix image of a size-n stage generator in the block picture, as blocks at step m."""
     k = m // n
     identity = FockOperator.identity(algebra, depth, step=m)
     entries: dict[tuple[int, int], FockOperator] = {}
@@ -348,12 +339,7 @@ def _beta_image(algebra: CoefficientAlgebra, n: int, m: int, kind: str, element,
             entries[(i + l * n, j + l * n)] = identity
     else:
         raise ValueError(f"unknown generator kind {kind!r}")
-    return BlockMatrix(algebra, m, depth, entries, step=m)
-
-
-def shuffle_conjugate(M: BlockMatrix, n: int) -> BlockMatrix:
-    """Reindex the n x n of k x k block picture by i*k + c -> i + c*n (k = size / n)."""
-    return BlockMatrix(M.algebra, M.size, M.depth, shuffled_entries(M.entries, n, M.size), step=M.step)
+    return entries
 
 
 def verify_shuffle(algebra: CoefficientAlgebra, n: int, m: int, seed: int, depth: int = 8) -> Report:
@@ -368,20 +354,17 @@ def verify_shuffle(algebra: CoefficientAlgebra, n: int, m: int, seed: int, depth
     ]
     cases.extend((f"unit({i},{j})", ("unit", (i, j))) for i in range(n) for j in range(n))
 
-    def both_sides(case: tuple[str, object]) -> tuple[BlockMatrix, BlockMatrix]:
+    def both_sides(case: tuple[str, object]) -> tuple[FockOperator, FockOperator]:
         kind, element = case
         # entrywise theta of the generator at entry (gi, gj) of M_n: (i, j) for a unit e_{i,j}, else (0, 0)
         if kind == "unit":
-            (gi, gj), theta_img = element, BlockMatrix(
-                algebra, k, depth,
-                {(c, c): FockOperator.identity(algebra, depth, step=m) for c in range(k)}, step=m,
-            )
+            (gi, gj), theta_img = element, {(c, c): FockOperator.identity(algebra, depth, step=m) for c in range(k)}
         else:
             (gi, gj), theta_img = (0, 0), theta_block_map(algebra, n, m, kind, element, depth)
-        assembled = {(gi * k + c, gj * k + cp): op for (c, cp), op in theta_img.entries.items()}
-        lhs = shuffle_conjugate(BlockMatrix(algebra, m, depth, assembled, step=m), n)
-        return lhs, _beta_image(algebra, n, m, kind, element, depth)
+        # the n x n of k x k block picture, reindexed by i*k + c -> i + c*n
+        blocks = shuffled_entries({(gi * k + c, gj * k + cp): op for (c, cp), op in theta_img.items()}, n, m)
+        return (block_assemble(algebra, m, depth, blocks, m),
+                block_assemble(algebra, m, depth, _beta_image(algebra, n, m, kind, element, depth), m))
 
-    report.compare(cases, both_sides, BlockMatrix.agrees)
+    report.compare(cases, both_sides, FockOperator.agrees)
     return report
-

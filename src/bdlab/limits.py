@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeff import Angle, CircleRotation, CoefficientAlgebra
-from .crossed import CrossedElement, MatrixElement, sample_matrix
+from .coeff import SAMPLE_Z_DEGREE, Angle, CircleRotation, CoefficientAlgebra
+from .crossed import SAMPLE_U_DEGREE, CrossedElement, MatrixElement, sample_matrix
 from .errors import BudgetError, MismatchError
 from .report import Report, case_rng
 from .sparse import DEGREE_CAP, shuffled_entries
@@ -101,7 +101,7 @@ def _stage_cases(algebra: CoefficientAlgebra, power: int, size: int, seed: int,
 
 def verify_gamma_homomorphism(algebra: CoefficientAlgebra, n: int, m: int, seed: int, count: int) -> Report:
     report = Report("gamma-hom", config={"n": n, "m": m, "algebra": algebra.tag(), "seed": seed, "count": count,
-                                         "uDegree": 2, "coeffDegree": 2})
+                                         "uDegree": SAMPLE_U_DEGREE, "coeffDegree": SAMPLE_Z_DEGREE})
     report.compare_homomorphism(lambda X: gamma(n, m, X), MatrixElement.identity(algebra, n, n),
                                 MatrixElement.identity(algebra, m, m), lambda rng: sample_matrix(algebra, n, n, rng),
                                 seed, count)

@@ -24,7 +24,8 @@ The types differ only in their products, of three kinds:
 
   rejecting exponents above ``DEGREE_CAP`` in absolute value;
 * ``SquareMatrix``, the matrix product and the transposing star, for stage
-  matrices, Fock operators and Fock block matrices;
+  matrices and Fock operators (a Fock block matrix is assembled into the
+  Fock operator whose levels it interleaves, ``fock.block_assemble``);
 * the odometer crossed product in ``cantor``, keyed by (U-degree, cylinder)
   and uncapped.
 
@@ -35,14 +36,15 @@ send nonzero entries to nonzero entries, so they build their results with
 stage, the odometer's depth).  So does a pointwise product over an integral
 domain, the cyclic functions' product of scalars, where a product of nonzero
 values is nonzero.  The Fock generators phi(a) and T(a), whose entries
-alpha^j(a) are nonzero when a is, and the blocks of a Fock operator are
-admitted as built, with no scan for zeros or for indices out of range.
+alpha^j(a) are nonzero when a is, the blocks of a Fock operator and the
+operator assembled from blocks are admitted as built, with no scan for
+zeros or for indices out of range.
 Hence two elements are equal exactly when their dicts have the same keys
 and equal entries under each key, which is dict equality: ``==``, and the
 Fock layer's ``agrees`` on its trusted window, compare the dicts with ``==``
 instead of building the difference.
-``shuffled_entries`` is the canonical shuffle M_p(M_n) -> M_(pn) of matrices
-and block matrices.
+``shuffled_entries`` is the canonical shuffle M_p(M_n) -> M_(pn) of stage
+matrices and of the block dicts of the Fock layer.
 
 In element JSON an exponent dict is keyed ``<symbol>:<exponent>``.
 ``exponent_from_key`` accepts a key only in exactly that spelling, so that
@@ -52,9 +54,7 @@ integer where an element stores a size, a twist or a depth.
 
 from __future__ import annotations
 
-import operator
 from types import MappingProxyType
-from typing import Callable
 
 from .errors import BudgetError, MismatchError
 
@@ -199,9 +199,9 @@ class SquareMatrix(Sparse):
     def star(self):
         return self._like({(j, i): x.star() for (i, j), x in self.entries.items()})
 
-    def _product(self, other, mul: Callable = operator.mul):
+    def _product(self, other):
         a, b = self._operands(other)
-        return a._pruned(mul_entries(a.entries, b.entries, mul))
+        return a._pruned(mul_entries(a.entries, b.entries))
 
 
 def add_entries(a: dict, b: dict) -> dict:
@@ -227,15 +227,15 @@ def shuffled_entries(entries: dict, p: int, size: int) -> dict:
     return {(perm[r], perm[c]): x for (r, c), x in entries.items()}
 
 
-def mul_entries(a: dict, b: dict, mul: Callable) -> dict:
-    """Matrix product of two (row, column) dicts, entries multiplied by mul."""
+def mul_entries(a: dict, b: dict) -> dict:
+    """Matrix product of two (row, column) dicts."""
     by_row: dict = {}
     for (k, j), y in b.items():
         by_row.setdefault(k, []).append((j, y))
     out: dict = {}
     for (i, k), x in a.items():
         for j, y in by_row.get(k, ()):
-            prod = mul(x, y)
+            prod = x * y
             key = (i, j)
             out[key] = out[key] + prod if key in out else prod
     return out

@@ -74,9 +74,6 @@ TRIAGE = {
     ("coeff", "cyclic_orbits", "`+` -> `-`"): "equivalent",
     # a draw with probability exactly 0.6 has measure zero
     ("coeff", "FiniteCyclicShift.sample", "`<` -> `<=`"): "equivalent",
-    # the abstract signature's default is read by no call, and the cyclic sample ignores its degree
-    ("coeff", "CoefficientAlgebra.sample", "2 -> 3"): "unneeded",
-    ("coeff", "FiniteCyclicShift.sample", "2 -> 3"): "unneeded",
     # at trust == offset both branches return 0
     ("fock", "block_trust", "`<=` -> `<`"): "equivalent",
     # a refinement budget one larger changes no answer; e >= 1 and a prime absent from the
@@ -86,8 +83,7 @@ TRIAGE = {
     ("invariants", "SupernaturalNumber.amplify", "0 -> 1"): "equivalent",
     ("invariants", "SupernaturalNumber.parse", "1 -> 2"): "equivalent",
     ("invariants", "_value_intervals", "`<=` -> `<`"): "equivalent",
-    # any sampling degree and density checks the same identities
-    ("crossed", "sample_crossed", "2 -> 3"): "equivalent",
+    # any sampling density checks the same identities
     ("crossed", "sample_matrix", "`<` -> `<=`"): "equivalent",
     # FACTOR_LIMIT: the guard's tests factor a prime far past either bound
     ("scalar", "", "10 -> 11"): "equivalent",
@@ -108,6 +104,7 @@ TRIAGE = {
     ("scalar", "Scalar.scaled", "`or` -> `and`"): "unneeded",
     # no output uses repr
     ("scalar", "Scalar.__repr__", None): "unneeded",
+    ("sparse", "SparseSum.__repr__", None): "unneeded",
     # each case is X + 1 so that its trace is rarely 0; X - 1 serves alike
     ("limits", "verify_trace_compatibility", "`+` -> `-`"): "equivalent",
     # a nonzero class with m == 0 has q != 0, where q > 0 and q >= 0 agree

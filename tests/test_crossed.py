@@ -5,11 +5,12 @@ from unittest import mock
 import pytest
 from hypothesis import given, strategies as st
 
-from bdlab.coeff import Angle, CircleFunction, CircleRotation
-from bdlab.crossed import CrossedElement, MatrixElement, sample_crossed, sample_matrix
+from bdlab.coeff import SAMPLE_Z_DEGREE, Angle, CircleFunction, CircleRotation
+from bdlab.crossed import SAMPLE_U_DEGREE, CrossedElement, MatrixElement, sample_crossed, sample_matrix
 from bdlab.errors import BudgetError, MismatchError
 from bdlab.scalar import Scalar
 from numeric import scalar_value
+from sampling import sample_crossed_of_degree, sample_matrix_of_degree
 
 FIB = [1, 1]
 while len(FIB) < 25:
@@ -76,12 +77,23 @@ def test_star_algebra_axioms_500_random(circle, cyclic3):
     rng = random.Random(3)
     for algebra in (circle, cyclic3):
         for _ in range(250):
-            x = sample_crossed(algebra, 2, rng, u_degree=3, coeff_degree=3)
-            y = sample_crossed(algebra, 2, rng, u_degree=3, coeff_degree=3)
-            z = sample_crossed(algebra, 2, rng, u_degree=3, coeff_degree=3)
+            x = sample_crossed_of_degree(algebra, 2, rng, 3, 3)
+            y = sample_crossed_of_degree(algebra, 2, rng, 3, 3)
+            z = sample_crossed_of_degree(algebra, 2, rng, 3, 3)
             assert (x * y) * z == x * (y * z)
             assert x * (y + z) == x * y + x * z
             assert (x * y).star() == y.star() * x.star()
+
+
+@pytest.mark.parametrize("algebra_fixture", ["circle", "cyclic3"])
+def test_degree_samplers_draw_what_the_library_draws_at_its_degrees(algebra_fixture, request):
+    # the library samples at u- and z-degree 2, the degrees gamma-hom's config echoes
+    algebra = request.getfixturevalue(algebra_fixture)
+    assert (SAMPLE_U_DEGREE, SAMPLE_Z_DEGREE) == (2, 2)
+    for seed in range(20):
+        X = sample_matrix(algebra, 2, 3, random.Random(seed))
+        Y = sample_matrix_of_degree(algebra, 2, 3, random.Random(seed), 2, 2)
+        assert X == Y and X.to_json() == Y.to_json()
 
 
 def test_matrix_units_and_trace(circle):
@@ -101,8 +113,8 @@ def test_matrix_trace_is_tracial_200_random(circle):
     rng = random.Random(4)
     for _ in range(200):
         n = rng.choice((2, 3, 4))
-        X = sample_matrix(circle, n, n, rng, u_degree=3, coeff_degree=3)
-        Y = sample_matrix(circle, n, n, rng, u_degree=3, coeff_degree=3)
+        X = sample_matrix_of_degree(circle, n, n, rng, 3, 3)
+        Y = sample_matrix_of_degree(circle, n, n, rng, 3, 3)
         assert (X * Y).trace() == (Y * X).trace()
 
 
@@ -110,7 +122,7 @@ def test_trace_faithfulness_probe(circle):
     # tau(x* x) must evaluate to a nonnegative real at rational rotation angles
     rng = random.Random(5)
     for _ in range(200):
-        x = sample_crossed(circle, 2, rng, u_degree=3, coeff_degree=3)
+        x = sample_crossed_of_degree(circle, 2, rng, 3, 3)
         value = (x.star() * x).trace()
         for theta0 in GOLDEN_APPROXES:
             numeric = scalar_value(value, theta0)
@@ -166,7 +178,7 @@ def test_entrywise_eq_agrees_with_subtraction(algebra_fixture, request, rng):
             assert (a == b) == (a - b).is_zero()
             assert (b == a) == (a == b)
         assert x == (x + y) - y and (x * y) * z == x * (y * z)
-        X, Y, Z = (sample_matrix(algebra, 2, 2, rng, u_degree=1, coeff_degree=1) for _ in range(3))
+        X, Y, Z = (sample_matrix_of_degree(algebra, 2, 2, rng, 1, 1) for _ in range(3))
         for A, B in ((X, Y), (X, (X + Y) - Y), ((X * Y) * Z, X * (Y * Z)), (X, X.star().star())):
             assert (A == B) == (A - B).is_zero()
             assert (B == A) == (A == B)

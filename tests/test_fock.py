@@ -1,3 +1,4 @@
+import operator
 import random
 from unittest import mock
 
@@ -6,8 +7,8 @@ import pytest
 from bdlab.coeff import CircleFunction, FiniteCyclicFunction, FiniteCyclicShift
 from bdlab.errors import MismatchError
 from bdlab.fock import (
-    BlockMatrix,
     FockOperator,
+    block_assemble,
     block_decompose,
     block_trust,
     compact_preservation_sides,
@@ -20,19 +21,6 @@ from bdlab.fock import (
     verify_shuffle,
 )
 from bdlab.scalar import Scalar
-
-
-def block_reassemble(blocks, k, depth, *, step=1, trust=None):
-    """Inverse of block_decompose for blocks sharing one decomposition."""
-    entries = {}
-    algebra = None
-    for (lp, l), block in blocks.items():
-        algebra = block.algebra
-        for (qp, q), a in block.entries.items():
-            entries[(qp * k + lp, q * k + l)] = a
-    if algebra is None:
-        raise MismatchError("no blocks to reassemble")
-    return FockOperator(algebra, depth, entries, step=step, trust=trust)
 
 
 def sample_fock(algebra, depth, rng, *, step=1, band=2, density=0.4):
@@ -140,6 +128,75 @@ class TestGeneratorsAsBuilt:
                     assert block == want, (depth, lp, l)
 
 
+def sample_blocks(algebra, size, depth, rng, *, trusts):
+    """Blocks at step ``size`` on some of the size x size positions, some empty, with trusts drawn from ``trusts``."""
+    blocks = {}
+    for r in range(size):
+        for c in range(size):
+            roll = rng.random()
+            if roll < 0.7:
+                entries = sample_fock(algebra, depth, rng).entries if roll < 0.5 else {}
+                blocks[(r, c)] = FockOperator(algebra, depth, entries, step=size, trust=rng.choice(trusts))
+    return blocks
+
+
+def loop_window(blocks, size, depth):
+    """The largest W <= size*depth such that each level pair below W lies in an absent block or in
+    the trusted window of its block, found by visiting the level pairs."""
+    def trusted(I, J):
+        block = blocks.get((I % size, J % size))
+        return block is None or max(I // size, J // size) < block.trust
+
+    return next(W for W in range(size * depth, -1, -1) if all(trusted(I, J) for I in range(W) for J in range(W)))
+
+
+class TestBlockAssemble:
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_decompose_gives_back_the_blocks(self, cyclic3, size, rng):
+        for depth in (1, 2, 4):
+            blocks = sample_blocks(cyclic3, size, depth, rng, trusts=[depth])
+            X = block_assemble(cyclic3, size, depth, blocks, size)
+            assert (X.depth, X.step, X.trust) == (size * depth, 1, size * depth)
+            empty = FockOperator(cyclic3, depth, step=size)
+            assert block_decompose(X, size) == {(r, c): blocks.get((r, c), empty)
+                                                for r in range(size) for c in range(size)}
+            # below full trust the entries come back, in blocks that trust no more than they did
+            blocks = sample_blocks(cyclic3, size, depth, rng, trusts=range(depth + 1))
+            for key, block in block_decompose(block_assemble(cyclic3, size, depth, blocks, size), size).items():
+                original = blocks.get(key, empty)
+                assert block.entries == original.entries and block.trust <= original.trust
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    def test_trust_is_the_window_inside_every_block(self, cyclic3, size, rng):
+        for depth in (1, 2, 3):
+            for _ in range(10):
+                blocks = sample_blocks(cyclic3, size, depth, rng, trusts=range(1, depth + 1))
+                assert block_assemble(cyclic3, size, depth, blocks, size).trust == loop_window(blocks, size, depth)
+                # a block of trust 0 keeps the levels below min(r, c), though none below max(r, c) lies in it
+                blocks = sample_blocks(cyclic3, size, depth, rng, trusts=range(depth + 1))
+                assert block_assemble(cyclic3, size, depth, blocks, size).trust <= loop_window(blocks, size, depth)
+
+    @pytest.mark.parametrize("key", [(2, 0), (0, 2), (-1, 0), (0, -1)])
+    def test_rejects_a_block_outside_the_block_matrix(self, cyclic3, key):
+        with pytest.raises(MismatchError, match="outside"):
+            block_assemble(cyclic3, 2, 3, {key: FockOperator(cyclic3, 3, step=2)}, 2)
+
+    @pytest.mark.parametrize("block", [
+        lambda circle, cyclic3: FockOperator.identity(circle, 3, step=2),
+        lambda circle, cyclic3: FockOperator.identity(cyclic3, 4, step=2),
+        lambda circle, cyclic3: FockOperator.identity(cyclic3, 3, step=4),
+    ], ids=("algebra", "depth", "step"))
+    def test_rejects_a_block_on_another_space(self, circle, cyclic3, block):
+        with pytest.raises(MismatchError, match="different Fock space"):
+            block_assemble(cyclic3, 2, 3, {(0, 0): FockOperator.identity(cyclic3, 3, step=2),
+                                           (1, 0): block(circle, cyclic3)}, 2)
+
+    @pytest.mark.parametrize("size, step", [(2, 3), (3, 2), (4, 6)])
+    def test_rejects_a_size_that_does_not_divide_the_step(self, cyclic3, size, step):
+        with pytest.raises(MismatchError, match="does not divide"):
+            block_assemble(cyclic3, size, 3, {}, step)
+
+
 class TestTrustRule:
     def test_trust_erodes_with_raising_right_factor(self, circle, rng):
         K = 8
@@ -175,21 +232,36 @@ def inside(op, window):
     return {key: a for key, a in op.entries.items() if max(key) < window}
 
 
+def shuffle_sides(algebra, n, m, seed, depth):
+    """[(lhs, rhs)] of each case that verify_shuffle compares, in its order."""
+    real, sides = FockOperator.agrees, []
+
+    def recorded(lhs, rhs):
+        sides.append((lhs, rhs))
+        return real(lhs, rhs)
+
+    with mock.patch.object(FockOperator, "agrees", recorded):
+        assert verify_shuffle(algebra, n, m, seed, depth).ok
+    return sides
+
+
 def built_operators(algebra, k, a, c, weights, depth):
     """{label: operator} for each operator and block the Fock suites build at ``depth`` from one input.
 
     The inputs are the pair (a, c), the period k and k weights: both sides of
-    eq-id, each block of both sides of compact-preserve at n = 1, m = k, each
+    eq-id, both assembled sides of compact-preserve at n = 1, m = k and of
+    each shuffle case at n = 1, m = k (its samples drawn with seed k), each
     block pair of fock-blocks, and each block of T(a) T(a)* and T(a)* T(a)
     split at period k.
     """
     ops = {}
     for side, op in zip(("lhs", "rhs"), eq_id_sides(algebra, a, c, depth)):
         ops["eq-id", side] = op
-    for side, M in zip(("lhs", "rhs"), compact_preservation_sides(algebra, 1, k, a, c, depth)):
-        for i in range(M.size):
-            for j in range(M.size):
-                ops["compact-preserve", side, i, j] = M.block(i, j)
+    for side, op in zip(("lhs", "rhs"), compact_preservation_sides(algebra, 1, k, a, c, depth)):
+        ops["compact-preserve", side] = op
+    for case, pair in enumerate(shuffle_sides(algebra, 1, k, k, depth)):
+        for side, op in zip(("lhs", "rhs"), pair):
+            ops["shuffle", case, side] = op
     for label, pair in weighted_blocks_check(algebra, weights, a, depth):
         for side, op in zip(("actual", "expected"), pair):
             ops["fock-blocks", label, side] = op
@@ -349,9 +421,12 @@ class TestBlocks:
     def test_reassembly_inverse(self, circle, rng):
         for _ in range(20):
             X = sample_fock(circle, 9, rng)
-            blocks = block_decompose(X, 3)
-            Y = block_reassemble(blocks, 3, 9, step=1, trust=X.trust)
-            assert Y.entries == X.entries and Y.trust == X.trust
+            Y = block_assemble(circle, 3, 3, block_decompose(X, 3), 3)
+            assert Y.entries == X.entries and Y.trust == X.trust == 9 and Y == X
+            # below full trust the blocks' square windows may together trust fewer levels
+            X = FockOperator(circle, 9, X.entries, trust=rng.randrange(10))
+            Y = block_assemble(circle, 3, 3, block_decompose(X, 3), 3)
+            assert Y.entries == X.entries and Y.trust <= X.trust and Y.agrees(X)
 
     def test_period_one_block_is_creation(self, circle):
         results = weighted_blocks_check(circle, (circle.one(),), circle.one(), 4)
@@ -387,39 +462,37 @@ class TestBlocks:
         k, K = 3, 9
         b = circle.sample(rng)
         a = [circle.sample(rng) for _ in range(k - 1)]
-        chain = BlockMatrix(circle, k, K, {(0, k - 1): FockOperator.creation(circle, b, K, step=k)}, step=k)
+        chain = block_assemble(circle, k, K, {(0, k - 1): FockOperator.creation(circle, b, K, step=k)}, k)
         for j in range(k - 2, -1, -1):
-            factor = BlockMatrix(circle, k, K,
-                                 {(j + 1, j): FockOperator.phi(circle, a[j], K, step=k)}, step=k)
-            chain = chain * factor
+            chain = chain @ block_assemble(circle, k, K, {(j + 1, j): FockOperator.phi(circle, a[j], K, step=k)}, k)
         product = a[-1]
         for x in reversed(a[:-1]):
             product = product * x
-        expected = BlockMatrix(circle, k, K,
-                               {(0, 0): FockOperator.creation(circle, b * product, K, step=k)}, step=k)
-        assert chain.agrees(expected)
+        expected = block_assemble(circle, k, K, {(0, 0): FockOperator.creation(circle, b * product, K, step=k)}, k)
+        # each factor raises a level by one, so the chain trusts k - 1 levels fewer
+        assert chain.trust == k * K - (k - 1) and chain.entries and chain.agrees(expected)
 
 
 class TestThetaMap:
     def test_unit_is_block_identity(self, circle):
         out = theta_block_map(circle, 1, 2, "phi", circle.one(), 6)
-        assert set(out.entries) == {(0, 0), (1, 1)}
-        for op in out.entries.values():
+        assert set(out) == {(0, 0), (1, 1)}
+        for op in out.values():
             assert op.agrees(FockOperator.identity(circle, 6, step=2))
 
     def test_creation_image_example(self, circle):
         # n=1, m=2, b=z: T^(2)(t^-1 z) e_{0,1} + phi^(2)(z) e_{1,0}
         out = theta_block_map(circle, 1, 2, "creation", CircleFunction.z(), 6)
-        assert set(out.entries) == {(0, 1), (1, 0)}
+        assert set(out) == {(0, 1), (1, 0)}
         tz = CircleFunction.z(1, Scalar.t_power(-1))
-        assert out.entries[(0, 1)].agrees(FockOperator.creation(circle, tz, 6, step=2))
-        assert out.entries[(1, 0)].agrees(FockOperator.phi(circle, CircleFunction.z(), 6, step=2))
+        assert out[(0, 1)].agrees(FockOperator.creation(circle, tz, 6, step=2))
+        assert out[(1, 0)].agrees(FockOperator.phi(circle, CircleFunction.z(), 6, step=2))
 
     def test_equal_sizes_identity(self, circle, rng):
         a = circle.sample(rng)
         out = theta_block_map(circle, 2, 2, "phi", a, 6)
-        assert set(out.entries) == {(0, 0)}
-        assert out.entries[(0, 0)].agrees(FockOperator.phi(circle, a, 6, step=2))
+        assert set(out) == {(0, 0)}
+        assert out[(0, 0)].agrees(FockOperator.phi(circle, a, 6, step=2))
 
 
 class TestCompactPreservation:
@@ -444,10 +517,11 @@ def test_shuffle_conjugation_matches_block_images(n, m, circle):
 
 
 def test_block_matrix_mismatch(circle):
-    A = BlockMatrix(circle, 2, 6, {}, step=2)
-    B = BlockMatrix(circle, 2, 6, {}, step=1)
-    with pytest.raises(Exception):
-        A + B
+    # block matrices of one size and depth over Fock spaces of steps 2 and 4 assemble at steps 1 and 2
+    A, B = (block_assemble(circle, 2, 6, {(0, 0): FockOperator.identity(circle, 6, step=s)}, s) for s in (2, 4))
+    for operation in (operator.add, operator.sub, operator.matmul, FockOperator.agrees):
+        with pytest.raises(MismatchError):
+            operation(A, B)
 
 
 def test_fock_json(circle, rng):

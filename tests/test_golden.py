@@ -134,7 +134,7 @@ def _rho_failure_report():
 
 
 def _fock_failure_report():
-    """compact-preserve with the corner remainder doubled: the failures serialize Fock block matrices."""
+    """compact-preserve with the corner remainder doubled: the failures serialize assembled Fock operators."""
     real_remainder = fock.compact_remainder
 
     def doubled(*args):
@@ -191,7 +191,7 @@ PINS = {
     'report:gamma-hom-failure': 'ac28dd81ba3ea77d165e03a8ba46675c2f2a5bcec7955134dcd2ec472e3291fa',
     'report:gamma-hom-failure:cyclic': '67b0f1d2355f621bd4e3d6bbf6be14761e699e48fcd64567bad2d52f6c503d3d',
     'report:rho-hom-failure': 'a224566ce55f5a2bcf27c1b00a58f7f00a7bee943e71f29ae35c2a7ee7286760',
-    'report:compact-preserve-failure': 'c00e86fdab2355731df589d7aa4a800600b3279fd4204e08e10b94e35e1b4121',
+    'report:compact-preserve-failure': '802553d607c3a63ed542f2d3f0d2764a8e6f58485b7e33cf7405a6f10f9b242b',
 }
 
 

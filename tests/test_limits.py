@@ -18,6 +18,7 @@ from bdlab.limits import (
 from bdlab.report import Report, case_rng
 from bdlab.scalar import Scalar
 from bdlab.sparse import DEGREE_CAP
+from sampling import sample_matrix_of_degree
 
 SIZE_PAIRS = [(1, 2), (1, 3), (2, 4), (2, 6), (3, 6)]
 
@@ -47,10 +48,10 @@ def gamma_left_inverse(n: int, m: int, Y: MatrixElement) -> MatrixElement | None
     return X if gamma(n, m, X) == Y else None
 
 
-def verify_gamma_injectivity(algebra, n, m, seed, count, u_degree=2, coeff_degree=2):
+def verify_gamma_injectivity(algebra, n, m, seed, count):
     """gamma_left_inverse recovers X from gamma_{n,m}(X) for random stage elements."""
     report = Report("gamma-inverse", config={"n": n, "m": m, "algebra": algebra.tag(), "seed": seed, "count": count})
-    cases = ((idx, sample_matrix(algebra, n, n, case_rng(seed, idx), u_degree, coeff_degree)) for idx in range(count))
+    cases = ((idx, sample_matrix(algebra, n, n, case_rng(seed, idx))) for idx in range(count))
     report.compare(cases, lambda X: (gamma_left_inverse(n, m, gamma(n, m, X)), X),
                    lambda back, X: back is not None and back == X)
     return report
@@ -169,7 +170,7 @@ def test_gamma_matches_closed_form_oracle(n, m, circle, circle_q, cyclic3):
     rng = random.Random(f"oracle{n}{m}")
     for algebra in (circle, circle_q, cyclic3):
         for _ in range(25):
-            X = sample_matrix(algebra, n, n, rng, u_degree=2 * m, coeff_degree=2)
+            X = sample_matrix_of_degree(algebra, n, n, rng, 2 * m, 2)
             got, expected = gamma(n, m, X), gamma_generator_product(n, m, X)
             assert got == expected and got.to_json() == expected.to_json()
 

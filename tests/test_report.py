@@ -9,7 +9,6 @@ notice.  ``canonical_json`` is checked against ``json.dumps``, its oracle.
 """
 
 import json
-import operator
 from pathlib import Path
 from unittest import mock
 
@@ -169,7 +168,7 @@ BROKEN = {
                     lambda: fock.verify_weighted_blocks(CYCLIC, 2, 5, 2)),
     "compact-preserve": (lambda: _doubled(fock, "compact_remainder"),
                          lambda: fock.verify_compact_preservation(CYCLIC, 1, 2, 5, 2, 6)),
-    "shuffle": (lambda: mock.patch.object(fock, "shuffle_conjugate", lambda M, n: M),
+    "shuffle": (lambda: mock.patch.object(fock, "shuffled_entries", lambda entries, p, size: entries),
                 lambda: fock.verify_shuffle(CYCLIC, 2, 4, 5, 6)),
 }
 
@@ -263,7 +262,7 @@ CORE_MUTANTS = {
             "star", lambda self: self._like({key: x.star() for key, x in self.entries.items()}),
             {"gamma-hom", "rho-hom", "fock-id", "compact-preserve"}),
         "product with swapped operands": (
-            "_product", lambda self, other, mul=operator.mul: _real_product(other, self, mul),
+            "_product", lambda self, other: _real_product(other, self),
             {"rho-hom", "fock-id", "compact-preserve"}),
         "difference as its left operand": ("__sub__", lambda self, other: self, {"fock-id", "compact-preserve"}),
         "difference as the sum": ("__sub__", lambda self, other: self + other, {"fock-id", "compact-preserve"}),
